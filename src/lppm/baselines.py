@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversary import belief_update
-from .mdp import Mdp
+from .mdp import Mdp, scatter_pairs, uniform_policy
 from .metrics import validate_distance_matrix
-from .optim import FwResult, LinearProgram, maximize_concave, solve_lp
+from .optim import LinearProgram, maximize_concave, solve_lp
 
 LOG_FLOOR = 1e-300
 
@@ -36,39 +36,23 @@ def step_user(mdp: Mdp, p: np.ndarray, f: np.ndarray):
     return p_next, action_dist
 
 
-def uniform_mechanism(mdp: Mdp) -> np.ndarray:
-    """Equal probability over the available actions of each state."""
-    f = np.zeros((mdp.n_states, mdp.n_actions))
-    for s, acts in enumerate(mdp.available):
-        f[s, list(acts)] = 1.0 / len(acts)
-    return f
-
-
-def _pairs(mdp: Mdp):
-    return [(s, a) for s in range(mdp.n_states) for a in mdp.available[s]]
-
-
-def _row_constraints(mdp: Mdp, pairs):
+def _row_constraints(mdp: Mdp):
     """Row-stochasticity of the mechanism over its available pairs."""
-    a_eq = np.zeros((mdp.n_states, len(pairs)))
-    for k, (s, _) in enumerate(pairs):
-        a_eq[s, k] = 1.0
+    states, _ = mdp.pair_index()
+    a_eq = np.zeros((mdp.n_states, len(states)))
+    a_eq[states, np.arange(len(states))] = 1.0
     return a_eq, np.ones(mdp.n_states)
 
 
-def _posterior_map(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray, pairs) -> np.ndarray:
+def _posterior_map(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray) -> np.ndarray:
     """Matrix Phi with posterior = Phi^T f_vec for the flattened mechanism."""
+    states, actions = mdp.pair_index()
     w = np.einsum("aqr,q->ar", mdp.transition, belief)  # w[a, j] = (T_a^T b)(j)
-    phi = np.zeros((len(pairs), mdp.n_states))
-    for k, (s, a) in enumerate(pairs):
-        phi[k] = p_user[s] * w[a]
-    return phi
+    return p_user[states, None] * w[actions]
 
 
-def _expand(mdp: Mdp, pairs, f_vec: np.ndarray) -> np.ndarray:
-    f = np.zeros((mdp.n_states, mdp.n_actions))
-    for k, (s, a) in enumerate(pairs):
-        f[s, a] = max(float(f_vec[k]), 0.0)
+def _mechanism(mdp: Mdp, f_vec: np.ndarray) -> np.ndarray:
+    f = scatter_pairs(mdp, f_vec)
     # exact row normalization against solver dust
     f /= f.sum(axis=1, keepdims=True)
     return f
@@ -82,9 +66,8 @@ def max_entropy_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray,
     the conditional-gradient loop seeded at the uniform mechanism. Returns
     (f, FwResult).
     """
-    pairs = _pairs(mdp)
-    phi = _posterior_map(mdp, belief, np.asarray(p_user, dtype=float), pairs)
-    a_eq, b_eq = _row_constraints(mdp, pairs)
+    phi = _posterior_map(mdp, belief, np.asarray(p_user, dtype=float))
+    a_eq, b_eq = _row_constraints(mdp)
 
     def posterior(f_vec):
         post = phi.T @ f_vec
@@ -99,10 +82,10 @@ def max_entropy_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray,
         b = np.maximum(phi.T @ f_vec, LOG_FLOOR)
         return phi @ (-(1.0 + np.log(b)))
 
-    x0 = np.array([1.0 / len(mdp.available[s]) for s, _ in pairs])
-    fw = maximize_concave(fun, grad, LinearProgram(np.zeros(len(pairs)), a_eq=a_eq, b_eq=b_eq),
+    x0 = uniform_policy(mdp)[mdp.pair_index()]
+    fw = maximize_concave(fun, grad, LinearProgram(np.zeros(len(x0)), a_eq=a_eq, b_eq=b_eq),
                           x0=x0, gap_tol=gap_tol, max_iter=max_iter)
-    return _expand(mdp, pairs, fw.x), fw
+    return _mechanism(mdp, fw.x), fw
 
 
 def max_inference_error_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray,
@@ -113,10 +96,9 @@ def max_inference_error_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarr
     concave; solved exactly as an epigraph LP over (mechanism, tau).
     """
     distance = validate_distance_matrix(distance)
-    pairs = _pairs(mdp)
-    phi = _posterior_map(mdp, belief, np.asarray(p_user, dtype=float), pairs)
-    a_eq, b_eq = _row_constraints(mdp, pairs)
-    n, np_ = mdp.n_states, len(pairs)
+    phi = _posterior_map(mdp, belief, np.asarray(p_user, dtype=float))
+    a_eq, b_eq = _row_constraints(mdp)
+    np_, n = phi.shape
     # tau <= sum_j post(j) d(j, shat) for every estimate shat
     cols = phi @ distance  # cols[k, shat]
     a_ub = np.hstack([-cols.T, np.ones((n, 1))])
@@ -127,7 +109,7 @@ def max_inference_error_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarr
                                  a_eq=a_eq_full, b_eq=b_eq))
     if sol.status != "optimal":
         raise RuntimeError(f"inference-error LP unexpectedly {sol.status}")
-    return _expand(mdp, pairs, sol.x[:np_]), float(sol.x[-1])
+    return _mechanism(mdp, sol.x), float(sol.x[-1])
 
 
 def dp_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray, eps_dp: float):
@@ -141,24 +123,20 @@ def dp_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray, eps_dp: float
         raise ValueError("eps_dp must be positive")
     belief = np.asarray(belief, dtype=float)
     p_user = np.asarray(p_user, dtype=float)
-    pairs = _pairs(mdp)
-    phi = _posterior_map(mdp, belief, p_user, pairs)
-    a_eq, b_eq = _row_constraints(mdp, pairs)
-    n = mdp.n_states
+    states, actions = mdp.pair_index()
+    phi = _posterior_map(mdp, belief, p_user)
+    a_eq, b_eq = _row_constraints(mdp)
     bound = float(np.exp(eps_dp))
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows.append(phi[:, i] * belief[j] - bound * phi[:, j] * belief[i])
-    a_ub = np.array(rows)
-    c = np.array([p_user[s] * mdp.utility[s, a] for s, a in pairs])
-    sol = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=np.zeros(len(rows)),
+    # one row per ordered pair i != j, i-major
+    i, j = np.nonzero(~np.eye(mdp.n_states, dtype=bool))
+    a_ub = phi[:, i].T * belief[j, None] - bound * phi[:, j].T * belief[i, None]
+    c = p_user[states] * mdp.utility[states, actions]
+    sol = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=np.zeros(len(i)),
                                  a_eq=a_eq, b_eq=b_eq))
     if sol.status != "optimal":
         raise MechanismInfeasibleError(
             f"no mechanism keeps belief ratios within e^{eps_dp:g} ({sol.status})")
-    return _expand(mdp, pairs, sol.x)
+    return _mechanism(mdp, sol.x)
 
 
 @dataclass

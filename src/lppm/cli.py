@@ -102,7 +102,26 @@ def _parse_secret(spec_text, mdp):
                 raise CliError(f"unknown secret state {token!r}")
     if not states:
         raise CliError("empty secret state set")
+    bad = [s for s in states if not 0 <= s < mdp.n_states]
+    if bad:
+        raise CliError(f"secret state {bad[0]} out of range 0..{mdp.n_states - 1}")
+    if len(set(states)) == mdp.n_states:
+        raise CliError("secret set must leave at least one state public")
     return tuple(states)
+
+
+def _epsilon(value):
+    epsilon = float(value)
+    if not 0.0 < epsilon <= 1.0:  # also rejects nan
+        raise CliError(f"epsilon must lie in (0, 1], got {value}")
+    return epsilon
+
+
+def _horizon(args, config, default):
+    horizon = int(_get(args, config, "horizon", default))
+    if horizon < 0:
+        raise CliError(f"horizon must be nonnegative, got {horizon}")
+    return horizon
 
 
 def _initial_belief(args, config, mdp, secret):
@@ -189,29 +208,28 @@ def cmd_synthesize(args):
     mdp = _load_model(args, config)
     out = _out_dir(args, config)
     mode = _get(args, config, "mode", "eps_private")
-    if mode == "unconstrained":
-        result = synthesize_unconstrained(mdp)
-    else:
+    if mode not in ("unconstrained", "eps_private", "asymptotic"):
+        raise CliError(f"unknown mode {mode!r}")
+    if mode != "unconstrained":
         secret = _parse_secret(_get(args, config, "secret", ""), mdp)
         epsilon = _get(args, config, "epsilon")
         if epsilon is None:
             raise CliError(f"mode {mode!r} needs --epsilon")
-        spec = PrivacySpec(secret, float(epsilon))
-        try:
-            if mode == "eps_private":
-                result = synthesize_eps_private(mdp, spec)
-            elif mode == "asymptotic":
-                result = synthesize_asymptotic(mdp, spec,
-                                               seed=int(_get(args, config, "seed", 0)))
-            else:
-                raise CliError(f"unknown mode {mode!r}")
-        except InfeasibleSynthesisError as exc:
-            print(f"infeasible: {exc}", file=sys.stderr)
-            for key, value in exc.diagnosis.items():
-                print(f"  {key}: {value}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        except NotUnichainError as exc:
-            raise CliError(f"model is not unichain: {exc}")
+        spec = PrivacySpec(secret, _epsilon(epsilon))
+    try:
+        if mode == "unconstrained":
+            result = synthesize_unconstrained(mdp)
+        elif mode == "eps_private":
+            result = synthesize_eps_private(mdp, spec)
+        else:
+            result = synthesize_asymptotic(mdp, spec, seed=int(_get(args, config, "seed", 0)))
+    except InfeasibleSynthesisError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        for key, value in exc.diagnosis.items():
+            print(f"  {key}: {value}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except NotUnichainError as exc:
+        raise CliError(f"model is not unichain: {exc}")
     serialize.save_result(result, out / "result.json")
     line = f"mode={result.mode} average_cost={result.average_cost:.6f}"
     if result.certificate is not None:
@@ -234,11 +252,14 @@ def cmd_simulate(args):
         result = serialize.load_result(result_path)
     except FileNotFoundError:
         raise CliError(f"result file not found: {result_path}")
-    out = _out_dir(args, config)
-    horizon = int(_get(args, config, "horizon", 100))
+    horizon = _horizon(args, config, 100)
+    epsilon = _get(args, config, "epsilon", result.epsilon)
+    if epsilon is not None:
+        epsilon = _epsilon(epsilon)
     secret_text = _get(args, config, "secret")
     secret = (_parse_secret(secret_text, mdp) if secret_text is not None
               else result.secret_states or (0,))
+    out = _out_dir(args, config)
     b0 = _initial_belief(args, config, mdp, secret)
     chain = adversary_matrix(mdp, result.theta)
     beliefs = belief_trajectory(chain, b0, horizon)
@@ -259,9 +280,8 @@ def cmd_simulate(args):
             total += cost
             writer.writerow([t, format(cost, ".17g"), format(total / (t + 1), ".17g")])
             p = p @ user_chain
-    epsilon = _get(args, config, "epsilon", result.epsilon)
     if epsilon is not None and horizon > 0:
-        spec = PrivacySpec(secret, float(epsilon))
+        spec = PrivacySpec(secret, epsilon)
         check = eps_privacy_check(beliefs, spec)
         status = "holds" if check.holds else f"violated at t={check.first_violation}"
         print(f"secret-mass bound over {horizon} steps: {status} "
@@ -286,7 +306,7 @@ def cmd_verify(args):
     secret_text = _get(args, config, "secret")
     secret = (_parse_secret(secret_text, mdp) if secret_text is not None
               else result.secret_states)
-    spec = PrivacySpec(secret, float(epsilon))
+    spec = PrivacySpec(secret, _epsilon(epsilon))
     chain = adversary_matrix(mdp, result.theta)
     verdict = verify_invariance(chain, spec)
     cert = theorem1_certificate(chain, spec)
@@ -310,9 +330,11 @@ def cmd_verify(args):
 def cmd_baselines(args):
     config = _load_config(args.config)
     mdp = _load_model(args, config)
-    out = _out_dir(args, config)
-    horizon = int(_get(args, config, "horizon", 50))
+    horizon = _horizon(args, config, 50)
     eps_dp = float(_get(args, config, "eps_dp", 0.7))
+    if not eps_dp > 0.0:  # also rejects nan
+        raise CliError(f"eps-dp must be positive, got {eps_dp}")
+    out = _out_dir(args, config)
     kinds_text = _get(args, config, "kind", "max_entropy,max_inference_error,dp")
     kinds = [k for k in str(kinds_text).replace(",", " ").split() if k]
     known = ("max_entropy", "max_inference_error", "dp")

@@ -36,18 +36,12 @@ def step_distances_m(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
-def local_xy_m(lat: np.ndarray, lon: np.ndarray, lat_ref: float, lon_ref: float):
-    """Equirectangular projection to planar meters around a reference point.
-
-    Adequate for the sub-kilometer layouts used by the synthetic fixtures.
-    """
-    x = np.radians(np.asarray(lon) - lon_ref) * EARTH_RADIUS_M * math.cos(math.radians(lat_ref))
-    y = np.radians(np.asarray(lat) - lat_ref) * EARTH_RADIUS_M
-    return x, y
-
-
 def offset_latlon(lat_ref: float, lon_ref: float, dx_m: float, dy_m: float) -> tuple[float, float]:
-    """Inverse of local_xy_m for a single planar offset (dx east, dy north)."""
+    """Point dx_m meters east and dy_m meters north of the reference point.
+
+    Equirectangular approximation, adequate for the sub-kilometer layouts
+    used by the synthetic fixtures.
+    """
     lat = lat_ref + math.degrees(dy_m / EARTH_RADIUS_M)
     lon = lon_ref + math.degrees(dx_m / (EARTH_RADIUS_M * math.cos(math.radians(lat_ref))))
     return lat, lon

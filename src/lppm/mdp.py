@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +86,7 @@ class Mdp:
                 raise ValueError(f"state {s} lists an action outside 0..{m - 1}")
             if len(set(acts)) != len(acts):
                 raise ValueError(f"state {s} repeats an action")
+        self._pairs = _pair_index(self.available)
         if not np.all(np.isfinite(self.transition)) or np.any(self.transition < -CONSTRUCTION_ATOL):
             raise ValueError("transition entries must be finite and nonnegative")
         row_sums = self.transition.sum(axis=2)
@@ -118,13 +119,47 @@ class Mdp:
     def n_actions(self) -> int:
         return self.transition.shape[0]
 
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int arrays (pair_states, pair_actions) of the available pairs.
+
+        Pair k is (pair_states[k], pair_actions[k]). The order is state-major
+        with the actions of a state ascending; it is the column order of every
+        occupancy and mechanism LP, and the simplex's Bland rule pivots by
+        column index, so changing it changes the pivot sequence.
+        """
+        return self._pairs
+
     def availability_mask(self) -> np.ndarray:
         """Boolean (n, m) mask of available (state, action) pairs."""
-        n, m = self.n_states, self.n_actions
-        mask = np.zeros((n, m), dtype=bool)
-        for s, acts in enumerate(self.available):
-            mask[s, list(acts)] = True
-        return mask
+        return _pair_mask(self._pairs, self.n_states, self.n_actions)
+
+
+def _pair_index(available) -> tuple[np.ndarray, np.ndarray]:
+    """Pair arrays of Mdp.pair_index; `available` must list sorted actions."""
+    states = np.repeat(np.arange(len(available)), [len(acts) for acts in available])
+    actions = np.array([a for acts in available for a in acts], dtype=np.intp)
+    states.flags.writeable = False
+    actions.flags.writeable = False
+    return states, actions
+
+
+def _pair_mask(pairs, n: int, m: int) -> np.ndarray:
+    mask = np.zeros((n, m), dtype=bool)
+    mask[pairs] = True
+    return mask
+
+
+def scatter_pairs(mdp: Mdp, x: np.ndarray) -> np.ndarray:
+    """(n, m) matrix with max(x[k], 0) at pair k and zero elsewhere.
+
+    Reads the first len(pairs) entries of x, the pair columns of an LP
+    solution; trailing variables are ignored. Callers normalize the result.
+    """
+    states, actions = mdp.pair_index()
+    vals = np.asarray(x, dtype=float)[:len(states)]
+    out = np.zeros((mdp.n_states, mdp.n_actions))
+    out[states, actions] = np.where(vals < 0.0, 0.0, vals)
+    return out
 
 
 def make_mdp(transition, utility, available, p0, u_bar=None,
@@ -139,9 +174,7 @@ def make_mdp(transition, utility, available, p0, u_bar=None,
     utility = np.array(utility, dtype=float)
     m, n, _ = transition.shape
     available = tuple(tuple(sorted(acts)) for acts in available)
-    mask = np.zeros((n, m), dtype=bool)
-    for s, acts in enumerate(available):
-        mask[s, list(acts)] = True
+    mask = _pair_mask(_pair_index(available), n, m)
     if u_bar is None:
         u_bar = 1e3 * float(np.max(np.abs(utility[mask])))
     eye = np.eye(n)
@@ -154,9 +187,9 @@ def make_mdp(transition, utility, available, p0, u_bar=None,
 
 def uniform_policy(mdp: Mdp) -> np.ndarray:
     """Policy putting equal probability on every available action."""
+    states, actions = mdp.pair_index()
     policy = np.zeros((mdp.n_states, mdp.n_actions))
-    for s, acts in enumerate(mdp.available):
-        policy[s, list(acts)] = 1.0 / len(acts)
+    policy[states, actions] = 1.0 / np.bincount(states, minlength=mdp.n_states)[states]
     return policy
 
 
@@ -175,16 +208,6 @@ def induce_chain(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     """Markov chain of the closed loop, M(s, s') = sum_a policy(s, a) T(s, a, s')."""
     policy = validate_policy(mdp, policy)
     return np.einsum("sa,asn->sn", policy, mdp.transition)
-
-
-def distribution_trajectory(chain: np.ndarray, p0: np.ndarray, horizon: int) -> np.ndarray:
-    """Deterministic propagation p_{t+1} = chain^T p_t; returns (horizon+1, n)."""
-    chain = np.asarray(chain, dtype=float)
-    out = np.empty((horizon + 1, chain.shape[0]))
-    out[0] = np.asarray(p0, dtype=float)
-    for t in range(horizon):
-        out[t + 1] = chain.T @ out[t]
-    return out
 
 
 def _support_graph(chain: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -252,19 +275,6 @@ def stationary_distribution(chain: np.ndarray, atol: float = COMPUTATION_ATOL) -
     if np.max(np.abs(chain.T @ p - p)) > atol:
         raise NonErgodicError("stationary solve residual too large")
     return p
-
-
-def power_iteration_stationary(chain: np.ndarray, tol: float = 1e-12,
-                               max_iter: int = 1_000_000) -> np.ndarray:
-    """Stationary distribution by repeated application of P^T; cross-check oracle."""
-    chain = np.asarray(chain, dtype=float)
-    p = np.full(chain.shape[0], 1.0 / chain.shape[0])
-    for _ in range(max_iter):
-        nxt = chain.T @ p
-        if np.abs(nxt - p).sum() < tol:
-            return nxt / nxt.sum()
-        p = nxt
-    raise NonErgodicError("power iteration did not converge")
 
 
 @dataclass

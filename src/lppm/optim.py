@@ -273,28 +273,6 @@ def solve_lp(lp: LinearProgram, tol: float = OPT_TOL, max_iter: int | None = Non
                       constraint_violation(lp, x))
 
 
-def dump_lp(lp: LinearProgram, path) -> None:
-    """Write a plain-text tableau of the program for debugging.
-
-    Layout: one header line with sizes, then rows `c`, `a_ub | b_ub`,
-    `a_eq | b_eq`, `lb`, `ub`, all floats in repr-exact %.17g form.
-    """
-    def fmt(v):
-        return " ".join(format(float(x), ".17g") for x in np.atleast_1d(v))
-
-    with open(path, "w") as fh:
-        n_ub = 0 if lp.a_ub is None else lp.a_ub.shape[0]
-        n_eq = 0 if lp.a_eq is None else lp.a_eq.shape[0]
-        fh.write(f"lp {lp.n_vars} {n_ub} {n_eq}\n")
-        fh.write("c " + fmt(lp.c) + "\n")
-        for i in range(n_ub):
-            fh.write("ub_row " + fmt(lp.a_ub[i]) + " | " + fmt(lp.b_ub[i]) + "\n")
-        for i in range(n_eq):
-            fh.write("eq_row " + fmt(lp.a_eq[i]) + " | " + fmt(lp.b_eq[i]) + "\n")
-        fh.write("lb " + fmt(lp.lb) + "\n")
-        fh.write("ub " + fmt(lp.ub) + "\n")
-
-
 @dataclass
 class FwResult:
     x: np.ndarray

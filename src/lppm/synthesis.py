@@ -16,7 +16,8 @@ import numpy as np
 
 from .adversary import adversary_matrix, stationary_belief
 from .mdp import (Mdp, NonErgodicError, NotUnichainError, average_cost,
-                  check_unichain_exhaustive, occupancy_from_policy, policy_from_theta)
+                  check_unichain_exhaustive, occupancy_from_policy, policy_from_theta,
+                  scatter_pairs)
 from .metrics import PrivacySpec
 from .optim import LinearProgram, LpSolution, solve_lp
 
@@ -118,29 +119,25 @@ def certificate_margin(chain: np.ndarray, spec: PrivacySpec, cert: Certificate) 
     return float(rows.min())
 
 
-def _theta_pairs(mdp: Mdp) -> list[tuple[int, int]]:
-    return [(s, a) for s in range(mdp.n_states) for a in mdp.available[s]]
+def _base_constraints(mdp: Mdp, n_extra: int):
+    """Stationarity and normalization rows over [theta pairs | extras].
 
-
-def _base_constraints(mdp: Mdp, pairs, n_extra: int):
-    """Stationarity and normalization rows over [theta_pairs | extras]."""
-    n = mdp.n_states
-    nv = len(pairs) + n_extra
-    a_eq = np.zeros((n + 1, nv))
+    Row s' holds sum_{(s, a)} theta(s, a) (delta_{s s'} - T(s, a, s')); row n
+    sums theta to one.
+    """
+    states, actions = mdp.pair_index()
+    n, k = mdp.n_states, len(states)
+    a_eq = np.zeros((n + 1, k + n_extra))
+    a_eq[:n, :k] -= mdp.transition[actions, states].T
+    a_eq[states, np.arange(k)] += 1.0
+    a_eq[n, :k] = 1.0
     b_eq = np.zeros(n + 1)
-    for k, (s, a) in enumerate(pairs):
-        for sp in range(n):
-            a_eq[sp, k] -= mdp.transition[a, s, sp]
-        a_eq[s, k] += 1.0
-        a_eq[n, k] = 1.0
     b_eq[n] = 1.0
     return a_eq, b_eq
 
 
-def _unpack_theta(mdp: Mdp, pairs, x: np.ndarray) -> np.ndarray:
-    theta = np.zeros((mdp.n_states, mdp.n_actions))
-    for k, (s, a) in enumerate(pairs):
-        theta[s, a] = max(float(x[k]), 0.0)
+def _theta(mdp: Mdp, x: np.ndarray) -> np.ndarray:
+    theta = scatter_pairs(mdp, x)
     return theta / theta.sum()
 
 
@@ -165,14 +162,14 @@ def synthesize_unconstrained(mdp: Mdp, check_unichain: bool = True) -> Synthesis
     """Minimum average quality loss with no privacy constraint."""
     diagnostics: dict = {}
     _require_unichain(mdp, check_unichain, diagnostics)
-    pairs = _theta_pairs(mdp)
-    a_eq, b_eq = _base_constraints(mdp, pairs, 0)
-    c = np.array([mdp.utility[s, a] for s, a in pairs])
-    sol = solve_lp(LinearProgram(c, a_eq=a_eq, b_eq=b_eq))
+    a_eq, b_eq = _base_constraints(mdp, 0)
+    sol = solve_lp(LinearProgram(mdp.utility[mdp.pair_index()], a_eq=a_eq, b_eq=b_eq))
+    if sol.status == "infeasible":
+        raise InfeasibleSynthesisError("occupancy LP infeasible")
     if sol.status != "optimal":
-        raise InfeasibleSynthesisError(f"occupancy LP {sol.status}")
+        raise _unproven(sol, "occupancy LP")
     diagnostics.update(lp_status=sol.status, lp_iterations=sol.iterations)
-    theta = _unpack_theta(mdp, pairs, sol.x)
+    theta = _theta(mdp, sol.x)
     return _finish(mdp, "unconstrained", theta, diagnostics)
 
 
@@ -187,29 +184,27 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec,
     """
     diagnostics: dict = {}
     _require_unichain(mdp, check_unichain, diagnostics)
-    n, m = mdp.n_states, mdp.n_actions
+    n = mdp.n_states
     sel = spec.selector(n)
     eps = spec.epsilon
-    pairs = _theta_pairs(mdp)
-    nv = len(pairs) + 1  # theta pairs then z
-    a_eq, b_eq = _base_constraints(mdp, pairs, 1)
+    a_eq, b_eq = _base_constraints(mdp, 1)  # theta pairs then z
     # inflow coefficient of pair (s, a) on certificate row j: T[a](j, secret)
     g = np.einsum("aqr,r->aq", mdp.transition, sel)  # g[a, j]
-    a_ub = np.zeros((n, nv))
-    for k, (s, a) in enumerate(pairs):
-        a_ub[:, k] = g[a]
-    a_ub[:, -1] = eps - sel
+    _, actions = mdp.pair_index()
+    a_ub = np.column_stack([g[actions].T, eps - sel])
     b_ub = np.full(n, eps)
-    c = np.array([mdp.utility[s, a] for s, a in pairs] + [0.0])
+    c = np.append(mdp.utility[mdp.pair_index()], 0.0)
     sol = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
-    if sol.status != "optimal":
-        diagnosis = _diagnose_infeasible(mdp, pairs, a_eq, b_eq, a_ub, b_ub, sel, eps)
+    if sol.status == "infeasible":
+        diagnosis = _diagnose_infeasible(a_eq, b_eq, a_ub, b_ub)
         raise InfeasibleSynthesisError(
             f"no policy makes the safe belief set invariant at epsilon={eps:g} "
             f"(tightest row: state {diagnosis['worst_row']}, "
             f"violation {diagnosis['worst_violation']:.3g})", diagnosis)
+    if sol.status != "optimal":
+        raise _unproven(sol, f"eps_private LP at epsilon={eps:g}")
     diagnostics.update(lp_status=sol.status, lp_iterations=sol.iterations)
-    theta = _unpack_theta(mdp, pairs, sol.x)
+    theta = _theta(mdp, sol.x)
     z = float(sol.x[-1])
     chain = adversary_matrix(mdp, theta)
     beta = np.maximum(eps - eps * z + z * sel - secret_inflow(chain, spec), 0.0)
@@ -241,10 +236,16 @@ def _post_verify(mdp: Mdp, result: SynthesisResult, spec: PrivacySpec, diagnosti
                            f"worst mass {verdict.optimum:.12g} vs epsilon {spec.epsilon:g}")
 
 
-def _diagnose_infeasible(mdp, pairs, a_eq, b_eq, a_ub, b_ub, sel, eps) -> dict:
+def _unproven(sol: LpSolution, what: str) -> InfeasibleSynthesisError:
+    """Error for an LP that ended neither optimal nor infeasible: nothing was proven."""
+    return InfeasibleSynthesisError(
+        f"{what} ended {sol.status} after {sol.iterations} pivots; feasibility unknown",
+        {"lp_status": sol.status, "lp_iterations": sol.iterations, "feasibility": "unknown"})
+
+
+def _diagnose_infeasible(a_eq, b_eq, a_ub, b_ub) -> dict:
     """Re-solve with elastic certificate rows to find the tightest violation."""
-    n = a_ub.shape[0]
-    nv = a_ub.shape[1]
+    n, nv = a_ub.shape
     a_ub_el = np.hstack([a_ub, -np.eye(n)])
     a_eq_el = np.hstack([a_eq, np.zeros((a_eq.shape[0], n))])
     c = np.concatenate([np.zeros(nv), np.ones(n)])
@@ -271,15 +272,15 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec, n_starts: int = 16, seed:
     """
     diagnostics: dict = {"starts": [], "margin": margin}
     _require_unichain(mdp, check_unichain, diagnostics)
-    n, m = mdp.n_states, mdp.n_actions
+    n = mdp.n_states
     sel = spec.selector(n)
     eps_eff = spec.epsilon - margin
     if eps_eff <= 0.0:
         raise ValueError("margin leaves no feasible belief region")
-    pairs = _theta_pairs(mdp)
-    np_ = len(pairs)
+    _, actions = mdp.pair_index()
+    np_ = len(actions)
     nv = np_ + 2 * n  # theta pairs, belief b, residual slack r
-    a_eq_base, b_eq_base = _base_constraints(mdp, pairs, 2 * n)
+    a_eq_base, b_eq_base = _base_constraints(mdp, 2 * n)
     # belief simplex and safety rows
     b_simplex = np.zeros((1, nv))
     b_simplex[0, np_:np_ + n] = 1.0
@@ -287,7 +288,7 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec, n_starts: int = 16, seed:
     b_eq = np.concatenate([b_eq_base, [1.0]])
     safety = np.zeros((1, nv))
     safety[0, np_:np_ + n] = sel
-    u_pairs = np.array([mdp.utility[s, a] for s, a in pairs])
+    u_pairs = mdp.utility[mdp.pair_index()]
     lam = 100.0 * (1.0 + float(np.abs(u_pairs).max()))
     c = np.concatenate([u_pairs, np.zeros(n), lam * np.ones(n)])
     rng = np.random.default_rng(seed)
@@ -304,18 +305,16 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec, n_starts: int = 16, seed:
             info["rounds"] = rounds
             # (T[a]^T b_hat)(j): coefficient of theta(s, a) on belief row j
             w = np.einsum("aqr,q->ar", mdp.transition, b_hat)  # w[a, j]
-            fix = np.zeros((n, nv))
-            for k, (s, a) in enumerate(pairs):
-                fix[:, k] = w[a]
-            resid_up = np.hstack([fix[:, :np_], -np.eye(n), -np.eye(n)])
-            resid_dn = np.hstack([-fix[:, :np_], np.eye(n), -np.eye(n)])
+            fix = w[actions].T
+            resid_up = np.hstack([fix, -np.eye(n), -np.eye(n)])
+            resid_dn = np.hstack([-fix, np.eye(n), -np.eye(n)])
             a_ub = np.vstack([safety, resid_up, resid_dn])
             b_ub = np.concatenate([[eps_eff], np.zeros(2 * n)])
             sol = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
             if sol.status != "optimal":
                 info["status"] = f"lp_{sol.status}"
                 break
-            theta = _unpack_theta(mdp, pairs, sol.x)
+            theta = _theta(mdp, sol.x)
             try:
                 b_next = stationary_belief(adversary_matrix(mdp, theta))
             except NonErgodicError:

@@ -1,9 +1,11 @@
 """Shared helpers: brute-force oracles and random-instance factories."""
+import math
 from itertools import combinations, islice
 
 import numpy as np
 
-from lppm.mdp import make_mdp
+from lppm.geo import EARTH_RADIUS_M
+from lppm.mdp import NonErgodicError, make_mdp
 
 
 def brute_force_lp(c, a_ub, b_ub):
@@ -57,6 +59,35 @@ def random_dense_mdp(rng, n_states=4, n_actions=3, meta=False):
     available = tuple(tuple(range(n_actions)) for _ in range(n_states))
     p0 = rng.dirichlet(np.ones(n_states))
     return make_mdp(transition, utility, available, p0)
+
+
+def power_iteration_stationary(chain, tol=1e-12, max_iter=1_000_000):
+    """Stationary distribution by repeated application of P^T."""
+    chain = np.asarray(chain, dtype=float)
+    p = np.full(chain.shape[0], 1.0 / chain.shape[0])
+    for _ in range(max_iter):
+        nxt = chain.T @ p
+        if np.abs(nxt - p).sum() < tol:
+            return nxt / nxt.sum()
+        p = nxt
+    raise NonErgodicError("power iteration did not converge")
+
+
+def local_xy_m(lat, lon, lat_ref, lon_ref):
+    """Equirectangular projection to planar meters (x east, y north) around a reference."""
+    x = np.radians(np.asarray(lon) - lon_ref) * EARTH_RADIUS_M * math.cos(math.radians(lat_ref))
+    y = np.radians(np.asarray(lat) - lat_ref) * EARTH_RADIUS_M
+    return x, y
+
+
+def random_sparse_mdp(rng, n_states=7, n_actions=5):
+    """MDP with random availability sets, each listed in shuffled order."""
+    transition = rng.dirichlet(np.ones(n_states), size=(n_actions, n_states))
+    utility = rng.uniform(1.0, 5.0, size=(n_states, n_actions))
+    available = [tuple(int(a) for a in rng.permutation(n_actions)[:rng.integers(1, n_actions)])
+                 for _ in range(n_states)]
+    p0 = rng.dirichlet(np.ones(n_states))
+    return make_mdp(transition, utility, available, p0), available
 
 
 def random_chain(rng, n):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from lppm.baselines import (BaselineRollout, MechanismInfeasibleError,
+                            _posterior_map, _row_constraints,
                             dp_mechanism, max_entropy_mechanism,
                             max_inference_error_mechanism, run_baseline,
-                            step_user, uniform_mechanism)
-from lppm.mdp import make_mdp
+                            step_user)
+from lppm.mdp import make_mdp, uniform_policy
 from lppm.metrics import entropy, max_dp_ratio, validate_distance_matrix
+from support import random_sparse_mdp
 
 
 def forcing_mdp(n=3, utility=None):
@@ -36,13 +38,13 @@ class TestStepUser:
         t = np.eye(3)[None].repeat(2, axis=0)
         mdp = make_mdp(t, np.ones((3, 2)), ((0, 1),) * 3, np.full(3, 1 / 3))
         p = rng.dirichlet(np.ones(3))
-        f = uniform_mechanism(mdp)
+        f = uniform_policy(mdp)
         p_next, _ = step_user(mdp, p, f)
         np.testing.assert_allclose(p_next, p, atol=1e-12)
 
     def test_campus_action_marginal_by_hand(self, campus):
         p = np.full(6, 1 / 6)
-        f = uniform_mechanism(campus)
+        f = uniform_policy(campus)
         _, action_dist = step_user(campus, p, f)
         expect = np.zeros(6)
         for s, acts in enumerate(campus.available):
@@ -54,12 +56,28 @@ class TestStepUser:
 
 class TestUniformMechanism:
     def test_rows_match_availability(self, campus):
-        f = uniform_mechanism(campus)
+        f = uniform_policy(campus)
         for s, acts in enumerate(campus.available):
             np.testing.assert_allclose(f[s, list(acts)], 1.0 / len(acts))
             assert f[s].sum() == pytest.approx(1.0, abs=1e-12)
             off = [a for a in range(campus.n_actions) if a not in acts]
             assert np.all(f[s, off] == 0.0)
+
+
+class TestPairBlocks:
+    def test_posterior_map_and_rows_match_pair_loop(self, rng):
+        mdp, available = random_sparse_mdp(rng)
+        pairs = [(s, a) for s, acts in enumerate(available) for a in sorted(acts)]
+        b = rng.dirichlet(np.ones(mdp.n_states))
+        p = rng.dirichlet(np.ones(mdp.n_states))
+        w = np.einsum("aqr,q->ar", mdp.transition, b)
+        phi = np.zeros((len(pairs), mdp.n_states))
+        rows = np.zeros((mdp.n_states, len(pairs)))
+        for k, (s, a) in enumerate(pairs):
+            phi[k] = p[s] * w[a]
+            rows[s, k] = 1.0
+        np.testing.assert_array_equal(_posterior_map(mdp, b, p), phi)
+        np.testing.assert_array_equal(_row_constraints(mdp)[0], rows)
 
 
 class TestMaxEntropyMechanism:
@@ -86,7 +104,7 @@ class TestMaxEntropyMechanism:
         p = rng.dirichlet(np.ones(6))
         _, fw = max_entropy_mechanism(campus, b, p)
         from lppm.adversary import belief_update
-        _, action_dist = step_user(campus, p, uniform_mechanism(campus))
+        _, action_dist = step_user(campus, p, uniform_policy(campus))
         h_uniform = entropy(belief_update(campus, b, action_dist))
         assert fw.value >= h_uniform - 1e-9
 

@@ -249,6 +249,28 @@ class TestBaselines:
         return str(cfg)
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "--fixture", "campus", "--secret", "s4", "--epsilon", "1.5"],
+        ["synthesize", "--fixture", "campus", "--secret", "s4", "--epsilon", "nan"],
+        ["synthesize", "--fixture", "campus", "--secret", "6", "--epsilon", "0.2"],
+        ["simulate", "--fixture", "campus", "--result", "{result}", "--horizon", "-1"],
+        ["baselines", "--fixture", "campus", "--horizon", "-2"],
+        ["baselines", "--fixture", "campus", "--horizon", "1", "--eps-dp", "0"],
+    ], ids=["epsilon_above_one", "epsilon_nan", "secret_out_of_range",
+            "simulate_negative_horizon", "baselines_negative_horizon", "eps_dp_zero"])
+    def test_one_error_line_exit_1(self, tmp_path, capsys, argv):
+        result = tmp_path / "result.json"
+        rc, _, _ = run(capsys, "synthesize", "--fixture", "campus", "--mode",
+                       "unconstrained", "--out", str(tmp_path))
+        assert rc == 0
+        argv = [str(result) if a == "{result}" else a for a in argv]
+        rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert rc == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 class TestConfigMerge:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

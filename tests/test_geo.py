@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lppm.geo import (haversine_m, haversine_many_m, local_xy_m,
-                      offset_latlon, step_distances_m)
+from lppm.geo import haversine_m, haversine_many_m, offset_latlon, step_distances_m
+from support import local_xy_m
 
 
 class TestHaversine:

@@ -3,10 +3,9 @@ import pytest
 
 from lppm.mdp import (Mdp, NonErgodicError, average_cost, check_ergodic,
                       check_unichain_exhaustive, induce_chain, make_mdp,
-                      occupancy_from_policy, policy_from_theta,
-                      power_iteration_stationary, simulate,
+                      occupancy_from_policy, policy_from_theta, simulate,
                       stationary_distribution, uniform_policy, validate_policy)
-from support import random_dense_mdp
+from support import power_iteration_stationary, random_dense_mdp, random_sparse_mdp
 
 # campus stationary distribution under any policy (shared successor rows)
 CAMPUS_P_INF = np.array([3, 8, 15, 21, 18, 9]) / 74.0
@@ -53,6 +52,22 @@ class TestMdpValidation:
         mask = campus.availability_mask()
         assert campus.utility[~mask][0] == pytest.approx(
             1e3 * campus.utility[mask].max())
+
+
+class TestPairIndex:
+    def test_state_major_sorted_available_pairs(self, rng):
+        mdp, available = random_sparse_mdp(rng)
+        assert any(list(acts) != sorted(acts) for acts in available)
+        states, actions = mdp.pair_index()
+        expected = [(s, a) for s, acts in enumerate(available) for a in sorted(acts)]
+        assert list(zip(states.tolist(), actions.tolist())) == expected
+        assert states.dtype.kind == actions.dtype.kind == "i"
+
+    def test_mask_is_scatter_of_pairs(self, rng):
+        mdp, _ = random_sparse_mdp(rng)
+        scattered = np.zeros((mdp.n_states, mdp.n_actions), dtype=bool)
+        scattered[mdp.pair_index()] = True
+        np.testing.assert_array_equal(mdp.availability_mask(), scattered)
 
 
 class TestInduceChain:

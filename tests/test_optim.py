@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lppm.optim import (FEAS_TOL, FwResult, LinearProgram, constraint_violation,
-                        dump_lp, maximize_concave, solve_lp)
+                        maximize_concave, solve_lp)
 from support import brute_force_lp, random_bounded_lp
 
 
@@ -106,18 +106,6 @@ class TestSolveLp:
             pos = aty > 1e-12
             t = min(1.0, float((c[pos] / aty[pos]).min())) if pos.any() else 1.0
             assert float(b @ (t * y0)) <= sol.objective + 1e-8
-
-    def test_dump_lp_round_trips_text(self, tmp_path):
-        lp = LinearProgram(c=np.array([1.0, -2.0]),
-                           a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([4.0]),
-                           a_eq=np.array([[1.0, 0.0]]), b_eq=np.array([1.0]))
-        path = tmp_path / "lp.txt"
-        dump_lp(lp, path)
-        text = path.read_text()
-        assert text.startswith("lp 2 1 1")
-        assert "c 1 -2" in text
-        assert "ub_row 1 1 | 4" in text
-        assert "eq_row 1 0 | 1" in text
 
 
 class TestMaximizeConcave:

@@ -6,11 +6,12 @@ from lppm.mdp import (NotUnichainError, average_cost, induce_chain, make_mdp,
                       occupancy_from_policy, stationary_distribution,
                       uniform_policy)
 from lppm.metrics import PrivacySpec, eps_privacy_check, secret_mass
-from lppm.synthesis import (InfeasibleSynthesisError, certificate_margin,
-                            secret_inflow, synthesize_asymptotic,
+from lppm.optim import LpSolution
+from lppm.synthesis import (InfeasibleSynthesisError, _base_constraints,
+                            certificate_margin, secret_inflow, synthesize_asymptotic,
                             synthesize_eps_private, synthesize_unconstrained,
                             theorem1_certificate, verify_invariance)
-from support import random_chain, sample_safe_beliefs
+from support import random_chain, random_sparse_mdp, sample_safe_beliefs
 
 CAMPUS_SECRET = (3,)
 CAMPUS_V_UNCONSTRAINED = 3.526652
@@ -124,6 +125,48 @@ class TestTheorem1Certificate:
         # beta absorbs every row's slack, so the residual margin is zero
         assert certificate_margin(chain, spec, cert) == pytest.approx(0.0,
                                                                       abs=1e-12)
+
+
+class TestBaseConstraints:
+    def test_stationarity_rows_entry_by_entry(self, rng):
+        mdp, available = random_sparse_mdp(rng)
+        n, n_extra = mdp.n_states, 3
+        pairs = [(s, a) for s, acts in enumerate(available) for a in sorted(acts)]
+        a_eq, b_eq = _base_constraints(mdp, n_extra)
+        expected = np.zeros((n + 1, len(pairs) + n_extra))
+        for k, (s, a) in enumerate(pairs):
+            for sp in range(n):
+                expected[sp, k] = (1.0 if sp == s else 0.0) - mdp.transition[a, s, sp]
+            expected[n, k] = 1.0
+        np.testing.assert_array_equal(a_eq, expected)
+        np.testing.assert_array_equal(b_eq, np.eye(n + 1)[n])
+        theta = occupancy_from_policy(mdp, uniform_policy(mdp))
+        states, actions = mdp.pair_index()
+        np.testing.assert_allclose(a_eq[:, :len(pairs)] @ theta[states, actions], b_eq,
+                                   atol=1e-12)
+
+
+class TestStalledLp:
+    @pytest.mark.parametrize("synthesize", [
+        synthesize_unconstrained,
+        lambda mdp: synthesize_eps_private(mdp, PrivacySpec(CAMPUS_SECRET, 0.2)),
+    ], ids=["unconstrained", "eps_private"])
+    def test_reported_as_unknown_not_infeasible(self, campus, monkeypatch, synthesize):
+        calls = []
+
+        def stalled(lp, *args, **kwargs):
+            calls.append(lp)
+            return LpSolution("stalled", None, None, 17)
+
+        monkeypatch.setattr("lppm.synthesis.solve_lp", stalled)
+        with pytest.raises(InfeasibleSynthesisError) as exc:
+            synthesize(campus)
+        assert "stalled" in str(exc.value)
+        assert "feasibility unknown" in str(exc.value)
+        assert "invariant" not in str(exc.value)
+        assert exc.value.diagnosis["lp_status"] == "stalled"
+        assert exc.value.diagnosis["feasibility"] == "unknown"
+        assert len(calls) == 1   # no elastic re-solve
 
 
 class TestSynthesizeUnconstrained:

@@ -10,6 +10,9 @@ n_HH = 1, n_HW = 5, n_WH = 5, hence p = [[1/6, 5/6], [1, 0]].
 Deterministic: fixed seed, fixed formatting. Run from the repo root:
 
     python3 scripts/make_synthetic_traces.py
+
+`write_traces(path, seed)` writes the same itinerary with another seed's
+jitter (the tests use it for seeded traces).
 """
 import pathlib
 import sys
@@ -35,8 +38,10 @@ T0 = 1_600_000_000.0
 SEED = 20260822
 
 
-def main():
-    rng = np.random.default_rng(SEED)
+def make_rows(seed=SEED):
+    """(x, y, timestamp) samples of the itinerary in meters around the reference;
+    the seed draws the dwell jitter."""
+    rng = np.random.default_rng(seed)
     rows = []
     t = T0
     prev = None
@@ -56,14 +61,24 @@ def main():
             t += DWELL_STEP_S
             rows.append((x0 + jx, y0 + jy, t))
         prev = place
-    out = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "synthetic_traces.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
+    return rows
+
+
+def write_traces(path, seed=SEED):
+    """Write the trace for `seed` as lat,lon,timestamp csv; returns the sample count."""
+    rows = make_rows(seed)
+    with open(path, "w") as fh:
         fh.write("lat,lon,timestamp\n")
         for x, y, ts in rows:
             lat, lon = offset_latlon(REF_LAT, REF_LON, x, y)
             fh.write(f"{lat:.8f},{lon:.8f},{ts:.1f}\n")
-    print(f"wrote {len(rows)} samples to {out}")
+    return len(rows)
+
+
+def main():
+    out = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "synthetic_traces.csv"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    print(f"wrote {write_traces(out)} samples to {out}")
 
 
 if __name__ == "__main__":

@@ -72,6 +72,23 @@ def _get(args, config, key, default=None):
     return config.get(key, default)
 
 
+def _to_number(key, value, kind=float):
+    """The option value as a float, or as an int for kind=int; CliError otherwise."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    # a float must survive the conversion unchanged: no nan, no truncated 2.5 -> 2
+    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
+        what = "an integer" if kind is int else "a number"
+        raise CliError(f"{key.replace('_', '-')} must be {what}, got {value!r}")
+    return number
+
+
+def _number(args, config, key, default, kind=float):
+    return _to_number(key, _get(args, config, key, default), kind)
+
+
 def _load_model(args, config):
     fixture = _get(args, config, "fixture")
     model = _get(args, config, "model")
@@ -85,6 +102,27 @@ def _load_model(args, config):
         return serialize.load_mdp(model)
     except FileNotFoundError:
         raise CliError(f"model file not found: {model}")
+
+
+def _load_result(args, config, mdp):
+    """The --result file, checked against the model it is to be used with."""
+    result_path = _get(args, config, "result")
+    if result_path is None:
+        raise CliError("no synthesis result given: pass --result")
+    try:
+        result = serialize.load_result(result_path)
+    except FileNotFoundError:
+        raise CliError(f"result file not found: {result_path}")
+    shape = (mdp.n_states, mdp.n_actions)
+    if result.theta.shape != shape or result.policy.shape != shape:
+        raise CliError(f"result {result_path} does not fit the model: theta {result.theta.shape} "
+                       f"and policy {result.policy.shape} against {shape[0]} states "
+                       f"and {shape[1]} actions")
+    bad = [s for s in result.secret_states or () if not 0 <= s < mdp.n_states]
+    if bad:
+        raise CliError(f"result {result_path} names secret state {bad[0]}, "
+                       f"out of range 0..{mdp.n_states - 1} for the model")
+    return result
 
 
 def _parse_secret(spec_text, mdp):
@@ -111,16 +149,16 @@ def _parse_secret(spec_text, mdp):
 
 
 def _epsilon(value):
-    epsilon = float(value)
+    epsilon = _to_number("epsilon", value)
     if not 0.0 < epsilon <= 1.0:  # also rejects nan
         raise CliError(f"epsilon must lie in (0, 1], got {value}")
     return epsilon
 
 
-def _horizon(args, config, default):
-    horizon = int(_get(args, config, "horizon", default))
-    if horizon < 0:
-        raise CliError(f"horizon must be nonnegative, got {horizon}")
+def _horizon(args, config, default, minimum=0):
+    horizon = _number(args, config, "horizon", default, int)
+    if horizon < minimum:
+        raise CliError(f"horizon must be at least {minimum}, got {horizon}")
     return horizon
 
 
@@ -134,7 +172,9 @@ def _initial_belief(args, config, mdp, secret):
         b[list(secret)] = 0.0
         return b / b.sum()
     if kind == "unsafe":
-        mass = float(_get(args, config, "belief_mass", 0.2))
+        mass = _number(args, config, "belief_mass", 0.2)
+        if not 0.0 <= mass <= 1.0:
+            raise CliError(f"belief-mass must lie in [0, 1], got {mass}")
         b = np.zeros(n)
         b[list(secret)] = mass / len(secret)
         rest = [s for s in range(n) if s not in secret]
@@ -144,8 +184,11 @@ def _initial_belief(args, config, mdp, secret):
         vec = config.get("belief_vector")
         if vec is None:
             raise CliError("belief kind 'explicit' needs belief_vector in the config")
-        b = np.array(vec, dtype=float)
-        if b.shape != (n,) or (b < 0).any() or abs(b.sum() - 1.0) > 1e-9:
+        try:
+            b = np.array(vec, dtype=float)
+        except (TypeError, ValueError):
+            raise CliError("belief_vector is not a list of numbers")
+        if b.shape != (n,) or not (b >= 0).all() or not abs(b.sum() - 1.0) <= 1e-9:
             raise CliError("belief_vector is not a distribution over the states")
         return b
     raise CliError(f"unknown belief kind {kind!r}")
@@ -180,20 +223,22 @@ def cmd_build(args):
         raise CliError("no input: pass --traces or --fixture")
     if not Path(traces).exists():
         raise CliError(f"trace file not found: {traces}")
-    params = mobility.ClusterParams(
-        min_speed_mps=float(_get(args, config, "min_speed", 1.0)),
-        max_radius_m=float(_get(args, config, "max_radius", 100.0)),
-        min_dist_m=float(_get(args, config, "min_dist", 500.0)),
-        min_stay_h=float(_get(args, config, "min_stay", 1.0)),
-        k_anonymity=int(_get(args, config, "k", 2)),
-    )
     try:
+        params = mobility.ClusterParams(
+            min_speed_mps=_number(args, config, "min_speed", 1.0),
+            max_radius_m=_number(args, config, "max_radius", 100.0),
+            min_dist_m=_number(args, config, "min_dist", 500.0),
+            min_stay_h=_number(args, config, "min_stay", 1.0),
+            k_anonymity=_number(args, config, "k", 2, int),
+        )
         mdp, pois, cloaks, diag = mobility.build_model_from_traces(
             traces, params, fmt=_get(args, config, "format"),
-            start_state=int(_get(args, config, "start_state", 0)))
+            start_state=_number(args, config, "start_state", 0, int))
     except mobility.EmptyPoiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
+    except mobility.ParameterError as exc:
+        raise CliError(str(exc))
     serialize.save_mdp(mdp, out / "mdp.json")
     mobility.write_poi_summary(out / "poi_summary.csv", pois, cloaks)
     print(f"parsed {diag['n_samples']} samples ({diag['n_skipped']} skipped), "
@@ -222,7 +267,7 @@ def cmd_synthesize(args):
         elif mode == "eps_private":
             result = synthesize_eps_private(mdp, spec)
         else:
-            result = synthesize_asymptotic(mdp, spec, seed=int(_get(args, config, "seed", 0)))
+            result = synthesize_asymptotic(mdp, spec, seed=_number(args, config, "seed", 0, int))
     except InfeasibleSynthesisError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         for key, value in exc.diagnosis.items():
@@ -245,13 +290,7 @@ def cmd_synthesize(args):
 def cmd_simulate(args):
     config = _load_config(args.config)
     mdp = _load_model(args, config)
-    result_path = _get(args, config, "result")
-    if result_path is None:
-        raise CliError("no synthesis result given: pass --result")
-    try:
-        result = serialize.load_result(result_path)
-    except FileNotFoundError:
-        raise CliError(f"result file not found: {result_path}")
+    result = _load_result(args, config, mdp)
     horizon = _horizon(args, config, 100)
     epsilon = _get(args, config, "epsilon", result.epsilon)
     if epsilon is not None:
@@ -293,13 +332,7 @@ def cmd_simulate(args):
 def cmd_verify(args):
     config = _load_config(args.config)
     mdp = _load_model(args, config)
-    result_path = _get(args, config, "result")
-    if result_path is None:
-        raise CliError("no synthesis result given: pass --result")
-    try:
-        result = serialize.load_result(result_path)
-    except FileNotFoundError:
-        raise CliError(f"result file not found: {result_path}")
+    result = _load_result(args, config, mdp)
     epsilon = _get(args, config, "epsilon", result.epsilon)
     if epsilon is None:
         raise CliError("result has no epsilon; pass --epsilon")
@@ -330,8 +363,8 @@ def cmd_verify(args):
 def cmd_baselines(args):
     config = _load_config(args.config)
     mdp = _load_model(args, config)
-    horizon = _horizon(args, config, 50)
-    eps_dp = float(_get(args, config, "eps_dp", 0.7))
+    horizon = _horizon(args, config, 50, minimum=1)
+    eps_dp = _number(args, config, "eps_dp", 0.7)
     if not eps_dp > 0.0:  # also rejects nan
         raise CliError(f"eps-dp must be positive, got {eps_dp}")
     out = _out_dir(args, config)

@@ -16,15 +16,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .geo import haversine_m, step_distances_m
+from .geo import (SCREEN_TOL_M, haversine_m, haversine_many_m, max_haversine_m,
+                  step_distances_m)
 from .mdp import ActionMeta, Mdp, StateMeta, make_mdp
 
 MIN_STATE_RADIUS_M = 10.0   # floor for POI areas so loss ratios stay bounded
 COVER_TOL_M = 1e-6
+BLOCK_ROWS = 2048      # samples per block when screening against the POIs
+CLUSTER_BLOCK = 256    # samples per block when screening against the running centroids
 
 
 class EmptyPoiError(RuntimeError):
     """The trace yields no point of interest at the given parameters."""
+
+
+class ParameterError(ValueError):
+    """A build parameter is out of range or does not fit the trace."""
 
 
 @dataclass
@@ -37,11 +44,16 @@ class ClusterParams:
     u_bar: float | None = None
 
     def __post_init__(self):
-        if self.min_speed_mps < 0 or self.max_radius_m <= 0 or self.min_dist_m < 0 \
-                or self.min_stay_h < 0 or self.k_anonymity < 1:
-            raise ValueError("cluster parameters out of range")
-        if self.u_bar is not None and self.u_bar <= 0:
-            raise ValueError("u_bar must be positive when given")
+        # written so that nan fails every test
+        if not (self.min_speed_mps >= 0 and self.max_radius_m > 0 and self.min_dist_m >= 0
+                and self.min_stay_h >= 0 and self.k_anonymity >= 1):
+            raise ParameterError(
+                "cluster parameters out of range: need min_speed >= 0, max_radius > 0, "
+                f"min_dist >= 0, min_stay >= 0 and k >= 1, got min_speed={self.min_speed_mps}, "
+                f"max_radius={self.max_radius_m}, min_dist={self.min_dist_m}, "
+                f"min_stay={self.min_stay_h}, k={self.k_anonymity}")
+        if self.u_bar is not None and not self.u_bar > 0:
+            raise ParameterError("u_bar must be positive when given")
 
 
 @dataclass
@@ -156,27 +168,13 @@ def extract_pois(traces: TraceDataset, params: ClusterParams):
     """
     flags = stationary_flags(traces, params)
     idxs = np.nonzero(flags)[0]
-    # greedy join to the first near cluster, running centroids
-    sums = []        # [lat_sum, lon_sum, count]
-    members = []     # sample indices per cluster
+    sums, joined = _greedy_clusters(traces, idxs, params.max_radius_m)
     label = np.full(len(traces), -1, dtype=int)
-    for i in idxs:
-        la, lo = float(traces.lat[i]), float(traces.lon[i])
-        target = -1
-        for c, (sla, slo, cnt) in enumerate(sums):
-            if haversine_m(la, lo, sla / cnt, slo / cnt) <= params.max_radius_m:
-                target = c
-                break
-        if target < 0:
-            sums.append([la, lo, 1.0])
-            members.append([int(i)])
-            target = len(sums) - 1
-        else:
-            sums[target][0] += la
-            sums[target][1] += lo
-            sums[target][2] += 1.0
-            members[target].append(int(i))
-        label[i] = target
+    label[idxs] = joined
+    # members in join order; sample indices increase along idxs
+    order = np.argsort(joined, kind="stable")
+    bounds = np.searchsorted(joined[order], np.arange(len(sums) + 1))
+    members = [idxs[order[bounds[c]:bounds[c + 1]]] for c in range(len(sums))]
     # merge clusters with centroids closer than min_dist_m
     merged = True
     while merged and len(sums) > 1:
@@ -188,7 +186,7 @@ def extract_pois(traces: TraceDataset, params: ClusterParams):
                 if haversine_m(*ci, *cj) < params.min_dist_m:
                     sums[i] = [sums[i][0] + sums[j][0], sums[i][1] + sums[j][1],
                                sums[i][2] + sums[j][2]]
-                    members[i].extend(members[j])
+                    members[i] = np.concatenate([members[i], members[j]])
                     del sums[j], members[j]
                     label[label == j] = i
                     label[label > j] -= 1
@@ -197,23 +195,71 @@ def extract_pois(traces: TraceDataset, params: ClusterParams):
             if merged:
                 break
     # dwell time per cluster: gaps between consecutive stationary samples,
-    # attributed to the earlier sample's cluster
+    # attributed to the earlier sample's cluster, summed in sample order
+    first = idxs[idxs + 1 < len(traces)]
+    first = first[flags[first + 1]]
     stay_s = np.zeros(len(sums))
-    for i in idxs:
-        if i + 1 < len(traces) and flags[i + 1] and label[i] >= 0:
-            stay_s[label[i]] += traces.t[i + 1] - traces.t[i]
+    np.add.at(stay_s, label[first], traces.t[first + 1] - traces.t[first])
     keep = [c for c in range(len(sums)) if stay_s[c] / 3600.0 >= params.min_stay_h]
     pois = []
     assignment = np.full(len(traces), -1, dtype=int)
     for new_c, c in enumerate(keep):
         cla = sums[c][0] / sums[c][2]
         clo = sums[c][1] / sums[c][2]
-        radius = max((haversine_m(traces.lat[i], traces.lon[i], cla, clo)
-                      for i in members[c]), default=0.0)
+        radius = max_haversine_m(traces.lat[members[c]], traces.lon[members[c]], cla, clo)
         pois.append(PoiCluster(cla, clo, radius, stay_s[c] / 3600.0,
-                               tuple(members[c])))
+                               tuple(members[c].tolist())))
         assignment[members[c]] = new_c
     return pois, assignment
+
+
+def _greedy_clusters(traces: TraceDataset, idxs: np.ndarray, max_radius_m: float):
+    """Join each sample idxs[k] to the first cluster whose running centroid lies
+    within max_radius_m, or open a new cluster.
+
+    Returns ([lat_sum, lon_sum, count] per cluster, cluster index per sample).
+    Each block of samples is screened in one call against the centroids as
+    they stood at the block's start. A sample then tests, in cluster order,
+    only its screened candidates and the clusters that changed or opened
+    during the block; haversine_m decides every test the screen leaves open.
+    """
+    sums: list[list[float]] = []
+    joined = np.empty(idxs.size, dtype=int)
+    for start in range(0, idxs.size, CLUSTER_BLOCK):
+        block = idxs[start:start + CLUSTER_BLOCK]
+        lat_b, lon_b = traces.lat[block], traces.lon[block]
+        bounds = [0] * (block.size + 1)
+        cands: list[int] = []
+        unsure: set[tuple[int, int]] = set()   # (row, cluster) inside the band
+        if sums:
+            cent = np.array(sums)
+            d = haversine_many_m(lat_b[:, None], lon_b[:, None],
+                                 cent[:, 0] / cent[:, 2], cent[:, 1] / cent[:, 2])
+            rows, cols = np.nonzero(d <= max_radius_m + SCREEN_TOL_M)
+            bounds = np.searchsorted(rows, np.arange(block.size + 1)).tolist()
+            cands = cols.tolist()
+            band = d[rows, cols] > max_radius_m - SCREEN_TOL_M
+            unsure = set(zip(rows[band].tolist(), cols[band].tolist()))
+        changed: set[int] = set()
+        for r, (la, lo) in enumerate(zip(lat_b.tolist(), lon_b.tolist())):
+            target = -1
+            for c in sorted(changed.union(cands[bounds[r]:bounds[r + 1]])):
+                if c in changed or (r, c) in unsure:
+                    sla, slo, cnt = sums[c]
+                    if haversine_m(la, lo, sla / cnt, slo / cnt) > max_radius_m:
+                        continue
+                target = c
+                break
+            if target < 0:
+                sums.append([la, lo, 1.0])
+                target = len(sums) - 1
+            else:
+                sums[target][0] += la
+                sums[target][1] += lo
+                sums[target][2] += 1.0
+            changed.add(target)
+            joined[start + r] = target
+    return sums, joined
 
 
 def build_cloaks(pois: list[PoiCluster], params: ClusterParams) -> list[CloakRegion]:
@@ -227,7 +273,7 @@ def build_cloaks(pois: list[PoiCluster], params: ClusterParams) -> list[CloakReg
     n = len(pois)
     k = params.k_anonymity
     if k > n:
-        raise ValueError(f"k-anonymity {k} exceeds the number of POIs {n}")
+        raise ParameterError(f"k-anonymity {k} exceeds the number of POIs {n}")
     regions: list[CloakRegion] = []
     seen: set[tuple[int, ...]] = set()
     for i, poi in enumerate(pois):
@@ -252,41 +298,60 @@ def estimate_transitions(traces: TraceDataset, pois: list[PoiCluster],
     """Empirical POI transition matrix from the visit sequence.
 
     Stationary samples map to the nearest POI whose disk contains them (else
-    unassigned); maximal runs of one POI, broken by unassigned samples, form
-    visits, and consecutive visits (same POI allowed after a break) are
-    counted as transitions. Rows never visited as a source self-loop.
-    Returns (counts, p).
+    unassigned; equidistant POIs go to the lower index); maximal runs of one
+    POI, broken by unassigned samples, form visits, and consecutive visits
+    (same POI allowed after a break) are counted as transitions. Rows never
+    visited as a source self-loop. Returns (counts, p).
     """
     n = len(pois)
-    flags = stationary_flags(traces, params)
-    seq = []
-    for i in np.nonzero(flags)[0]:
-        best = None
-        for j, poi in enumerate(pois):
-            d = haversine_m(traces.lat[i], traces.lon[i], poi.lat, poi.lon)
-            if d <= poi.radius_m + COVER_TOL_M and (best is None or d < best[0]):
-                best = (d, j)
-        seq.append(-1 if best is None else best[1])
-    visits = []
-    prev = -1
-    for s in seq:
-        if s < 0:
-            prev = -1
-            continue
-        if s != prev:
-            visits.append(s)
-        prev = s
+    seq = _nearest_disk(traces, np.nonzero(stationary_flags(traces, params))[0], pois)
+    starts = np.ones(seq.size, dtype=bool)
+    starts[1:] = seq[1:] != seq[:-1]
+    visits = seq[starts & (seq >= 0)]
     counts = np.zeros((n, n))
-    for a, b in zip(visits[:-1], visits[1:]):
-        counts[a, b] += 1.0
-    p = np.zeros((n, n))
-    for i in range(n):
-        total = counts[i].sum()
-        if total > 0:
-            p[i] = counts[i] / total
-        else:
-            p[i, i] = 1.0
+    np.add.at(counts, (visits[:-1], visits[1:]), 1.0)
+    totals = counts.sum(axis=1)
+    p = np.eye(n)
+    seen = totals > 0
+    p[seen] = counts[seen] / totals[seen, None]
     return counts, p
+
+
+def _nearest_disk(traces: TraceDataset, idxs: np.ndarray, pois: list[PoiCluster]) -> np.ndarray:
+    """Index of the nearest POI whose disk holds sample idxs[k] (ties to the
+    lower index), or -1.
+
+    Distances are screened in blocks of BLOCK_ROWS samples, so the full
+    sample x POI matrix never exists; haversine_m settles each row whose
+    nearest candidate is not surely inside its disk or is within the
+    screening band of another candidate.
+    """
+    seq = np.full(idxs.size, -1, dtype=int)
+    if not pois:
+        return seq
+    plat = np.array([poi.lat for poi in pois])
+    plon = np.array([poi.lon for poi in pois])
+    reach = np.array([poi.radius_m for poi in pois]) + COVER_TOL_M
+    for start in range(0, idxs.size, BLOCK_ROWS):
+        block = idxs[start:start + BLOCK_ROWS]
+        d = haversine_many_m(traces.lat[block, None], traces.lon[block, None], plat, plon)
+        d[d > reach + SCREEN_TOL_M] = np.inf
+        best = d.argmin(axis=1)
+        d_best = d[np.arange(block.size), best]
+        found = np.isfinite(d_best)
+        unsure = found & ((d_best > reach[best] - SCREEN_TOL_M)
+                          | ((d <= d_best[:, None] + 2.0 * SCREEN_TOL_M).sum(axis=1) > 1))
+        out = np.where(found, best, -1)
+        for r in np.nonzero(unsure)[0]:
+            la, lo = traces.lat[block[r]], traces.lon[block[r]]
+            nearest = None
+            for j in np.nonzero(np.isfinite(d[r]))[0]:
+                dist = haversine_m(la, lo, plat[j], plon[j])
+                if dist <= reach[j] and (nearest is None or dist < nearest[0]):
+                    nearest = (dist, j)
+            out[r] = -1 if nearest is None else nearest[1]
+        seq[start:start + block.size] = out
+    return seq
 
 
 def assemble_mdp(pois: list[PoiCluster], cloaks: list[CloakRegion], p: np.ndarray,
@@ -298,6 +363,8 @@ def assemble_mdp(pois: list[PoiCluster], cloaks: list[CloakRegion], p: np.ndarra
     POI radii are floored at 10 m so the ratio stays finite.
     """
     n, m = len(pois), len(cloaks)
+    if not 0 <= start_state < n:
+        raise ParameterError(f"start state {start_state} out of range 0..{n - 1}")
     available = tuple(tuple(a for a, cl in enumerate(cloaks) if s in cl.covered)
                       for s in range(n))
     for s, acts in enumerate(available):

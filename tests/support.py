@@ -4,8 +4,9 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from lppm.geo import EARTH_RADIUS_M
+from lppm.geo import EARTH_RADIUS_M, haversine_m
 from lppm.mdp import NonErgodicError, make_mdp
+from lppm.mobility import COVER_TOL_M, PoiCluster, stationary_flags
 
 
 def brute_force_lp(c, a_ub, b_ub):
@@ -109,3 +110,107 @@ def sample_safe_beliefs(rng, n, secret, epsilon, count):
     rest_mass = b[np.ix_(over, rest)].sum(axis=1)
     b[np.ix_(over, rest)] *= ((1.0 - epsilon) / rest_mass)[:, None]
     return b
+
+
+def scalar_extract_pois(traces, params):
+    """Reference for mobility.extract_pois: one haversine_m call per test.
+
+    Greedy join of each stationary sample to the first cluster whose running
+    centroid lies within max_radius_m, pairwise merges below min_dist_m,
+    dwell filter; returns (pois, assignment).
+    """
+    flags = stationary_flags(traces, params)
+    idxs = np.nonzero(flags)[0]
+    sums = []        # [lat_sum, lon_sum, count]
+    members = []     # sample indices per cluster
+    label = np.full(len(traces), -1, dtype=int)
+    for i in idxs:
+        la, lo = float(traces.lat[i]), float(traces.lon[i])
+        target = -1
+        for c, (sla, slo, cnt) in enumerate(sums):
+            if haversine_m(la, lo, sla / cnt, slo / cnt) <= params.max_radius_m:
+                target = c
+                break
+        if target < 0:
+            sums.append([la, lo, 1.0])
+            members.append([int(i)])
+            target = len(sums) - 1
+        else:
+            sums[target][0] += la
+            sums[target][1] += lo
+            sums[target][2] += 1.0
+            members[target].append(int(i))
+        label[i] = target
+    merged = True
+    while merged and len(sums) > 1:
+        merged = False
+        for i in range(len(sums)):
+            for j in range(i + 1, len(sums)):
+                ci = (sums[i][0] / sums[i][2], sums[i][1] / sums[i][2])
+                cj = (sums[j][0] / sums[j][2], sums[j][1] / sums[j][2])
+                if haversine_m(*ci, *cj) < params.min_dist_m:
+                    sums[i] = [sums[i][0] + sums[j][0], sums[i][1] + sums[j][1],
+                               sums[i][2] + sums[j][2]]
+                    members[i].extend(members[j])
+                    del sums[j], members[j]
+                    label[label == j] = i
+                    label[label > j] -= 1
+                    merged = True
+                    break
+            if merged:
+                break
+    stay_s = np.zeros(len(sums))
+    for i in idxs:
+        if i + 1 < len(traces) and flags[i + 1] and label[i] >= 0:
+            stay_s[label[i]] += traces.t[i + 1] - traces.t[i]
+    keep = [c for c in range(len(sums)) if stay_s[c] / 3600.0 >= params.min_stay_h]
+    pois = []
+    assignment = np.full(len(traces), -1, dtype=int)
+    for new_c, c in enumerate(keep):
+        cla = sums[c][0] / sums[c][2]
+        clo = sums[c][1] / sums[c][2]
+        radius = max((haversine_m(traces.lat[i], traces.lon[i], cla, clo)
+                      for i in members[c]), default=0.0)
+        pois.append(PoiCluster(cla, clo, radius, stay_s[c] / 3600.0,
+                               tuple(members[c])))
+        assignment[members[c]] = new_c
+    return pois, assignment
+
+
+def scalar_nearest_disk(traces, pois, params):
+    """Reference POI per stationary sample: the nearest POI whose disk holds
+    it (first index on ties), else -1, by one haversine_m call per pair."""
+    seq = []
+    for i in np.nonzero(stationary_flags(traces, params))[0]:
+        best = None
+        for j, poi in enumerate(pois):
+            d = haversine_m(traces.lat[i], traces.lon[i], poi.lat, poi.lon)
+            if d <= poi.radius_m + COVER_TOL_M and (best is None or d < best[0]):
+                best = (d, j)
+        seq.append(-1 if best is None else best[1])
+    return np.array(seq, dtype=int)
+
+
+def scalar_estimate_transitions(traces, pois, params):
+    """Reference for mobility.estimate_transitions with Python loops."""
+    n = len(pois)
+    visits = []
+    prev = -1
+    for s in scalar_nearest_disk(traces, pois, params):
+        if s < 0:
+            prev = -1
+            continue
+        if s != prev:
+            visits.append(s)
+        prev = s
+    counts = np.zeros((n, n))
+    for a, b in zip(visits[:-1], visits[1:]):
+        counts[a, b] += 1.0
+    p = np.zeros((n, n))
+    for i in range(n):
+        total = counts[i].sum()
+        if total > 0:
+            p[i] = counts[i] / total
+        else:
+            p[i, i] = 1.0
+    return counts, p

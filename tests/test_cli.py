@@ -257,21 +257,61 @@ class TestBadInput:
         ["simulate", "--fixture", "campus", "--result", "{result}", "--horizon", "-1"],
         ["baselines", "--fixture", "campus", "--horizon", "-2"],
         ["baselines", "--fixture", "campus", "--horizon", "1", "--eps-dp", "0"],
+        ["baselines", "--fixture", "campus", "--horizon", "0"],
+        ["simulate", "--fixture", "campus", "--result", "{result}", "--belief", "unsafe",
+         "--belief-mass", "1.5"],
+        ["build", "--traces", "{traces}", "--min-speed", "-1"],
+        ["build", "--traces", "{traces}", "--k", "99"],
+        ["build", "--traces", "{traces}", "--start-state", "99"],
     ], ids=["epsilon_above_one", "epsilon_nan", "secret_out_of_range",
-            "simulate_negative_horizon", "baselines_negative_horizon", "eps_dp_zero"])
-    def test_one_error_line_exit_1(self, tmp_path, capsys, argv):
+            "simulate_negative_horizon", "baselines_negative_horizon", "eps_dp_zero",
+            "baselines_horizon_zero", "belief_mass_above_one", "negative_min_speed",
+            "k_above_poi_count", "start_state_out_of_range"])
+    def test_one_error_line_exit_1(self, tmp_path, capsys, trace_path, argv):
         result = tmp_path / "result.json"
         rc, _, _ = run(capsys, "synthesize", "--fixture", "campus", "--mode",
                        "unconstrained", "--out", str(tmp_path))
         assert rc == 0
-        argv = [str(result) if a == "{result}" else a for a in argv]
+        argv = [{"{result}": str(result), "{traces}": str(trace_path)}.get(a, a) for a in argv]
         rc, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert rc == 1
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+class TestResultModelMismatch:
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_campus_result_on_trace_model_exit_1(self, tmp_path, capsys, trace_path, command):
+        assert run(capsys, "build", "--traces", str(trace_path),
+                   "--out", str(tmp_path / "model"))[0] == 0
+        assert run(capsys, "synthesize", "--fixture", "campus", "--mode", "eps_private",
+                   "--epsilon", "0.2", "--secret", "s4", "--out", str(tmp_path))[0] == 0
+        rc, _, err = run(capsys, command, "--model", str(tmp_path / "model" / "mdp.json"),
+                         "--result", str(tmp_path / "result.json"),
+                         "--out", str(tmp_path / "out"))
+        assert rc == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 class TestConfigMerge:
+    @pytest.mark.parametrize("argv,config", [
+        (["synthesize", "--fixture", "campus", "--secret", "s4"], {"epsilon": "abc"}),
+        (["synthesize", "--fixture", "campus", "--secret", "s4", "--mode", "asymptotic"],
+         {"epsilon": 0.16, "seed": 1.5}),
+        (["baselines", "--fixture", "campus"], {"eps_dp": "high"}),
+        (["baselines", "--fixture", "campus"], {"horizon": "ten"}),
+        (["build", "--traces", "{traces}"], {"min_stay": [1]}),
+    ], ids=["epsilon", "seed", "eps_dp", "horizon", "min_stay"])
+    def test_config_value_not_a_number_exit_1(self, tmp_path, capsys, trace_path, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [str(trace_path) if a == "{traces}" else a for a in argv]
+        rc, _, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path))
+        assert rc == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fixture": "campus", "mode": "eps_private",

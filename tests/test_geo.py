@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lppm.geo import haversine_m, haversine_many_m, offset_latlon, step_distances_m
+from lppm.geo import (SCREEN_TOL_M, haversine_m, haversine_many_m, max_haversine_m,
+                      offset_latlon, step_distances_m)
 from support import local_xy_m
 
 
@@ -26,6 +27,55 @@ class TestHaversine:
         for i in range(10):
             assert many[i] == pytest.approx(
                 haversine_m(lat[i], lon[i], 40.05, -73.95), abs=1e-9)
+
+
+def random_pairs(rng, count):
+    """Pairs a few hundred meters apart, as POI work sees them, and pairs
+    anywhere on the globe."""
+    lat1 = rng.uniform(-85.0, 85.0, count)
+    lon1 = rng.uniform(-180.0, 180.0, count)
+    lat2 = lat1 + rng.normal(0.0, 0.003, count)
+    lon2 = lon1 + rng.normal(0.0, 0.003, count)
+    far = rng.random(count) < 0.2
+    lat2[far] = rng.uniform(-90.0, 90.0, far.sum())
+    lon2[far] = rng.uniform(-180.0, 180.0, far.sum())
+    return lat1, lon1, lat2, lon2
+
+
+class TestScreen:
+    def test_screen_within_band_and_settled_max_exact(self, rng):
+        lat1, lon1, lat2, lon2 = random_pairs(rng, 100_000)
+        exact = np.array([haversine_m(*pair) for pair in
+                          zip(lat1.tolist(), lon1.tolist(), lat2.tolist(), lon2.tolist())])
+        screen = haversine_many_m(lat1, lon1, lat2, lon2)
+        below = exact < 1.9e7
+        assert np.abs(screen - exact)[below].max() < SCREEN_TOL_M / 10.0
+        # the settled distance is haversine_m's bit for bit, also where the
+        # screen is off by an ulp
+        for i in np.nonzero((screen != exact) & below)[0].tolist() + list(range(500)):
+            one = slice(i, i + 1)
+            assert max_haversine_m(lat1[one], lon1[one], lat2[i], lon2[i]) == exact[i]
+
+    def test_broadcast_matches_elementwise(self, rng):
+        lat1, lon1, lat2, lon2 = random_pairs(rng, 12)
+        grid = haversine_many_m(lat1[:, None], lon1[:, None], lat2, lon2)
+        for i in range(12):
+            np.testing.assert_array_equal(grid[i], haversine_many_m(lat1[i], lon1[i], lat2, lon2))
+
+    def test_max_bit_for_bit(self, rng):
+        # 100 clusters of 1000 points within a few hundred meters of their reference
+        lat0, lon0, _, _ = random_pairs(rng, 100)
+        for la0, lo0 in zip(lat0.tolist(), lon0.tolist()):
+            lat = la0 + rng.normal(0.0, 0.003, 1000)
+            lon = lo0 + rng.normal(0.0, 0.003, 1000)
+            exact = max(haversine_m(la, lo, la0, lo0) for la, lo in zip(lat.tolist(), lon.tolist()))
+            assert max_haversine_m(lat, lon, la0, lo0) == exact
+
+    def test_max_of_repeated_points_and_of_none(self):
+        lat = np.full(50, 40.0005)
+        lon = np.full(50, -74.0003)
+        assert max_haversine_m(lat, lon, 40.0, -74.0) == haversine_m(40.0005, -74.0003, 40.0, -74.0)
+        assert max_haversine_m(lat[:0], lon[:0], 40.0, -74.0) == 0.0
 
 
 class TestOffsetRoundTrip:

@@ -1,15 +1,20 @@
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lppm.geo import haversine_m, offset_latlon
 from lppm.mdp import check_unichain_exhaustive
-from lppm.mobility import (ClusterParams, CloakRegion, EmptyPoiError,
+from lppm.mobility import (BLOCK_ROWS, CLUSTER_BLOCK, COVER_TOL_M, ClusterParams,
+                           CloakRegion, EmptyPoiError, ParameterError,
                            PoiCluster, TraceDataset, assemble_mdp,
                            build_cloaks, build_model_from_traces,
                            estimate_transitions, extract_pois, parse_traces,
                            stationary_flags, write_poi_summary)
+from support import (scalar_estimate_transitions, scalar_extract_pois,
+                     scalar_nearest_disk)
 
 REF = (40.0, -74.0)
 FIXTURE_SHA = "16a4a13b099f6706992a1945142e9537035cdb44ca2fe297b20d1ab6e09f2618"
@@ -394,3 +399,146 @@ class TestWritePoiSummary:
         cloak_row = lines[1 + len(pois)].split(",")
         assert cloak_row[0] == "a1"
         assert set(cloak_row[5].split()) == {"s1", "s2"}
+
+
+def load_trace_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_traces.py"
+    spec = importlib.util.spec_from_file_location("make_synthetic_traces", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def slow_trace(points):
+    """Dataset visiting `points` (lat, lon) 1e5 s apart, so every sample after
+    the first is stationary at the default 1 m/s."""
+    lat = np.array([p[0] for p in points], dtype=float)
+    lon = np.array([p[1] for p in points], dtype=float)
+    return TraceDataset(lat, lon, np.arange(lat.size) * 1e5)
+
+
+def assert_matches_oracle(traces, params):
+    """extract_pois and estimate_transitions equal the scalar loops exactly."""
+    pois, assignment = extract_pois(traces, params)
+    ref_pois, ref_assignment = scalar_extract_pois(traces, params)
+    assert pois == ref_pois
+    np.testing.assert_array_equal(assignment, ref_assignment)
+    counts, p = estimate_transitions(traces, pois, params)
+    ref_counts, ref_p = scalar_estimate_transitions(traces, pois, params)
+    assert (counts == ref_counts).all() and (p == ref_p).all()
+    return pois
+
+
+class TestScalarOracle:
+    def test_bundled_fixture(self, trace_path):
+        assert len(assert_matches_oracle(parse_traces(trace_path), ClusterParams())) == 2
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_script_traces(self, tmp_path, seed):
+        path = tmp_path / "t.csv"
+        load_trace_script().write_traces(path, seed)
+        traces = parse_traces(path)
+        params = ClusterParams()
+        # longer than a block of either screen
+        assert stationary_flags(traces, params).sum() > max(BLOCK_ROWS, CLUSTER_BLOCK)
+        assert_matches_oracle(traces, params)
+        # small join radius: many clusters, many merges, samples on cluster fringes
+        assert len(assert_matches_oracle(traces, ClusterParams(max_radius_m=2.0,
+                                                               min_dist_m=3.0,
+                                                               min_stay_h=0.0))) > 2
+
+    def test_sample_on_disk_boundary(self):
+        center, edge = (40.0, -74.0), (40.0005, -74.0003)
+        # the edge sample splits the stay at the center in two visits unless it
+        # is inside the disk
+        traces = slow_trace([center, center, edge, center])
+        d = haversine_m(edge[0], edge[1], center[0], center[1])
+        radius = d - COVER_TOL_M
+        while radius + COVER_TOL_M < d:
+            radius = np.nextafter(radius, np.inf)
+        while radius + COVER_TOL_M > d:
+            radius = np.nextafter(radius, -np.inf)
+        assert radius + COVER_TOL_M == d
+        params = ClusterParams()
+        for r, expect in ((radius, [0, 0, 0]), (np.nextafter(radius, -np.inf), [0, -1, 0])):
+            pois = [PoiCluster(center[0], center[1], r, 1.0)]
+            assert list(scalar_nearest_disk(traces, pois, params)) == expect
+            counts, p = estimate_transitions(traces, pois, params)
+            ref_counts, ref_p = scalar_estimate_transitions(traces, pois, params)
+            assert (counts == ref_counts).all() and (p == ref_p).all()
+            assert counts[0, 0] == (expect[1] == -1)
+
+    def test_sample_on_cluster_boundary(self):
+        a, b = (40.0, -74.0), (40.0005, -74.0003)
+        # the first block fills cluster 0 at a; b opens the next block, so
+        # the block-start screen decides it up to the band
+        traces = slow_trace([a] * (CLUSTER_BLOCK + 1) + [b])
+        sla = slo = 0.0
+        for _ in range(CLUSTER_BLOCK):
+            sla, slo = sla + a[0], slo + a[1]
+        d = haversine_m(b[0], b[1], sla / CLUSTER_BLOCK, slo / CLUSTER_BLOCK)
+        for radius, n_clusters in ((d, 1), (np.nextafter(d, 0.0), 2)):
+            params = ClusterParams(max_radius_m=radius, min_dist_m=0.0, min_stay_h=0.0)
+            assert len(assert_matches_oracle(traces, params)) == n_clusters
+
+    def test_equidistant_pois_go_to_lower_index(self):
+        step = 2.0 ** -12     # exact in binary, so both offsets are exact
+        far = offset_latlon(40.0, -74.0, 10000.0, 0.0)
+        traces = slow_trace([(40.0, -74.0)] * 2 + [far])
+        east = PoiCluster(40.0, -74.0 + step, 50.0, 1.0)
+        west = PoiCluster(40.0, -74.0 - step, 50.0, 1.0)
+        assert haversine_m(40.0, -74.0, east.lat, east.lon) == \
+            haversine_m(40.0, -74.0, west.lat, west.lon)
+        params = ClusterParams()
+        for pois in ([east, west, PoiCluster(far[0], far[1], 50.0, 1.0)],
+                     [west, east, PoiCluster(far[0], far[1], 50.0, 1.0)]):
+            assert list(scalar_nearest_disk(traces, pois, params)) == [0, 2]
+            counts, p = estimate_transitions(traces, pois, params)
+            ref_counts, ref_p = scalar_estimate_transitions(traces, pois, params)
+            assert (counts == ref_counts).all() and (p == ref_p).all()
+            assert counts[0, 2] == 1.0
+
+    def test_join_to_centroid_moved_within_block(self):
+        home = (40.0, -74.0)
+        away = offset_latlon(40.0, -74.0, 10000.0, 0.0)
+        east60 = offset_latlon(40.0, -74.0, 60.0, 0.0)
+        east140 = offset_latlon(40.0, -74.0, 140.0, 0.0)
+        # first block: one sample at home, the rest far away; second block:
+        # samples 60 m east drag the home centroid east, then a sample 140 m
+        # east is out of reach of the block-start centroid but within reach
+        # of the moved one
+        points = [home, home] + [away] * (CLUSTER_BLOCK - 1) + [east60] * 100 + [east140]
+        traces = slow_trace(points)
+        params = ClusterParams(min_dist_m=0.0, min_stay_h=0.0)
+        pois = assert_matches_oracle(traces, params)
+        assert len(pois) == 2
+        _, assignment = extract_pois(traces, params)
+        assert assignment[-1] == assignment[1]
+
+    def test_no_stationary_samples(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, travel_rows(0.0, 0.0, 20000.0, 0.0, 0.0))
+        traces = parse_traces(p)
+        assert not stationary_flags(traces, ClusterParams()).any()
+        assert assert_matches_oracle(traces, ClusterParams()) == []
+        pois = [poi_at(0.0, 0.0, 100.0), poi_at(10000.0, 0.0, 100.0)]
+        counts, p = estimate_transitions(traces, pois, ClusterParams())
+        assert (counts == 0).all() and (p == np.eye(2)).all()
+
+    def test_single_poi(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, dwell_rows(0.0, 0.0, 0.0, 3.0))
+        assert len(assert_matches_oracle(parse_traces(p), ClusterParams())) == 1
+
+
+class TestParameterErrors:
+    def test_nan_cluster_parameter_rejected(self):
+        with pytest.raises(ParameterError):
+            ClusterParams(max_radius_m=float("nan"))
+
+    @pytest.mark.parametrize("start_state", [-1, 2])
+    def test_start_state_out_of_range(self, start_state):
+        pois = [poi_at(0.0, 0.0, 50.0), poi_at(5000.0, 0.0, 50.0)]
+        cloaks = build_cloaks(pois, ClusterParams(k_anonymity=1))
+        with pytest.raises(ParameterError):
+            assemble_mdp(pois, cloaks, np.eye(2), ClusterParams(), start_state=start_state)

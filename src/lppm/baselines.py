@@ -58,16 +58,14 @@ def _mechanism(mdp: Mdp, f_vec: np.ndarray) -> np.ndarray:
     return f
 
 
-def max_entropy_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray,
-                          gap_tol: float = 1e-6, max_iter: int = 500):
+def max_entropy_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray):
     """Mechanism maximizing the Shannon entropy of the next adversary belief.
 
     The posterior is affine in the mechanism, so this is concave; solved by
-    the conditional-gradient loop seeded at the uniform mechanism. Returns
-    (f, FwResult).
+    the conditional-gradient loop over the product of the mechanism's row
+    simplices, seeded at the uniform mechanism. Returns (f, FwResult).
     """
     phi = _posterior_map(mdp, belief, np.asarray(p_user, dtype=float))
-    a_eq, b_eq = _row_constraints(mdp)
 
     def posterior(f_vec):
         post = phi.T @ f_vec
@@ -82,9 +80,8 @@ def max_entropy_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray,
         b = np.maximum(phi.T @ f_vec, LOG_FLOOR)
         return phi @ (-(1.0 + np.log(b)))
 
-    x0 = uniform_policy(mdp)[mdp.pair_index()]
-    fw = maximize_concave(fun, grad, LinearProgram(np.zeros(len(x0)), a_eq=a_eq, b_eq=b_eq),
-                          x0=x0, gap_tol=gap_tol, max_iter=max_iter)
+    pairs = mdp.pair_index()
+    fw = maximize_concave(fun, grad, pairs[0], uniform_policy(mdp)[pairs])
     return _mechanism(mdp, fw.x), fw
 
 
@@ -150,8 +147,8 @@ class BaselineRollout:
 
 
 def run_baseline(mdp: Mdp, kind: str, b0: np.ndarray, p0: np.ndarray, horizon: int,
-                 distance: np.ndarray | None = None, eps_dp: float | None = None,
-                 fw_gap_tol: float = 1e-6, fw_max_iter: int = 500) -> BaselineRollout:
+                 distance: np.ndarray | None = None,
+                 eps_dp: float | None = None) -> BaselineRollout:
     """Closed-loop demonstration of one per-step mechanism family.
 
     kind is "max_entropy", "max_inference_error" or "dp"; the latter two need
@@ -168,7 +165,7 @@ def run_baseline(mdp: Mdp, kind: str, b0: np.ndarray, p0: np.ndarray, horizon: i
     for t in range(horizon):
         b, p = beliefs[t], user[t]
         if kind == "max_entropy":
-            f, fw = max_entropy_mechanism(mdp, b, p, gap_tol=fw_gap_tol, max_iter=fw_max_iter)
+            f, fw = max_entropy_mechanism(mdp, b, p)
             gaps.append(fw.gap)
         elif kind == "max_inference_error":
             if distance is None:

@@ -162,21 +162,20 @@ def scatter_pairs(mdp: Mdp, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_mdp(transition, utility, available, p0, u_bar=None,
+def make_mdp(transition, utility, available, p0,
              state_meta=None, action_meta=None) -> Mdp:
     """Build an Mdp, overwriting unavailable rows with the completion discipline.
 
     Only the available rows of `transition` and entries of `utility` are read;
-    unavailable rows become self-loops and unavailable losses all become
-    `u_bar` (default: 1e3 times the largest available loss).
+    unavailable rows become self-loops and unavailable losses all become the
+    sentinel 1e3 times the largest available loss.
     """
     transition = np.array(transition, dtype=float)
     utility = np.array(utility, dtype=float)
     m, n, _ = transition.shape
     available = tuple(tuple(sorted(acts)) for acts in available)
     mask = _pair_mask(_pair_index(available), n, m)
-    if u_bar is None:
-        u_bar = 1e3 * float(np.max(np.abs(utility[mask])))
+    u_bar = 1e3 * float(np.max(np.abs(utility[mask])))
     eye = np.eye(n)
     for a in range(m):
         off = ~mask[:, a]
@@ -210,46 +209,20 @@ def induce_chain(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     return np.einsum("sa,asn->sn", policy, mdp.transition)
 
 
-def _support_graph(chain: np.ndarray, tol: float) -> list[np.ndarray]:
-    return [np.nonzero(row > tol)[0] for row in np.asarray(chain)]
-
-
-def _reaches_all(succ: list[np.ndarray], start: int, n: int) -> bool:
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in succ[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
-
-
 def check_ergodic(chain: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when the support graph is strongly connected and aperiodic."""
-    chain = np.asarray(chain, dtype=float)
-    n = chain.shape[0]
-    succ = _support_graph(chain, tol)
-    pred = _support_graph(chain.T, tol)
-    if not (_reaches_all(succ, 0, n) and _reaches_all(pred, 0, n)):
-        return False
-    # period = gcd over edges (u, v) of level(u) + 1 - level(v), levels from BFS
-    level = np.full(n, -1, dtype=int)
-    level[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in succ[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
-    g = 0
-    for u in range(n):
-        for v in succ[u]:
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) == 1
+    """True when the chain is irreducible and aperiodic.
+
+    That holds exactly when its support matrix (entries above tol) is
+    primitive, and by Wielandt's bound an n x n matrix is primitive exactly
+    when its power (n - 1)^2 + 1, and so every higher power, is positive.
+    Repeated boolean squaring reaches such a power.
+    """
+    support = (np.asarray(chain, dtype=float) > tol).astype(float)
+    power = 1
+    while power < (support.shape[0] - 1) ** 2 + 1:
+        support = (support @ support > 0.0).astype(float)
+        power *= 2
+    return bool(support.all())
 
 
 def stationary_distribution(chain: np.ndarray, atol: float = COMPUTATION_ATOL) -> np.ndarray:
@@ -287,20 +260,27 @@ class UnichainReport:
 def check_unichain_exhaustive(mdp: Mdp, budget: int = 20_000) -> UnichainReport:
     """Check every deterministic policy for an ergodic induced chain.
 
-    The number of deterministic policies is the product of the availability
-    set sizes; beyond `budget` the check gives up and reports that.
+    A deterministic policy's chain depends only on the row it picks at each
+    state, so only the actions whose row at s differs bit for bit from the
+    row of every lower available action are enumerated: each distinct chain
+    once. Beyond `budget` distinct chains the check gives up and reports
+    that. The witness is the lexicographically first failing action tuple,
+    which always picks first-of-class actions.
     """
-    total = 1
-    for acts in mdp.available:
-        total *= len(acts)
-        if total > budget:
-            return UnichainReport("budget_exceeded", None, 0)
+    choices = []
+    for s, acts in enumerate(mdp.available):
+        first: dict[bytes, int] = {}
+        for a in acts:
+            first.setdefault(mdp.transition[a, s].tobytes(), a)
+        choices.append(tuple(first.values()))
+    if math.prod(len(c) for c in choices) > budget:
+        return UnichainReport("budget_exceeded", None, 0)
+    states = np.arange(mdp.n_states)
     checked = 0
-    for choice in itertools.product(*mdp.available):
-        chain = np.stack([mdp.transition[a][s] for s, a in enumerate(choice)])
+    for choice in itertools.product(*choices):
         checked += 1
-        if not check_ergodic(chain):
-            return UnichainReport("not_unichain", tuple(choice), checked)
+        if not check_ergodic(mdp.transition[list(choice), states]):
+            return UnichainReport("not_unichain", choice, checked)
     return UnichainReport("unichain", None, checked)
 
 

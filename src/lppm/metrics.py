@@ -124,24 +124,14 @@ def validate_distance_matrix(distance: np.ndarray, atol: float = 1e-9) -> np.nda
     return d
 
 
-def distance_matrix_from_meta(state_meta, mode: str = "haversine") -> np.ndarray:
-    """Pairwise centroid distances in meters.
-
-    mode "haversine" treats (lat, lon) as degrees on the sphere; "euclidean"
-    treats them as planar coordinates already in meters.
-    """
+def distance_matrix_from_meta(state_meta) -> np.ndarray:
+    """Pairwise haversine distances in meters between state centroids."""
     n = len(state_meta)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             a, b = state_meta[i], state_meta[j]
-            if mode == "haversine":
-                dist = haversine_m(a.lat, a.lon, b.lat, b.lon)
-            elif mode == "euclidean":
-                dist = float(np.hypot(a.lat - b.lat, a.lon - b.lon))
-            else:
-                raise ValueError(f"unknown distance mode {mode!r}")
-            d[i, j] = d[j, i] = dist
+            d[i, j] = d[j, i] = haversine_m(a.lat, a.lon, b.lat, b.lon)
     return d
 
 

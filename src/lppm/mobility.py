@@ -41,7 +41,6 @@ class ClusterParams:
     min_dist_m: float = 500.0
     min_stay_h: float = 1.0
     k_anonymity: int = 2
-    u_bar: float | None = None
 
     def __post_init__(self):
         # written so that nan fails every test
@@ -52,8 +51,6 @@ class ClusterParams:
                 f"min_dist >= 0, min_stay >= 0 and k >= 1, got min_speed={self.min_speed_mps}, "
                 f"max_radius={self.max_radius_m}, min_dist={self.min_dist_m}, "
                 f"min_stay={self.min_stay_h}, k={self.k_anonymity}")
-        if self.u_bar is not None and not self.u_bar > 0:
-            raise ParameterError("u_bar must be positive when given")
 
 
 @dataclass
@@ -355,7 +352,7 @@ def _nearest_disk(traces: TraceDataset, idxs: np.ndarray, pois: list[PoiCluster]
 
 
 def assemble_mdp(pois: list[PoiCluster], cloaks: list[CloakRegion], p: np.ndarray,
-                 params: ClusterParams, start_state: int = 0) -> Mdp:
+                 start_state: int = 0) -> Mdp:
     """Put the pipeline products together into the mobility MDP.
 
     Choosing cloak a at a covered POI s moves the user along the empirical
@@ -382,7 +379,7 @@ def assemble_mdp(pois: list[PoiCluster], cloaks: list[CloakRegion], p: np.ndarra
                   for i, poi in enumerate(pois)]
     action_meta = [ActionMeta(f"a{i + 1}", cl.lat, cl.lon, cl.radius_m)
                    for i, cl in enumerate(cloaks)]
-    return make_mdp(transition, utility, available, p0, u_bar=params.u_bar,
+    return make_mdp(transition, utility, available, p0,
                     state_meta=state_meta, action_meta=action_meta)
 
 
@@ -399,7 +396,7 @@ def build_model_from_traces(path, params: ClusterParams, fmt: str | None = None,
         raise EmptyPoiError(f"no POI extracted from {path} at the given parameters")
     cloaks = build_cloaks(pois, params)
     counts, p = estimate_transitions(traces, pois, params)
-    mdp = assemble_mdp(pois, cloaks, p, params, start_state=start_state)
+    mdp = assemble_mdp(pois, cloaks, p, start_state=start_state)
     diag = {"n_samples": len(traces), "n_skipped": traces.n_skipped,
             "n_pois": len(pois), "n_cloaks": len(cloaks),
             "visit_transitions": int(counts.sum())}

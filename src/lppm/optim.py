@@ -1,9 +1,11 @@
-"""Dense linear programming and a linear-oracle based concave maximizer.
+"""Dense linear programming and Frank-Wolfe over a product of simplices.
 
-Everything downstream (invariance certificates, policy synthesis, the
-per-step mechanism baselines) reduces to small dense LPs, so the solver
-favors robustness and determinism over speed: two-phase primal simplex
-with Bland's anti-cycling rule, refactorizing the basis every iteration.
+Invariance certificates, policy synthesis and two of the per-step
+mechanism baselines reduce to small dense LPs, so the solver favors
+robustness and determinism over speed: two-phase primal simplex with
+Bland's anti-cycling rule, refactorizing the basis every iteration. The
+max-entropy baseline runs over a product of simplices (one per mechanism
+row), where Frank-Wolfe's linear oracle is a closed-form argmax.
 """
 from __future__ import annotations
 
@@ -281,33 +283,38 @@ class FwResult:
     iterations: int
 
 
-def maximize_concave(fun, grad, polytope: LinearProgram, x0: np.ndarray | None = None,
-                     gap_tol: float = 1e-6, max_iter: int = 500) -> FwResult:
-    """Conditional-gradient maximization of a concave function over a polytope.
+def argmax_vertex(g: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Vertex of the product of simplices that maximizes g . s.
 
-    `polytope` supplies the feasible set (its objective is ignored); each
-    round solves the linearized problem max grad(x).s with solve_lp and
-    moves along the vertex direction with a bisection line search. Stops at
-    duality gap <= gap_tol or after max_iter rounds; the reached gap is
-    reported either way.
+    Coordinate k belongs to simplex groups[k]; each group puts all of its
+    mass on its largest entry of g, ties going to the lower coordinate.
     """
-    if x0 is None:
-        feas = solve_lp(LinearProgram(np.zeros(polytope.n_vars), polytope.a_ub, polytope.b_ub,
-                                      polytope.a_eq, polytope.b_eq, polytope.lb, polytope.ub))
-        if feas.status != "optimal":
-            raise ValueError(f"could not find a feasible start ({feas.status})")
-        x = feas.x
-    else:
-        x = np.asarray(x0, dtype=float).copy()
+    g = np.asarray(g, dtype=float)
+    groups = np.asarray(groups)
+    order = np.lexsort((-g, groups))  # stable: equal entries keep index order
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = groups[order[1:]] != groups[order[:-1]]
+    vertex = np.zeros(len(g))
+    vertex[order[head]] = 1.0
+    return vertex
+
+
+def maximize_concave(fun, grad, groups: np.ndarray, x0: np.ndarray,
+                     gap_tol: float = 1e-6, max_iter: int = 500) -> FwResult:
+    """Conditional-gradient maximization of a concave function over a product of simplices.
+
+    Coordinate k belongs to simplex groups[k] (the entries of each group sum
+    to one); x0 must lie in that set. Each round moves from x toward the
+    argmax_vertex of grad(x) with a bisection line search. Stops at duality
+    gap <= gap_tol or after max_iter rounds; the reached gap is reported
+    either way.
+    """
+    x = np.asarray(x0, dtype=float).copy()
     gap = np.inf
     it = 0
     for it in range(1, max_iter + 1):
         g = np.asarray(grad(x), dtype=float)
-        oracle = solve_lp(LinearProgram(-g, polytope.a_ub, polytope.b_ub,
-                                        polytope.a_eq, polytope.b_eq, polytope.lb, polytope.ub))
-        if oracle.status != "optimal":
-            raise ValueError(f"linear oracle failed ({oracle.status})")
-        d = oracle.x - x
+        d = argmax_vertex(g, groups) - x
         gap = float(g @ d)
         if gap <= gap_tol:
             break

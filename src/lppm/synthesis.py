@@ -141,11 +141,8 @@ def _theta(mdp: Mdp, x: np.ndarray) -> np.ndarray:
     return theta / theta.sum()
 
 
-def _require_unichain(mdp: Mdp, check: bool, diagnostics: dict, budget: int = 20_000):
-    if not check:
-        diagnostics["unichain"] = "skipped"
-        return
-    report = check_unichain_exhaustive(mdp, budget=budget)
+def _require_unichain(mdp: Mdp, diagnostics: dict):
+    report = check_unichain_exhaustive(mdp)
     diagnostics["unichain"] = report.status
     if report.status == "not_unichain":
         raise NotUnichainError(f"deterministic policy {report.witness} induces a reducible chain")
@@ -159,9 +156,15 @@ def _finish(mdp: Mdp, mode: str, theta: np.ndarray, diagnostics: dict, **kw) -> 
 
 
 def synthesize_unconstrained(mdp: Mdp, check_unichain: bool = True) -> SynthesisResult:
-    """Minimum average quality loss with no privacy constraint."""
+    """Minimum average quality loss with no privacy constraint.
+
+    check_unichain=False skips the unichain check and records "skipped".
+    """
     diagnostics: dict = {}
-    _require_unichain(mdp, check_unichain, diagnostics)
+    if check_unichain:
+        _require_unichain(mdp, diagnostics)
+    else:
+        diagnostics["unichain"] = "skipped"
     a_eq, b_eq = _base_constraints(mdp, 0)
     sol = solve_lp(LinearProgram(mdp.utility[mdp.pair_index()], a_eq=a_eq, b_eq=b_eq))
     if sol.status == "infeasible":
@@ -173,8 +176,7 @@ def synthesize_unconstrained(mdp: Mdp, check_unichain: bool = True) -> Synthesis
     return _finish(mdp, "unconstrained", theta, diagnostics)
 
 
-def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec,
-                           check_unichain: bool = True) -> SynthesisResult:
+def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
     """Minimum-loss policy whose safe belief set is invariant at all times.
 
     One LP over the occupancy measure, the certificate multiplier z and the
@@ -183,7 +185,7 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec,
     tightest violated row to guide relaxing epsilon.
     """
     diagnostics: dict = {}
-    _require_unichain(mdp, check_unichain, diagnostics)
+    _require_unichain(mdp, diagnostics)
     n = mdp.n_states
     sel = spec.selector(n)
     eps = spec.epsilon
@@ -259,8 +261,7 @@ def _diagnose_infeasible(a_eq, b_eq, a_ub, b_ub) -> dict:
 
 
 def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec, n_starts: int = 16, seed: int = 0,
-                          max_rounds: int = 200, margin: float = 1e-3,
-                          check_unichain: bool = True) -> SynthesisResult:
+                          max_rounds: int = 200, margin: float = 1e-3) -> SynthesisResult:
     """Minimum-loss policy whose limit belief keeps the secret mass below epsilon.
 
     The limit-belief constraint couples the policy and its stationary belief
@@ -271,7 +272,7 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec, n_starts: int = 16, seed:
     keeps successful limits strictly inside the safe region.
     """
     diagnostics: dict = {"starts": [], "margin": margin}
-    _require_unichain(mdp, check_unichain, diagnostics)
+    _require_unichain(mdp, diagnostics)
     n = mdp.n_states
     sel = spec.selector(n)
     eps_eff = spec.epsilon - margin

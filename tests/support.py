@@ -1,11 +1,11 @@
 """Shared helpers: brute-force oracles and random-instance factories."""
 import math
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import numpy as np
 
 from lppm.geo import EARTH_RADIUS_M, haversine_m
-from lppm.mdp import NonErgodicError, make_mdp
+from lppm.mdp import NonErgodicError, UnichainReport, make_mdp
 from lppm.mobility import COVER_TOL_M, PoiCluster, stationary_flags
 
 
@@ -74,6 +74,56 @@ def power_iteration_stationary(chain, tol=1e-12, max_iter=1_000_000):
     raise NonErgodicError("power iteration did not converge")
 
 
+def bfs_check_ergodic(chain, tol=1e-12):
+    """Reference for mdp.check_ergodic: strong connectivity by graph search,
+    period as the gcd over support edges (u, v) of level(u) + 1 - level(v)
+    with BFS levels from state 0."""
+    chain = np.asarray(chain, dtype=float)
+    n = chain.shape[0]
+    succ = [np.nonzero(row > tol)[0] for row in chain]
+    pred = [np.nonzero(col > tol)[0] for col in chain.T]
+
+    def reaches_all(graph):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for v in graph[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(int(v))
+        return bool(seen.all())
+
+    if not (reaches_all(succ) and reaches_all(pred)):
+        return False
+    level = np.full(n, -1, dtype=int)
+    level[0] = 0
+    queue = [0]
+    while queue:
+        u = queue.pop(0)
+        for v in succ[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(int(v))
+    g = 0
+    for u in range(n):
+        for v in succ[u]:
+            g = math.gcd(g, int(level[u] + 1 - level[v]))
+    return abs(g) == 1
+
+
+def enumerate_unichain(mdp):
+    """Reference for mdp.check_unichain_exhaustive: every action tuple of
+    the full product of availability sets, in lexicographic order."""
+    checked = 0
+    for choice in product(*mdp.available):
+        chain = np.stack([mdp.transition[a][s] for s, a in enumerate(choice)])
+        checked += 1
+        if not bfs_check_ergodic(chain):
+            return UnichainReport("not_unichain", tuple(choice), checked)
+    return UnichainReport("unichain", None, checked)
+
+
 def local_xy_m(lat, lon, lat_ref, lon_ref):
     """Equirectangular projection to planar meters (x east, y north) around a reference."""
     x = np.radians(np.asarray(lon) - lon_ref) * EARTH_RADIUS_M * math.cos(math.radians(lat_ref))
@@ -89,6 +139,30 @@ def random_sparse_mdp(rng, n_states=7, n_actions=5):
                  for _ in range(n_states)]
     p0 = rng.dirichlet(np.ones(n_states))
     return make_mdp(transition, utility, available, p0), available
+
+
+def random_shared_row_mdp(rng, shared):
+    """Small MDP with sparse rows, so that many policies are not ergodic.
+
+    With `shared`, each state draws its action rows from a pool of one or
+    two rows, so several actions share a row bit for bit; otherwise every
+    available row is drawn on its own.
+    """
+    n, m = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    transition = np.zeros((m, n, n))
+    available = []
+    for s in range(n):
+        acts = tuple(int(a) for a in rng.permutation(m)[:rng.integers(1, m + 1)])
+        available.append(acts)
+        pool = int(rng.integers(1, 3)) if shared else len(acts)
+        rows = np.zeros((pool, n))
+        for row in rows:
+            support = rng.permutation(n)[:rng.integers(1, 3)]
+            row[support] = rng.dirichlet(np.ones(len(support)))
+        for a in acts:
+            transition[a, s] = rows[rng.integers(pool)] if shared else rows[acts.index(a)]
+    utility = rng.uniform(1.0, 5.0, size=(n, m))
+    return make_mdp(transition, utility, available, np.full(n, 1.0 / n))
 
 
 def random_chain(rng, n):

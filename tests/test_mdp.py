@@ -5,7 +5,8 @@ from lppm.mdp import (Mdp, NonErgodicError, average_cost, check_ergodic,
                       check_unichain_exhaustive, induce_chain, make_mdp,
                       occupancy_from_policy, policy_from_theta, simulate,
                       stationary_distribution, uniform_policy, validate_policy)
-from support import power_iteration_stationary, random_dense_mdp, random_sparse_mdp
+from support import (bfs_check_ergodic, enumerate_unichain, power_iteration_stationary,
+                     random_dense_mdp, random_shared_row_mdp, random_sparse_mdp)
 
 # campus stationary distribution under any policy (shared successor rows)
 CAMPUS_P_INF = np.array([3, 8, 15, 21, 18, 9]) / 74.0
@@ -143,6 +144,28 @@ class TestCheckErgodic:
     def test_campus_uniform_chain(self, campus):
         assert check_ergodic(induce_chain(campus, uniform_policy(campus)))
 
+    def test_matches_graph_search(self, rng):
+        # sparse supports make reducible and periodic chains common
+        verdicts = []
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            chain = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.5))
+            chain[np.arange(n), rng.integers(n, size=n)] += 1.0
+            chain /= chain.sum(axis=1, keepdims=True)
+            verdicts.append(check_ergodic(chain))
+            assert verdicts[-1] == bfs_check_ergodic(chain)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_cycle_and_wielandt_chain(self):
+        for n in (2, 3, 7, 30):
+            cycle = np.roll(np.eye(n), 1, axis=1)  # i -> i + 1 mod n, period n
+            assert not check_ergodic(cycle)
+            # adding n-1 -> 1 gives Wielandt's chain, whose first positive
+            # power is exactly (n - 1)^2 + 1
+            cycle[n - 1] = 0.0
+            cycle[n - 1, [0, 1]] = 0.5
+            assert check_ergodic(cycle)
+
 
 class TestCheckUnichain:
     def test_single_action_ergodic(self):
@@ -161,12 +184,27 @@ class TestCheckUnichain:
         assert not check_ergodic(chain)
 
     def test_campus_is_unichain(self, campus):
-        report = check_unichain_exhaustive(campus)
+        # every available action shares its state's successor row: one chain
+        report = check_unichain_exhaustive(campus, budget=1)
         assert report.status == "unichain"
-        assert report.n_checked == 2 * 3 * 3 * 3 * 2 * 2
+        assert report.n_checked == 1
+        assert enumerate_unichain(campus).n_checked == 2 * 3 * 3 * 3 * 2 * 2
 
-    def test_budget_exceeded(self, campus):
-        assert check_unichain_exhaustive(campus, budget=10).status == "budget_exceeded"
+    def test_budget_exceeded(self, rng):
+        mdp = random_dense_mdp(rng, n_states=4, n_actions=3)  # 81 distinct chains
+        assert check_unichain_exhaustive(mdp, budget=80).status == "budget_exceeded"
+        assert check_unichain_exhaustive(mdp, budget=81).n_checked == 81
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_matches_full_enumeration(self, rng, shared):
+        statuses = set()
+        for _ in range(300):
+            mdp = random_shared_row_mdp(rng, shared)
+            report, full = check_unichain_exhaustive(mdp), enumerate_unichain(mdp)
+            assert (report.status, report.witness) == (full.status, full.witness)
+            assert report.n_checked <= full.n_checked
+            statuses.add(report.status)
+        assert statuses == {"unichain", "not_unichain"}
 
 
 class TestAverageCost:

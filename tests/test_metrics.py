@@ -183,15 +183,6 @@ class TestDistanceMatrices:
         assert d[1, 0] == d[0, 1]
         assert d[0, 0] == 0.0
 
-    def test_euclidean_mode_uses_planar_coordinates(self):
-        meta = [StateMeta("s1", 0.0, 0.0, 1.0), StateMeta("s2", 3.0, 4.0, 1.0)]
-        d = distance_matrix_from_meta(meta, mode="euclidean")
-        assert d[0, 1] == pytest.approx(5.0, abs=1e-12)
-
-    def test_unknown_mode_raises(self):
-        meta = [StateMeta("s1", 0, 0, 1), StateMeta("s2", 1, 1, 1)]
-        with pytest.raises(ValueError):
-            distance_matrix_from_meta(meta, mode="taxicab")
 
 
 class TestWriteMetricSeries:

@@ -331,7 +331,7 @@ class TestAssembleMdp:
     def test_single_poi_unit_quality(self):
         pois = [poi_at(0.0, 0.0, 50.0)]
         cloaks = build_cloaks(pois, ClusterParams(k_anonymity=1))
-        mdp = assemble_mdp(pois, cloaks, np.array([[1.0]]), ClusterParams())
+        mdp = assemble_mdp(pois, cloaks, np.array([[1.0]]))
         assert mdp.n_states == 1 and mdp.n_actions == 1
         assert mdp.available == ((0,),)
         assert mdp.utility[0, 0] == pytest.approx(1.0, abs=1e-9)
@@ -340,13 +340,13 @@ class TestAssembleMdp:
     def test_quality_quadratic_in_radius(self):
         pois = [poi_at(0.0, 0.0, 50.0)]
         cloaks = [CloakRegion(pois[0].lat, pois[0].lon, 100.0, (0,))]
-        mdp = assemble_mdp(pois, cloaks, np.array([[1.0]]), ClusterParams())
+        mdp = assemble_mdp(pois, cloaks, np.array([[1.0]]))
         assert mdp.utility[0, 0] == pytest.approx(4.0, abs=1e-9)
 
     def test_tiny_poi_radius_floored(self):
         pois = [poi_at(0.0, 0.0, 2.0)]
         cloaks = [CloakRegion(pois[0].lat, pois[0].lon, 20.0, (0,))]
-        mdp = assemble_mdp(pois, cloaks, np.array([[1.0]]), ClusterParams())
+        mdp = assemble_mdp(pois, cloaks, np.array([[1.0]]))
         # state disk area floors at radius 10
         assert mdp.utility[0, 0] == pytest.approx(4.0, abs=1e-9)
 
@@ -354,7 +354,7 @@ class TestAssembleMdp:
         pois = [poi_at(0.0, 0.0, 50.0), poi_at(5000.0, 0.0, 50.0)]
         cloaks = build_cloaks(pois, ClusterParams(k_anonymity=1))
         p = np.array([[0.0, 1.0], [1.0, 0.0]])
-        mdp = assemble_mdp(pois, cloaks, p, ClusterParams())
+        mdp = assemble_mdp(pois, cloaks, p)
         assert mdp.available == ((0,), (1,))
         u_avail = max(mdp.utility[0, 0], mdp.utility[1, 1])
         assert mdp.utility[0, 1] == mdp.utility[1, 0] > u_avail
@@ -541,4 +541,4 @@ class TestParameterErrors:
         pois = [poi_at(0.0, 0.0, 50.0), poi_at(5000.0, 0.0, 50.0)]
         cloaks = build_cloaks(pois, ClusterParams(k_anonymity=1))
         with pytest.raises(ParameterError):
-            assemble_mdp(pois, cloaks, np.eye(2), ClusterParams(), start_state=start_state)
+            assemble_mdp(pois, cloaks, np.eye(2), start_state=start_state)

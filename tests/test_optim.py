@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lppm.optim import (FEAS_TOL, FwResult, LinearProgram, constraint_violation,
-                        maximize_concave, solve_lp)
-from support import brute_force_lp, random_bounded_lp
+from lppm.optim import (FEAS_TOL, FwResult, LinearProgram, argmax_vertex,
+                        constraint_violation, maximize_concave, solve_lp)
+from support import brute_force_lp, random_bounded_lp, random_sparse_mdp
 
 
 class TestSolveLp:
@@ -108,74 +108,121 @@ class TestSolveLp:
             assert float(b @ (t * y0)) <= sol.objective + 1e-8
 
 
+def entropy(x):
+    pos = x[x > 1e-300]
+    return -float(np.sum(pos * np.log(pos)))
+
+
+def entropy_grad(x):
+    return -(np.log(np.maximum(x, 1e-300)) + 1.0)
+
+
 class TestMaximizeConcave:
     def simplex(self, n):
-        return LinearProgram(c=np.zeros(n), a_eq=np.ones((1, n)),
-                             b_eq=np.array([1.0]))
+        """One group and the uniform start."""
+        return np.zeros(n, dtype=int), np.full(n, 1.0 / n)
+
+    # the next two start at a vertex: the uniform start is already optimal
 
     def test_quadratic_interior_maximizer(self):
         x0 = np.array([0.5, 0.3, 0.2])
         fun = lambda x: -float(np.sum((x - x0) ** 2))
         grad = lambda x: -2.0 * (x - x0)
-        res = maximize_concave(fun, grad, self.simplex(3))
+        res = maximize_concave(fun, grad, *self.simplex(3))
         np.testing.assert_allclose(res.x, x0, atol=1e-4)
 
     def test_entropy_over_simplex_is_uniform(self):
-        def fun(x):
-            pos = x[x > 1e-300]
-            return -float(np.sum(pos * np.log(pos)))
-
-        def grad(x):
-            return -(np.log(np.maximum(x, 1e-300)) + 1.0)
-
-        res = maximize_concave(fun, grad, self.simplex(4))
+        res = maximize_concave(entropy, entropy_grad, *self.simplex(4))
         np.testing.assert_allclose(res.x, 0.25, atol=1e-4)
         assert res.gap <= 1e-4
 
-    def test_entropy_restricted_polytope_matches_grid(self):
-        # simplex on 3 points with x_0 <= 0.2
-        poly = LinearProgram(c=np.zeros(3), a_eq=np.ones((1, 3)),
-                             b_eq=np.array([1.0]),
-                             a_ub=np.array([[1.0, 0.0, 0.0]]),
-                             b_ub=np.array([0.2]))
+    def test_product_of_two_simplices_matches_grid(self):
+        # maximize the entropy of w / sum(w), w = (x_0 + 2 y_0, x_1, x_2 + y_1),
+        # over x in a 3-simplex and y in a 2-simplex; the uniform start is not
+        # optimal
+        mix = np.array([[1.0, 0.0, 0.0],
+                        [0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0],
+                        [2.0, 0.0, 0.0],
+                        [0.0, 0.0, 1.0]])
 
-        def fun(x):
-            pos = x[x > 1e-300]
-            return -float(np.sum(pos * np.log(pos)))
+        def values(v):
+            w = v @ mix
+            b = w / w.sum(axis=-1, keepdims=True)
+            return -np.sum(b * np.log(np.maximum(b, 1e-300)), axis=-1)
 
-        def grad(x):
-            return -(np.log(np.maximum(x, 1e-300)) + 1.0)
+        def grad(v):
+            w = v @ mix
+            total = w.sum()
+            dw = -(np.log(np.maximum(w / total, 1e-300)) + 1.0) / total
+            return mix @ (dw - (dw @ w) / total)
 
-        res = maximize_concave(fun, grad, poly)
-        best = -np.inf
-        for i in np.arange(0.0, 0.2 + 1e-12, 0.001):
-            for j in np.arange(0.0, 1.0 - i + 1e-12, 0.001):
-                best = max(best, fun(np.array([i, j, 1.0 - i - j])))
+        groups = np.array([0, 0, 0, 1, 1])
+        x0 = np.array([1 / 3, 1 / 3, 1 / 3, 0.5, 0.5])
+        res = maximize_concave(lambda v: float(values(v)), grad, groups, x0)
+        i, j, k = np.meshgrid(*[np.linspace(0.0, 1.0, 101)] * 3, indexing="ij")
+        keep = i + j <= 1.0 + 1e-12
+        grid = np.stack([i[keep], j[keep], np.maximum(1.0 - i[keep] - j[keep], 0.0),
+                         k[keep], 1.0 - k[keep]], axis=1)
+        best = float(values(grid).max())
         assert res.value == pytest.approx(best, abs=1e-3)
+        assert res.value >= best - 1e-9
+        assert res.x[:3].sum() == pytest.approx(1.0, abs=1e-12)
+        assert res.x[3:].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_iterates_stay_inside_polytope(self):
-        poly = self.simplex(5)
         seen = []
 
         def fun(x):
             seen.append(x.copy())
             return -float(np.sum(x ** 2))
 
-        res = maximize_concave(fun, lambda x: -2.0 * x, poly)
+        res = maximize_concave(fun, lambda x: -2.0 * x, np.zeros(5, dtype=int),
+                               np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
         for x in seen + [res.x]:
             assert abs(x.sum() - 1.0) <= 1e-9
             assert x.min() >= -1e-12
 
-    def test_infeasible_polytope_raises(self):
-        poly = LinearProgram(c=np.zeros(2), a_eq=np.ones((1, 2)),
-                             b_eq=np.array([1.0]),
-                             a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([0.2]))
-        with pytest.raises(ValueError):
-            maximize_concave(lambda x: 0.0, lambda x: np.zeros(2), poly)
-
     def test_result_reports_gap(self):
         res = maximize_concave(lambda x: -float(x @ x), lambda x: -2.0 * x,
-                               self.simplex(3), max_iter=3)
+                               np.zeros(3, dtype=int), np.array([1.0, 0.0, 0.0]), max_iter=3)
         assert isinstance(res, FwResult)
         assert res.gap >= 0.0
         assert res.iterations <= 3
+
+
+class TestArgmaxVertex:
+    def pair_structures(self, campus, rng):
+        yield campus.pair_index()[0]
+        for _ in range(20):
+            yield random_sparse_mdp(rng)[0].pair_index()[0]
+
+    def test_reaches_simplex_lp_optimum(self, campus, rng):
+        for groups in self.pair_structures(campus, rng):
+            a_eq = (groups[None, :] == np.arange(groups.max() + 1)[:, None]).astype(float)
+            for tied in (False, True):
+                g = rng.normal(size=len(groups))
+                if tied:
+                    g = np.round(g)  # exact ties within groups
+                vertex = argmax_vertex(g, groups)
+                sol = solve_lp(LinearProgram(-g, a_eq=a_eq, b_eq=np.ones(len(a_eq))))
+                assert sol.status == "optimal"
+                assert g @ vertex >= -sol.objective - 1e-12
+                np.testing.assert_array_equal(a_eq @ vertex, 1.0)
+
+    def test_ties_go_to_the_lower_index(self, campus, rng):
+        for groups in self.pair_structures(campus, rng):
+            g = np.zeros(len(groups))
+            first = np.r_[True, groups[1:] != groups[:-1]]
+            np.testing.assert_array_equal(argmax_vertex(g, groups), first.astype(float))
+            g = rng.integers(0, 2, size=len(groups)).astype(float)
+            vertex = argmax_vertex(g, groups)
+            for grp in np.unique(groups):
+                idx = np.nonzero(groups == grp)[0]
+                best = idx[np.argmax(g[idx])]  # argmax returns the first maximum
+                assert vertex[best] == 1.0 and vertex[idx].sum() == 1.0
+
+    def test_groups_need_not_be_contiguous(self):
+        vertex = argmax_vertex(np.array([1.0, 5.0, 2.0, 5.0, 0.0]),
+                               np.array([1, 0, 1, 0, 2]))
+        np.testing.assert_array_equal(vertex, [0.0, 1.0, 1.0, 0.0, 1.0])

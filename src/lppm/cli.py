@@ -23,9 +23,11 @@ import numpy as np
 from . import baselines as bl
 from . import fixtures, mobility, serialize
 from .adversary import adversary_matrix, belief_trajectory, write_belief_csv
-from .mdp import NotUnichainError, induce_chain
+from .mdp import (NonErgodicError, NotUnichainError, induce_chain, occupancy_from_policy,
+                  validate_policy)
 from .metrics import (PrivacySpec, distance_matrix_from_meta, eps_privacy_check,
                       write_metric_series)
+from .optim import FW_GAP_TOL
 from .synthesis import (InfeasibleSynthesisError, synthesize_asymptotic,
                         synthesize_eps_private, synthesize_unconstrained,
                         theorem1_certificate, verify_invariance)
@@ -35,6 +37,7 @@ EXIT_INPUT = 1
 EXIT_EMPTY = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
+THETA_TOL = 1e-9  # largest |theta - occupancy of the policy| verify accepts
 
 
 class CliError(Exception):
@@ -122,6 +125,10 @@ def _load_result(args, config, mdp):
     if bad:
         raise CliError(f"result {result_path} names secret state {bad[0]}, "
                        f"out of range 0..{mdp.n_states - 1} for the model")
+    try:
+        validate_policy(mdp, result.policy)
+    except ValueError as exc:
+        raise CliError(f"result {result_path} holds no policy of the model: {exc}")
     return result
 
 
@@ -340,6 +347,17 @@ def cmd_verify(args):
     secret = (_parse_secret(secret_text, mdp) if secret_text is not None
               else result.secret_states)
     spec = PrivacySpec(secret, _epsilon(epsilon))
+    # the policy is what gets deployed: its own occupancy must be the stored theta
+    try:
+        drift = float(np.max(np.abs(occupancy_from_policy(mdp, result.policy) - result.theta)))
+    except NonErgodicError:
+        print("error: the result's policy induces a non-ergodic chain, so its occupancy "
+              "cannot be checked against the stored theta", file=sys.stderr)
+        return EXIT_INTERNAL
+    if not drift <= THETA_TOL:
+        print(f"error: the result's policy does not induce its stored theta "
+              f"(max abs difference {drift:.3g} > {THETA_TOL:g})", file=sys.stderr)
+        return EXIT_INTERNAL
     chain = adversary_matrix(mdp, result.theta)
     verdict = verify_invariance(chain, spec)
     cert = theorem1_certificate(chain, spec)
@@ -386,6 +404,11 @@ def cmd_baselines(args):
         except bl.MechanismInfeasibleError as exc:
             print(f"{kind}: infeasible ({exc})", file=sys.stderr)
             return EXIT_INFEASIBLE
+        unconverged = [g for g in rollout.diagnostics.get("fw_gaps", []) if g > FW_GAP_TOL]
+        if unconverged:
+            print(f"warning: {kind}: Frank-Wolfe stopped above its gap tolerance "
+                  f"{FW_GAP_TOL:g} in {len(unconverged)} of {horizon} steps "
+                  f"(largest gap {max(unconverged):.3g})", file=sys.stderr)
         write_metric_series(out / f"baseline_{kind}.csv", rollout.beliefs,
                             secret, distance)
         avg_loss = float(np.mean(rollout.losses))

@@ -2,8 +2,10 @@
 
 Invariance certificates, policy synthesis and two of the per-step
 mechanism baselines reduce to small dense LPs, so the solver favors
-robustness and determinism over speed: two-phase primal simplex with
-Bland's anti-cycling rule, refactorizing the basis every iteration. The
+robustness and determinism over speed: a two-phase revised primal simplex
+with Bland's anti-cycling rule, whose basis inverse is kept current by
+rank-one eta updates and refactorized every REFACTOR_EVERY pivots; optimal
+and unbounded verdicts are confirmed by dense solves on the final basis. The
 max-entropy baseline runs over a product of simplices (one per mechanism
 row), where Frank-Wolfe's linear oracle is a closed-form argmax.
 """
@@ -15,6 +17,8 @@ import numpy as np
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
+REFACTOR_EVERY = 64  # pivots between fresh factorizations of the basis inverse
+FW_GAP_TOL = 1e-6
 
 
 @dataclass
@@ -92,121 +96,118 @@ def constraint_violation(lp: LinearProgram, x: np.ndarray) -> float:
 
 
 def _to_standard_form(lp: LinearProgram):
-    """Rewrite as min c.y, A y = b, y >= 0; returns (c, A, b, recover)."""
-    d = lp.n_vars
-    cols = []       # one (coeffs over original vars expressed later) per standard var
-    shift = np.zeros(d)
-    col_of = []     # (orig_index, sign) per standard column, None for slacks
-    c_std = []
-    extra_ub_rows = []  # (std_col, value) for finite ranges
+    """Rewrite as min c.y, A y = b, y >= 0; returns (c, A, b, recover, offset).
 
-    for j in range(d):
-        lo, hi = lp.lb[j], lp.ub[j]
-        if np.isfinite(lo):
-            shift[j] = lo
-            col_of.append([(j, 1.0)])
-            c_std.append(lp.c[j])
-            if np.isfinite(hi):
-                extra_ub_rows.append((len(col_of) - 1, hi - lo))
-        elif np.isfinite(hi):
-            shift[j] = hi
-            col_of.append([(j, -1.0)])
-            c_std.append(-lp.c[j])
-        else:
-            col_of.append([(j, 1.0)])
-            c_std.append(lp.c[j])
-            col_of.append([(j, -1.0)])
-            c_std.append(-lp.c[j])
+    Columns follow the original variables in index order: one column per
+    variable, shifted by a finite lower bound or mirrored at a finite upper
+    bound, and a (+, -) pair per free variable; then one slack per
+    inequality row and per finite range. Rows are the inequalities, the
+    range caps, then the equalities. Bland's rule pivots by this order.
+    """
+    lo, hi = lp.lb, lp.ub
+    lower = np.isfinite(lo)
+    upper = ~lower & np.isfinite(hi)
+    free = ~lower & ~upper
+    orig = np.repeat(np.arange(lp.n_vars), np.where(free, 2, 1))
+    sign = np.where(upper[orig], -1.0, 1.0)
+    sign[1:][orig[1:] == orig[:-1]] = -1.0   # the mirrored half of a free variable
+    shift = np.where(lower, lo, np.where(upper, hi, 0.0))
+    ranged = lower & np.isfinite(hi)
+    range_cols = np.flatnonzero(ranged[orig])
+    n_std = orig.size
+    n_ub = 0 if lp.a_ub is None else lp.a_ub.shape[0]
+    n_slack = n_ub + range_cols.size
 
-    n_std = len(col_of)
-    # map original constraint matrices onto the standard columns
     def remap(a):
-        out = np.zeros((a.shape[0], n_std))
-        for k, parts in enumerate(col_of):
-            for j, sign in parts:
-                out[:, k] += sign * a[:, j]
-        return out
+        return 0.0 + a[:, orig] * sign  # 0.0 + keeps zeros unsigned
 
-    rows_a = []
-    rows_b = []
-    n_slack = (0 if lp.a_ub is None else lp.a_ub.shape[0]) + len(extra_ub_rows)
-    slack_base = n_std
-    si = 0
+    a_std = np.zeros((n_slack + (0 if lp.a_eq is None else lp.a_eq.shape[0]), n_std + n_slack))
+    b_parts = []
     if lp.a_ub is not None:
-        a = remap(lp.a_ub)
-        b = lp.b_ub - lp.a_ub @ shift
-        for i in range(a.shape[0]):
-            row = np.zeros(n_std + n_slack)
-            row[:n_std] = a[i]
-            row[slack_base + si] = 1.0
-            si += 1
-            rows_a.append(row)
-            rows_b.append(b[i])
-    for k, cap in extra_ub_rows:
-        row = np.zeros(n_std + n_slack)
-        row[k] = 1.0
-        row[slack_base + si] = 1.0
-        si += 1
-        rows_a.append(row)
-        rows_b.append(cap)
+        a_std[:n_ub, :n_std] = remap(lp.a_ub)
+        b_parts.append(lp.b_ub - lp.a_ub @ shift)
+    a_std[n_ub + np.arange(range_cols.size), range_cols] = 1.0
+    b_parts.append(hi[ranged] - lo[ranged])
+    a_std[np.arange(n_slack), n_std + np.arange(n_slack)] = 1.0
     if lp.a_eq is not None:
-        a = remap(lp.a_eq)
-        b = lp.b_eq - lp.a_eq @ shift
-        for i in range(a.shape[0]):
-            row = np.zeros(n_std + n_slack)
-            row[:n_std] = a[i]
-            rows_a.append(row)
-            rows_b.append(b[i])
-
-    a_std = np.array(rows_a) if rows_a else np.zeros((0, n_std + n_slack))
-    b_std = np.array(rows_b)
-    c_full = np.concatenate([np.array(c_std), np.zeros(n_slack)])
+        a_std[n_slack:, :n_std] = remap(lp.a_eq)
+        b_parts.append(lp.b_eq - lp.a_eq @ shift)
+    c_full = np.concatenate([lp.c[orig] * sign, np.zeros(n_slack)])
     offset = float(lp.c @ shift)
 
     def recover(y):
         x = shift.copy()
-        for k, parts in enumerate(col_of):
-            for j, sign in parts:
-                x[j] += sign * y[k]
+        np.add.at(x, orig, sign * y[:n_std])  # in column order, as a loop would
         return x
 
-    return c_full, a_std, b_std, recover, offset
+    return c_full, a_std, np.concatenate(b_parts), recover, offset
+
+
+def _eta_update(binv: np.ndarray, row: int, d: np.ndarray):
+    """Turn binv into the inverse of the basis whose column `row` was replaced
+    by a column that binv maps to d (a rank-one update, O(m^2))."""
+    pivot = binv[row] / d[row]
+    binv -= np.outer(d, pivot)
+    binv[row] = pivot
+
+
+def _bland_prices(a, b, c, basis, tol, solve, solve_t):
+    """Bland's entering column at one basis; solve(v) = B^-1 v, solve_t(v) = v B^-1.
+
+    Returns (x_basic, entering, d) with entering = -1 at optimality and d the
+    entering column in basis terms (no entry above tol when unbounded).
+    """
+    xb = solve(b)
+    reduced = c - solve_t(c[basis]) @ a
+    reduced[basis] = 0.0
+    negative = np.flatnonzero(reduced < -tol)
+    if negative.size == 0:
+        return xb, -1, None
+    entering = int(negative[0])
+    return xb, entering, solve(a[:, entering])
 
 
 def _simplex_phase(a, b, c, basis, max_iter, tol):
-    """Primal simplex from a feasible basis, Bland's rule; mutates `basis`.
+    """Revised primal simplex from a feasible basis, Bland's rule; mutates `basis`.
 
-    Returns (status, x_basic, iterations) with status in
+    The basis inverse is kept current by eta updates and refactorized every
+    REFACTOR_EVERY pivots. An optimal or unbounded verdict is confirmed by
+    dense solves on the final basis, and x_basic comes from those solves.
+    Returns (status, x_basic, iterations, basis_inverse) with status in
     {"optimal", "unbounded", "stalled"}.
     """
-    m, n = a.shape
+    m = a.shape[0]
     it = 0
+    age = REFACTOR_EVERY
     while it < max_iter:
         it += 1
-        bmat = a[:, basis]
-        xb = np.linalg.solve(bmat, b)
-        lam = np.linalg.solve(bmat.T, c[basis])
-        reduced = c - lam @ a
-        reduced[basis] = 0.0
-        entering = -1
-        for j in range(n):
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal", xb, it
-        d = np.linalg.solve(bmat, a[:, entering])
-        ratios = np.full(m, np.inf)
+        if age >= REFACTOR_EVERY:
+            binv = np.linalg.inv(a[:, basis])
+            age = 0
+        xb, entering, d = _bland_prices(a, b, c, basis, tol,
+                                        lambda v: binv @ v, lambda v: v @ binv)
+        if entering < 0 or not np.any(d > tol):
+            bmat = a[:, basis]
+            xb, entering, d = _bland_prices(a, b, c, basis, tol,
+                                            lambda v: np.linalg.solve(bmat, v),
+                                            lambda v: np.linalg.solve(bmat.T, v))
+            if entering < 0:
+                return "optimal", xb, it, binv
+            if not np.any(d > tol):
+                return "unbounded", xb, it, binv
+            age = REFACTOR_EVERY  # the updated inverse drifted: refactorize next pivot
         pos = d > tol
+        ratios = np.full(m, np.inf)
         ratios[pos] = np.maximum(xb[pos], 0.0) / d[pos]
-        if not np.any(pos):
-            return "unbounded", xb, it
         best = np.min(ratios)
         # Bland tie-break: among minimal ratios leave the smallest variable index
         tie = best + 1e-12 * (1.0 + abs(best))
-        leave = min((basis[i], i) for i in range(m) if ratios[i] <= tie)[1]
+        ties = np.flatnonzero(ratios <= tie)
+        leave = ties[np.argmin(basis[ties])]
         basis[leave] = entering
-    return "stalled", None, it
+        _eta_update(binv, leave, d)
+        age += 1
+    return "stalled", None, it, None
 
 
 def solve_lp(lp: LinearProgram, tol: float = OPT_TOL, max_iter: int | None = None) -> LpSolution:
@@ -235,8 +236,8 @@ def solve_lp(lp: LinearProgram, tol: float = OPT_TOL, max_iter: int | None = Non
     # phase 1: artificial basis
     a1 = np.hstack([a, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    status, xb, it1 = _simplex_phase(a1, b, c1, basis, max_iter, tol)
+    basis = np.arange(n, n + m)
+    status, xb, it1, binv = _simplex_phase(a1, b, c1, basis, max_iter, tol)
     if status == "stalled":
         return LpSolution("stalled", None, None, it1)
     phase1_obj = sum(max(float(xb[i]), 0.0) for i in range(m) if basis[i] >= n)
@@ -244,26 +245,23 @@ def solve_lp(lp: LinearProgram, tol: float = OPT_TOL, max_iter: int | None = Non
         return LpSolution("infeasible", None, None, it1)
 
     # drive leftover zero-level artificials out of the basis; drop dependent rows
-    redundant = set()
-    for r in range(m):
-        if basis[r] < n:
-            continue
-        bmat = a1[:, basis]
-        binv_row = np.linalg.solve(bmat.T, np.eye(m)[r])
-        row_vals = binv_row @ a1[:, :n]
-        basis_set = set(basis)
-        pivot_j = next((j for j in range(n)
-                        if j not in basis_set and abs(row_vals[j]) > 1e-7), -1)
-        if pivot_j >= 0:
-            basis[r] = pivot_j
+    redundant = []
+    for r in np.flatnonzero(basis >= n):
+        movable = np.abs(binv[r] @ a) > 1e-7
+        movable[basis[basis < n]] = False
+        if movable.any():
+            j = int(np.argmax(movable))
+            _eta_update(binv, r, binv @ a[:, j])
+            basis[r] = j
         else:
-            redundant.add(r)
-    rows = [r for r in range(m) if r not in redundant]
+            redundant.append(r)
+    rows = np.ones(m, dtype=bool)
+    rows[redundant] = False
     a2 = a[rows, :]
     b2 = b[rows]
-    basis2 = [basis[r] for r in rows]
+    basis2 = basis[rows]
 
-    status, xb, it2 = _simplex_phase(a2, b2, c, basis2, max_iter, tol)
+    status, xb, it2, _ = _simplex_phase(a2, b2, c, basis2, max_iter, tol)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, it1 + it2)
     if status == "stalled":
@@ -300,7 +298,7 @@ def argmax_vertex(g: np.ndarray, groups: np.ndarray) -> np.ndarray:
 
 
 def maximize_concave(fun, grad, groups: np.ndarray, x0: np.ndarray,
-                     gap_tol: float = 1e-6, max_iter: int = 500) -> FwResult:
+                     gap_tol: float = FW_GAP_TOL, max_iter: int = 500) -> FwResult:
     """Conditional-gradient maximization of a concave function over a product of simplices.
 
     Coordinate k belongs to simplex groups[k] (the entries of each group sum

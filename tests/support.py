@@ -7,6 +7,7 @@ import numpy as np
 from lppm.geo import EARTH_RADIUS_M, haversine_m
 from lppm.mdp import NonErgodicError, UnichainReport, make_mdp
 from lppm.mobility import COVER_TOL_M, PoiCluster, stationary_flags
+from lppm.optim import OPT_TOL, LpSolution, constraint_violation
 
 
 def brute_force_lp(c, a_ub, b_ub):
@@ -288,3 +289,302 @@ def scalar_estimate_transitions(traces, pois, params):
         else:
             p[i, i] = 1.0
     return counts, p
+
+
+def loop_to_standard_form(lp):
+    """Reference for optim._to_standard_form, built row by row."""
+    d = lp.n_vars
+    shift = np.zeros(d)
+    col_of = []     # (orig_index, sign) per standard column, None for slacks
+    c_std = []
+    extra_ub_rows = []  # (std_col, value) for finite ranges
+
+    for j in range(d):
+        lo, hi = lp.lb[j], lp.ub[j]
+        if np.isfinite(lo):
+            shift[j] = lo
+            col_of.append([(j, 1.0)])
+            c_std.append(lp.c[j])
+            if np.isfinite(hi):
+                extra_ub_rows.append((len(col_of) - 1, hi - lo))
+        elif np.isfinite(hi):
+            shift[j] = hi
+            col_of.append([(j, -1.0)])
+            c_std.append(-lp.c[j])
+        else:
+            col_of.append([(j, 1.0)])
+            c_std.append(lp.c[j])
+            col_of.append([(j, -1.0)])
+            c_std.append(-lp.c[j])
+
+    n_std = len(col_of)
+
+    def remap(a):
+        out = np.zeros((a.shape[0], n_std))
+        for k, parts in enumerate(col_of):
+            for j, sign in parts:
+                out[:, k] += sign * a[:, j]
+        return out
+
+    rows_a = []
+    rows_b = []
+    n_slack = (0 if lp.a_ub is None else lp.a_ub.shape[0]) + len(extra_ub_rows)
+    slack_base = n_std
+    si = 0
+    if lp.a_ub is not None:
+        a = remap(lp.a_ub)
+        b = lp.b_ub - lp.a_ub @ shift
+        for i in range(a.shape[0]):
+            row = np.zeros(n_std + n_slack)
+            row[:n_std] = a[i]
+            row[slack_base + si] = 1.0
+            si += 1
+            rows_a.append(row)
+            rows_b.append(b[i])
+    for k, cap in extra_ub_rows:
+        row = np.zeros(n_std + n_slack)
+        row[k] = 1.0
+        row[slack_base + si] = 1.0
+        si += 1
+        rows_a.append(row)
+        rows_b.append(cap)
+    if lp.a_eq is not None:
+        a = remap(lp.a_eq)
+        b = lp.b_eq - lp.a_eq @ shift
+        for i in range(a.shape[0]):
+            row = np.zeros(n_std + n_slack)
+            row[:n_std] = a[i]
+            rows_a.append(row)
+            rows_b.append(b[i])
+
+    a_std = np.array(rows_a) if rows_a else np.zeros((0, n_std + n_slack))
+    b_std = np.array(rows_b)
+    c_full = np.concatenate([np.array(c_std), np.zeros(n_slack)])
+    offset = float(lp.c @ shift)
+
+    def recover(y):
+        x = shift.copy()
+        for k, parts in enumerate(col_of):
+            for j, sign in parts:
+                x[j] += sign * y[k]
+        return x
+
+    return c_full, a_std, b_std, recover, offset
+
+
+def refactorizing_simplex_phase(a, b, c, basis, max_iter, tol):
+    """Reference for optim._simplex_phase: three dense solves per pivot and
+    Python scans for Bland's rule; mutates `basis`."""
+    m, n = a.shape
+    it = 0
+    while it < max_iter:
+        it += 1
+        bmat = a[:, basis]
+        xb = np.linalg.solve(bmat, b)
+        lam = np.linalg.solve(bmat.T, c[basis])
+        reduced = c - lam @ a
+        reduced[basis] = 0.0
+        entering = -1
+        for j in range(n):
+            if reduced[j] < -tol:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal", xb, it
+        d = np.linalg.solve(bmat, a[:, entering])
+        ratios = np.full(m, np.inf)
+        pos = d > tol
+        ratios[pos] = np.maximum(xb[pos], 0.0) / d[pos]
+        if not np.any(pos):
+            return "unbounded", xb, it
+        best = np.min(ratios)
+        # Bland tie-break: among minimal ratios leave the smallest variable index
+        tie = best + 1e-12 * (1.0 + abs(best))
+        leave = min((basis[i], i) for i in range(m) if ratios[i] <= tie)[1]
+        basis[leave] = entering
+    return "stalled", None, it
+
+
+def refactorizing_solve_lp(lp, tol=OPT_TOL, max_iter=None):
+    """Reference for optim.solve_lp on the per-pivot refactorizing phases:
+    same two phases, same artificial drive-out, one solve per artificial."""
+    c, a, b, recover, offset = loop_to_standard_form(lp)
+    m, n = a.shape
+    if max_iter is None:
+        max_iter = 50 * (lp.n_vars + lp.n_rows + m + 2)
+    if m == 0:
+        if np.any(c < -tol):
+            return LpSolution("unbounded", None, None, 0)
+        x = recover(np.zeros(n))
+        return LpSolution("optimal", x, float(lp.c @ x), 0, constraint_violation(lp, x))
+
+    flip = b < 0
+    a = a.copy()
+    a[flip] *= -1.0
+    b = b.copy()
+    b[flip] *= -1.0
+
+    a1 = np.hstack([a, np.eye(m)])
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    basis = list(range(n, n + m))
+    status, xb, it1 = refactorizing_simplex_phase(a1, b, c1, basis, max_iter, tol)
+    if status == "stalled":
+        return LpSolution("stalled", None, None, it1)
+    phase1_obj = sum(max(float(xb[i]), 0.0) for i in range(m) if basis[i] >= n)
+    if phase1_obj > 10.0 * tol:
+        return LpSolution("infeasible", None, None, it1)
+
+    redundant = set()
+    for r in range(m):
+        if basis[r] < n:
+            continue
+        bmat = a1[:, basis]
+        binv_row = np.linalg.solve(bmat.T, np.eye(m)[r])
+        row_vals = binv_row @ a1[:, :n]
+        basis_set = set(basis)
+        pivot_j = next((j for j in range(n)
+                        if j not in basis_set and abs(row_vals[j]) > 1e-7), -1)
+        if pivot_j >= 0:
+            basis[r] = pivot_j
+        else:
+            redundant.add(r)
+    rows = [r for r in range(m) if r not in redundant]
+    a2 = a[rows, :]
+    b2 = b[rows]
+    basis2 = [basis[r] for r in rows]
+
+    status, xb, it2 = refactorizing_simplex_phase(a2, b2, c, basis2, max_iter, tol)
+    if status == "unbounded":
+        return LpSolution("unbounded", None, None, it1 + it2)
+    if status == "stalled":
+        return LpSolution("stalled", None, None, it1 + it2)
+    y = np.zeros(n)
+    y[basis2] = np.maximum(xb, 0.0)
+    x = recover(y)
+    return LpSolution("optimal", x, float(lp.c @ x), it1 + it2,
+                      constraint_violation(lp, x))
+
+
+def random_simplex_lp(rng, degenerate):
+    """Small LP with mixed rows and bounds, usually feasible and bounded.
+
+    Degenerate instances take small integer data and an integer start point
+    with many zeros, so right-hand sides hit 0, ratios tie exactly and
+    equality rows can repeat (the phase-1 drive-out meets them). Some
+    variables are free, bounded above only, or ranged. About one LP in ten
+    lacks the rows that bound every variable and may be unbounded; about
+    one in ten gets an unreachable row and is infeasible.
+    """
+    from lppm.optim import LinearProgram
+
+    n = int(rng.integers(2, 14))
+    m_ub, m_eq = int(rng.integers(0, 7)), int(rng.integers(0, 4))
+    if degenerate:
+        draw = lambda rows: rng.integers(-2, 3, size=(rows, n)).astype(float)
+        x0 = (rng.integers(0, 3, size=n) * (rng.random(n) < 0.5)).astype(float)
+        c = rng.integers(-3, 4, size=n).astype(float)
+        slack = rng.integers(0, 2, size=m_ub) * (rng.random(m_ub) < 0.3)
+    else:
+        draw = lambda rows: rng.normal(size=(rows, n))
+        x0 = rng.random(n)
+        c = rng.normal(size=n)
+        slack = rng.random(m_ub)
+    kind = rng.choice(4, size=n, p=[0.7, 0.1, 0.1, 0.1])  # lower, free, upper only, range
+    lb = np.where((kind == 1) | (kind == 2), -np.inf, 0.0)
+    ub = np.where(kind >= 2, x0 + rng.integers(0, 2, size=n), np.inf)
+    a_ub = draw(m_ub)
+    b_ub = a_ub @ x0 + slack
+    if rng.random() < 0.9:
+        # rows that x0 satisfies and that bound every variable
+        free = np.flatnonzero(kind == 1)
+        cap = np.where(kind == 2, -1.0, 1.0)
+        a_ub = np.vstack([a_ub, cap, -np.eye(n)[free]])
+        b_ub = np.concatenate([b_ub, [cap @ x0 + 5.0], 5.0 - x0[free]])
+    a_eq = draw(m_eq)
+    if m_eq > 1 and rng.random() < 0.5:
+        a_eq[-1] = 2.0 * a_eq[0]  # a dependent row
+    b_eq = a_eq @ x0
+    if rng.random() < 0.1:
+        # the nonnegative variables summing to at most -1
+        a_ub = np.vstack([a_ub, ((kind == 0) | (kind == 3)).astype(float)])
+        b_ub = np.append(b_ub, -1.0)
+    return LinearProgram(c, a_ub=a_ub if len(a_ub) else None, b_ub=b_ub if len(a_ub) else None,
+                         a_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None,
+                         lb=lb, ub=ub)
+
+
+def record_synthesis_lps(monkeypatch):
+    """Route lppm.synthesis's solve_lp through a recorder; returns the list of
+    (lp, solution) pairs it fills in call order."""
+    from lppm.optim import solve_lp
+
+    solved = []
+
+    def recording(lp, *args, **kwargs):
+        solved.append((lp, solve_lp(lp, *args, **kwargs)))
+        return solved[-1][1]
+
+    monkeypatch.setattr("lppm.synthesis.solve_lp", recording)
+    return solved
+
+
+def action_independent_mdp(seed, n):
+    """Mobility-like model: moving ignores the action, T(s, a, .) = p(s, .).
+
+    States are random points in the unit square; cloak a sits near state a,
+    and each state reports one of its three nearest cloaks at a loss that
+    grows with the distance. Each state keeps a self-loop and moves to five
+    nearest neighbours and to the next state of a seeded tour, so every
+    policy induces the same ergodic user chain.
+    """
+    rng = np.random.default_rng([seed, n])
+    xy = rng.random((n, 2))
+    cloak_xy = xy + rng.normal(0.0, 0.02, size=(n, 2))
+    to_cloak = np.hypot(*(xy[:, None, :] - cloak_xy[None, :, :]).transpose(2, 0, 1))
+    available = [tuple(sorted(int(a) for a in np.argsort(row, kind="stable")[:3]))
+                 for row in to_cloak]
+    utility = (1.0 + 30.0 * to_cloak) ** 2
+    between = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+    p = np.zeros((n, n))
+    for s in range(n):
+        succ = np.argsort(between[s], kind="stable")[:6]
+        p[s, succ] = rng.dirichlet(np.full(6, 2.0))
+    tour = rng.permutation(n)
+    p[tour, np.roll(tour, -1)] += 0.05
+    p /= p.sum(axis=1, keepdims=True)
+    transition = np.broadcast_to(p, (n, n, n)).copy()
+    return make_mdp(transition, utility, available, np.full(n, 1.0 / n))
+
+
+def required_budget(chain, secret):
+    """Smallest epsilon at which a chain keeps {b : b(secret) <= epsilon} invariant.
+
+    The worst next secret mass from that set is epsilon * inflow(secret) +
+    (1 - epsilon) * rest when the secret state feeds itself more than any
+    other state (rest) does, and rest otherwise; it stays at most epsilon
+    exactly when epsilon >= rest / (1 - lift), lift = max(0, inflow(secret) - rest).
+    """
+    inflow = chain[:, secret]
+    rest = float(np.delete(inflow, secret).max())
+    lift = max(0.0, float(inflow[secret]) - rest)
+    return math.inf if lift >= 1.0 else rest / (1.0 - lift)
+
+
+def binding_spec(mdp):
+    """PrivacySpec on one of the five most visited states, with a budget
+    halfway between what the uniform policy and the unconstrained optimum
+    need, so that the certificate rows bind at the eps_private optimum."""
+    from lppm.adversary import adversary_matrix
+    from lppm.mdp import occupancy_from_policy, uniform_policy
+    from lppm.metrics import PrivacySpec
+    from lppm.synthesis import synthesize_unconstrained
+
+    uniform_theta = occupancy_from_policy(mdp, uniform_policy(mdp))
+    chains = [adversary_matrix(mdp, theta)
+              for theta in (uniform_theta, synthesize_unconstrained(mdp).theta)]
+    visits = uniform_theta.sum(axis=1)
+    for secret in np.argsort(-visits, kind="stable")[:5]:
+        uniform, cheapest = (required_budget(chain, secret) for chain in chains)
+        if uniform < 0.97 * cheapest and cheapest <= 1.0:
+            return PrivacySpec((int(secret),), 0.5 * (uniform + cheapest))
+    raise ValueError("no binding budget among the five most visited states")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from lppm.cli import main
-from lppm.serialize import load_mdp, load_result
+from lppm.mdp import make_mdp
+from lppm.serialize import load_mdp, load_result, save_mdp, save_result
+from lppm.synthesis import SynthesisResult
 
 
 def run(capsys, *argv):
@@ -194,6 +196,52 @@ class TestVerify:
         assert "witness" in out
 
 
+    def private_result(self, tmp_path, capsys):
+        rc, _, _ = run(capsys, "synthesize", "--fixture", "campus",
+                       "--mode", "eps_private", "--epsilon", "0.2",
+                       "--secret", "s4", "--out", str(tmp_path))
+        assert rc == 0
+        return load_result(tmp_path / "result.json")
+
+    def verify_altered(self, tmp_path, capsys, result):
+        save_result(result, tmp_path / "altered.json")
+        return run(capsys, "verify", "--fixture", "campus",
+                   "--result", str(tmp_path / "altered.json"), "--out", str(tmp_path))
+
+    def test_tampered_policy_exit_4(self, tmp_path, capsys):
+        result = self.private_result(tmp_path, capsys)
+        result.policy[0] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # was all on action 4
+        rc, out, err = self.verify_altered(tmp_path, capsys, result)
+        assert rc == 4
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "theta" in lines[0]
+
+    def test_non_ergodic_policy_exit_4(self, tmp_path, capsys):
+        # action 0 stays put, action 1 swaps the two states
+        transition = np.stack([np.eye(2), np.eye(2)[::-1]])
+        mdp = make_mdp(transition, np.ones((2, 2)), ((0, 1), (0, 1)), np.array([0.5, 0.5]))
+        save_mdp(mdp, tmp_path / "mdp.json")
+        stay = np.array([[1.0, 0.0], [1.0, 0.0]])
+        save_result(SynthesisResult("eps_private", 0.5 * stay, stay, np.full(2, 0.5), 1.0,
+                                    epsilon=0.5, secret_states=(0,)), tmp_path / "result.json")
+        rc, out, err = run(capsys, "verify", "--model", str(tmp_path / "mdp.json"),
+                           "--result", str(tmp_path / "result.json"), "--out", str(tmp_path))
+        assert rc == 4
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "non-ergodic" in lines[0]
+
+    @pytest.mark.parametrize("shift,code", [(1e-12, 0), (1e-8, 4)])
+    def test_theta_drift_tolerance(self, tmp_path, capsys, shift, code):
+        result = self.private_result(tmp_path, capsys)
+        result.theta[1, 4] += shift
+        rc, _, err = self.verify_altered(tmp_path, capsys, result)
+        assert rc == code, err
+
+
 class TestBaselines:
     def test_three_csvs_written(self, tmp_path, capsys):
         rc, _, _ = run(capsys, "baselines", "--fixture", "campus",
@@ -240,6 +288,30 @@ class TestBaselines:
                        "--config", self.explicit_config(tmp_path),
                        "--out", str(tmp_path))
         assert rc == 3
+
+    def test_unconverged_frank_wolfe_warns_once(self, tmp_path, capsys):
+        argv = ["baselines", "--fixture", "campus", "--horizon", "2", "--belief", "unsafe",
+                "--secret", "s4"]
+        rc, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert rc == 0
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("warning: max_entropy: Frank-Wolfe stopped above its gap "
+                                   "tolerance 1e-06 in 2 of 2 steps (largest gap ")
+        assert "warning" not in out
+        # the other kinds run no Frank-Wolfe loop
+        rc, _, err = run(capsys, *argv, "--kind", "max_inference_error,dp",
+                         "--out", str(tmp_path))
+        assert (rc, err) == (0, "")
+
+    def test_converged_frank_wolfe_is_silent(self, tmp_path, capsys):
+        # one action per state: the uniform start is the only mechanism, gap 0
+        mdp = make_mdp(np.full((2, 2, 2), 0.5), np.ones((2, 2)), ((0,), (1,)),
+                       np.array([0.5, 0.5]))
+        save_mdp(mdp, tmp_path / "mdp.json")
+        rc, _, err = run(capsys, "baselines", "--model", str(tmp_path / "mdp.json"),
+                         "--horizon", "3", "--kind", "max_entropy", "--out", str(tmp_path))
+        assert (rc, err) == (0, "")
 
     @staticmethod
     def explicit_config(tmp_path):
@@ -292,6 +364,22 @@ class TestResultModelMismatch:
         assert rc == 1
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_policy_off_the_model_exit_1(self, tmp_path, capsys, command):
+        assert run(capsys, "synthesize", "--fixture", "campus", "--mode", "eps_private",
+                   "--epsilon", "0.2", "--secret", "s4", "--out", str(tmp_path))[0] == 0
+        result = load_result(tmp_path / "result.json")
+        result.policy[0] = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]  # state 0 cannot report a2
+        save_result(result, tmp_path / "result.json")
+        rc, _, err = run(capsys, command, "--fixture", "campus",
+                         "--result", str(tmp_path / "result.json"),
+                         "--out", str(tmp_path / "out"))
+        assert rc == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "unavailable" in lines[0]
 
 
 class TestConfigMerge:

@@ -1,9 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from lppm.optim import (FEAS_TOL, FwResult, LinearProgram, argmax_vertex,
-                        constraint_violation, maximize_concave, solve_lp)
-from support import brute_force_lp, random_bounded_lp, random_sparse_mdp
+from lppm.optim import (FEAS_TOL, REFACTOR_EVERY, FwResult, LinearProgram, _to_standard_form,
+                        argmax_vertex, constraint_violation, maximize_concave, solve_lp)
+from lppm.synthesis import synthesize_eps_private
+from support import (action_independent_mdp, binding_spec, brute_force_lp,
+                     loop_to_standard_form, random_bounded_lp, random_simplex_lp,
+                     random_sparse_mdp, record_synthesis_lps, refactorizing_solve_lp)
 
 
 class TestSolveLp:
@@ -106,6 +111,73 @@ class TestSolveLp:
             pos = aty > 1e-12
             t = min(1.0, float((c[pos] / aty[pos]).min())) if pos.any() else 1.0
             assert float(b @ (t * y0)) <= sol.objective + 1e-8
+
+
+def assert_oracle_path(lp):
+    """solve_lp and the per-pivot refactorizing oracle: same status, same
+    pivot count, bit-identical x. Returns the oracle's solution."""
+    new, old = solve_lp(lp), refactorizing_solve_lp(lp)
+    assert (new.status, new.iterations) == (old.status, old.iterations)
+    if old.x is None:
+        assert new.x is None
+    else:
+        assert new.x.tobytes() == old.x.tobytes()
+        assert (new.objective, new.max_violation) == (old.objective, old.max_violation)
+    return old
+
+
+class TestRevisedSimplex:
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["generic", "degenerate"])
+    def test_random_lps_follow_the_oracle_path(self, degenerate):
+        rng = np.random.default_rng(2020 + degenerate)
+        statuses, zero_rhs = Counter(), 0
+        for _ in range(200):
+            lp = random_simplex_lp(rng, degenerate)
+            statuses[assert_oracle_path(lp).status] += 1
+            zero_rhs += lp.b_ub is not None and bool(np.any(lp.b_ub == 0.0))
+        assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+        assert statuses["optimal"] >= 150
+        assert zero_rhs >= (50 if degenerate else 0)
+
+    def test_beale_cycling_example(self):
+        # cycles under the most-negative-cost rule; Bland's rule must finish
+        lp = LinearProgram(c=[-0.75, 150.0, -0.02, 6.0],
+                           a_ub=[[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0],
+                                 [0.0, 0.0, 1.0, 0.0]],
+                           b_ub=[0.0, 0.0, 1.0])
+        sol = assert_oracle_path(lp)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-0.05, abs=1e-12)
+
+    def test_long_lp_crosses_several_refactorizations(self, monkeypatch):
+        mdp = action_independent_mdp(3, 120)
+        spec = binding_spec(mdp)
+        solved = record_synthesis_lps(monkeypatch)
+        synthesize_eps_private(mdp, spec)
+        sol = assert_oracle_path(solved[0][0])
+        assert sol.status == "optimal"
+        assert sol.iterations > 4 * REFACTOR_EVERY
+
+
+class TestStandardForm:
+    def test_blocks_bit_identical_to_row_loop(self):
+        rng = np.random.default_rng(7)
+        for k in range(300):
+            lp = random_simplex_lp(rng, degenerate=bool(k % 2))
+            if k % 3 == 0:  # signed zeros in costs, rows and bounds
+                lp.c[rng.random(lp.n_vars) < 0.3] = -0.0
+                lp.lb[np.isfinite(lp.lb) & (rng.random(lp.n_vars) < 0.5)] = -0.0
+                lp.ub[np.isfinite(lp.ub) & (rng.random(lp.n_vars) < 0.5)] = -0.0
+                for a in (lp.a_ub, lp.a_eq):
+                    if a is not None:
+                        a[a == 0.0] = -0.0
+            new, old = _to_standard_form(lp), loop_to_standard_form(lp)
+            for got, want in zip(new[:3], old[:3]):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert new[4] == old[4]
+            y = rng.random(new[1].shape[1]) * (rng.random(new[1].shape[1]) < 0.7)
+            assert new[3](y).tobytes() == old[3](y).tobytes()
 
 
 def entropy(x):

@@ -11,7 +11,8 @@ from lppm.synthesis import (InfeasibleSynthesisError, _base_constraints,
                             certificate_margin, secret_inflow, synthesize_asymptotic,
                             synthesize_eps_private, synthesize_unconstrained,
                             theorem1_certificate, verify_invariance)
-from support import random_chain, random_sparse_mdp, sample_safe_beliefs
+from support import (action_independent_mdp, binding_spec, random_chain, random_sparse_mdp,
+                     record_synthesis_lps, sample_safe_beliefs)
 
 CAMPUS_SECRET = (3,)
 CAMPUS_V_UNCONSTRAINED = 3.526652
@@ -167,6 +168,32 @@ class TestStalledLp:
         assert exc.value.diagnosis["lp_status"] == "stalled"
         assert exc.value.diagnosis["feasibility"] == "unknown"
         assert len(calls) == 1   # no elastic re-solve
+
+
+class TestHighsCrossCheck:
+    @staticmethod
+    def highs_objective(lp):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        bounds = [(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+                  for lo, hi in zip(lp.lb, lp.ub)]
+        res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                      bounds=bounds, method="highs")
+        assert res.status == 0, res.message
+        return float(res.fun)
+
+    @pytest.mark.parametrize("n", [96, 160])
+    def test_occupancy_lps_match_highs(self, n, monkeypatch):
+        pytest.importorskip("scipy.optimize")
+        mdp = action_independent_mdp(11, n)
+        spec = binding_spec(mdp)
+        solved = record_synthesis_lps(monkeypatch)
+        free = synthesize_unconstrained(mdp)
+        private = synthesize_eps_private(mdp, spec)
+        assert private.average_cost > free.average_cost + 1e-6  # the budget binds
+        # the two occupancy LPs; eps_private's post-verify LP comes after them
+        for lp, sol in solved[:2]:
+            assert sol.status == "optimal"
+            assert sol.objective == pytest.approx(self.highs_objective(lp), abs=1e-9)
 
 
 class TestSynthesizeUnconstrained:

@@ -14,8 +14,6 @@ import numpy as np
 
 from .mdp import Mdp, stationary_distribution
 
-SIMPLEX_ATOL = 1e-12
-
 
 def _check_simplex(v: np.ndarray, what: str, atol: float = 1e-10) -> np.ndarray:
     v = np.asarray(v, dtype=float)

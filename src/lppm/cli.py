@@ -23,8 +23,8 @@ import numpy as np
 from . import baselines as bl
 from . import fixtures, mobility, serialize
 from .adversary import adversary_matrix, belief_trajectory, write_belief_csv
-from .mdp import (NonErgodicError, NotUnichainError, induce_chain, occupancy_from_policy,
-                  validate_policy)
+from .mdp import (UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, induce_chain,
+                  occupancy_from_policy, validate_policy)
 from .metrics import (PrivacySpec, distance_matrix_from_meta, eps_privacy_check,
                       write_metric_series)
 from .optim import FW_GAP_TOL
@@ -92,6 +92,20 @@ def _number(args, config, key, default, kind=float):
     return _to_number(key, _get(args, config, key, default), kind)
 
 
+def _read_file(kind, path, load):
+    """load(path); a missing or malformed file becomes a one-line CliError."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise CliError(f"{kind} file not found: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read {kind} file {path}: {exc.strerror}")
+    except KeyError as exc:
+        raise CliError(f"{kind} file {path} lacks the key {exc}")
+    except (LookupError, TypeError, ValueError) as exc:
+        raise CliError(f"{kind} file {path} is malformed: {' '.join(str(exc).split())}")
+
+
 def _load_model(args, config):
     fixture = _get(args, config, "fixture")
     model = _get(args, config, "model")
@@ -101,10 +115,7 @@ def _load_model(args, config):
         return fixtures.campus()
     if model is None:
         raise CliError("no model given: pass --model or --fixture")
-    try:
-        return serialize.load_mdp(model)
-    except FileNotFoundError:
-        raise CliError(f"model file not found: {model}")
+    return _read_file("model", model, serialize.load_mdp)
 
 
 def _load_result(args, config, mdp):
@@ -112,10 +123,7 @@ def _load_result(args, config, mdp):
     result_path = _get(args, config, "result")
     if result_path is None:
         raise CliError("no synthesis result given: pass --result")
-    try:
-        result = serialize.load_result(result_path)
-    except FileNotFoundError:
-        raise CliError(f"result file not found: {result_path}")
+    result = _read_file("result", result_path, serialize.load_result)
     shape = (mdp.n_states, mdp.n_actions)
     if result.theta.shape != shape or result.policy.shape != shape:
         raise CliError(f"result {result_path} does not fit the model: theta {result.theta.shape} "
@@ -282,6 +290,10 @@ def cmd_synthesize(args):
         return EXIT_INFEASIBLE
     except NotUnichainError as exc:
         raise CliError(f"model is not unichain: {exc}")
+    if result.diagnostics.get("unichain") == "budget_exceeded":
+        print(f"warning: unichain check skipped: the model has more than {UNICHAIN_BUDGET} "
+              f"distinct deterministic policy chains, so a policy with a reducible chain "
+              f"was not ruled out", file=sys.stderr)
     serialize.save_result(result, out / "result.json")
     line = f"mode={result.mode} average_cost={result.average_cost:.6f}"
     if result.certificate is not None:

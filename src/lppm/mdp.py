@@ -16,6 +16,7 @@ import numpy as np
 
 CONSTRUCTION_ATOL = 1e-12
 COMPUTATION_ATOL = 1e-10
+UNICHAIN_BUDGET = 20_000  # distinct deterministic chains the unichain check enumerates
 
 
 class NonErgodicError(RuntimeError):
@@ -257,7 +258,7 @@ class UnichainReport:
     n_checked: int = 0
 
 
-def check_unichain_exhaustive(mdp: Mdp, budget: int = 20_000) -> UnichainReport:
+def check_unichain_exhaustive(mdp: Mdp, budget: int = UNICHAIN_BUDGET) -> UnichainReport:
     """Check every deterministic policy for an ergodic induced chain.
 
     A deterministic policy's chain depends only on the row it picks at each

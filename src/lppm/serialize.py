@@ -4,6 +4,11 @@ Floats are printed with repr-faithful %.17g so save-load-save is
 byte-identical and two runs that compute the same numbers produce the same
 file. Key order is fixed by the writers below and documented in
 docs/schemas.md.
+
+A model file (schema 2) stores one transition row per available
+(state, action) pair; the self-loop completion rows of unavailable pairs are
+rebuilt on load. Files without a schema key are version 1, which stores the
+dense (n_actions, n_states, n_states) tensor, and still load.
 """
 from __future__ import annotations
 
@@ -12,8 +17,10 @@ import math
 
 import numpy as np
 
-from .mdp import ActionMeta, Mdp, StateMeta
+from .mdp import ActionMeta, Mdp, StateMeta, _pair_index
 from .synthesis import Certificate, SynthesisResult
+
+MDP_SCHEMA = 2
 
 
 def _fmt_float(x: float) -> str:
@@ -51,11 +58,13 @@ def _nested(array: np.ndarray):
 
 
 def mdp_to_dict(mdp: Mdp) -> dict:
+    states, actions = mdp.pair_index()
     doc = {
+        "schema": MDP_SCHEMA,
         "n_states": mdp.n_states,
         "n_actions": mdp.n_actions,
         "available": [list(acts) for acts in mdp.available],
-        "transition": _nested(mdp.transition),
+        "rows": _nested(mdp.transition[actions, states]),
         "p0": _nested(mdp.p0),
         "utility": _nested(mdp.utility),
         "state_meta": None,
@@ -75,7 +84,33 @@ def save_mdp(mdp: Mdp, path) -> None:
         fh.write(dumps_canonical(mdp_to_dict(mdp)) + "\n")
 
 
+def _transition_from_rows(doc: dict, available) -> np.ndarray:
+    """Dense (m, n, n) tensor: self-loops, with the pair rows scattered in."""
+    n, m = int(doc["n_states"]), int(doc["n_actions"])
+    if len(available) != n:
+        raise ValueError(f"available lists {len(available)} states, n_states is {n}")
+    states, actions = _pair_index(tuple(tuple(sorted(acts)) for acts in available))
+    if not 0 <= actions.min() <= actions.max() < m:
+        raise ValueError(f"available lists an action outside 0..{m - 1}")
+    rows = np.array(doc["rows"], dtype=float)
+    if rows.shape != (len(states), n):
+        raise ValueError(f"rows must hold {len(states)} rows of {n} entries, one per "
+                         f"available pair; got shape {rows.shape}")
+    transition = np.broadcast_to(np.eye(n), (m, n, n)).copy()
+    transition[actions, states] = rows
+    return transition
+
+
 def mdp_from_dict(doc: dict) -> Mdp:
+    schema = doc.get("schema", 1)
+    available = tuple(tuple(a) for a in doc["available"])
+    if schema == 1:
+        transition = np.array(doc["transition"], dtype=float)
+    elif schema == MDP_SCHEMA:
+        transition = _transition_from_rows(doc, available)
+    else:
+        raise ValueError(f"unknown model schema {schema!r}; this version reads 1 and "
+                         f"{MDP_SCHEMA}")
     state_meta = action_meta = None
     if doc.get("state_meta") is not None:
         state_meta = [StateMeta(d["label"], d["lat"], d["lon"], d["area_m2"])
@@ -83,16 +118,22 @@ def mdp_from_dict(doc: dict) -> Mdp:
     if doc.get("action_meta") is not None:
         action_meta = [ActionMeta(d["label"], d["lat"], d["lon"], d["radius_m"])
                        for d in doc["action_meta"]]
-    return Mdp(transition=np.array(doc["transition"], dtype=float),
-               available=tuple(tuple(a) for a in doc["available"]),
+    return Mdp(transition=transition, available=available,
                utility=np.array(doc["utility"], dtype=float),
                p0=np.array(doc["p0"], dtype=float),
                state_meta=state_meta, action_meta=action_meta)
 
 
-def load_mdp(path) -> Mdp:
+def _load_object(path) -> dict:
     with open(path) as fh:
-        return mdp_from_dict(json.load(fh))
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("the file does not hold a JSON object")
+    return doc
+
+
+def load_mdp(path) -> Mdp:
+    return mdp_from_dict(_load_object(path))
 
 
 def _plain(value):
@@ -160,5 +201,4 @@ def result_from_dict(doc: dict) -> SynthesisResult:
 
 
 def load_result(path) -> SynthesisResult:
-    with open(path) as fh:
-        return result_from_dict(json.load(fh))
+    return result_from_dict(_load_object(path))

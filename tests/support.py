@@ -8,6 +8,7 @@ from lppm.geo import EARTH_RADIUS_M, haversine_m
 from lppm.mdp import NonErgodicError, UnichainReport, make_mdp
 from lppm.mobility import COVER_TOL_M, PoiCluster, stationary_flags
 from lppm.optim import OPT_TOL, LpSolution, constraint_violation
+from lppm.serialize import dumps_canonical
 
 
 def brute_force_lp(c, a_ub, b_ub):
@@ -61,6 +62,36 @@ def random_dense_mdp(rng, n_states=4, n_actions=3, meta=False):
     available = tuple(tuple(range(n_actions)) for _ in range(n_states))
     p0 = rng.dirichlet(np.ones(n_states))
     return make_mdp(transition, utility, available, p0)
+
+
+def mdp_to_dict_v1(mdp):
+    """Version-1 model document: the dense (m, n, n) tensor under "transition".
+
+    The writer that `serialize.mdp_to_dict` replaced, kept to produce the old
+    files that must still load.
+    """
+    doc = {
+        "n_states": mdp.n_states,
+        "n_actions": mdp.n_actions,
+        "available": [list(acts) for acts in mdp.available],
+        "transition": mdp.transition.tolist(),
+        "p0": mdp.p0.tolist(),
+        "utility": mdp.utility.tolist(),
+        "state_meta": None,
+        "action_meta": None,
+    }
+    if mdp.state_meta is not None:
+        doc["state_meta"] = [{"label": s.label, "lat": s.lat, "lon": s.lon,
+                              "area_m2": s.area_m2} for s in mdp.state_meta]
+    if mdp.action_meta is not None:
+        doc["action_meta"] = [{"label": a.label, "lat": a.lat, "lon": a.lon,
+                               "radius_m": a.radius_m} for a in mdp.action_meta]
+    return doc
+
+
+def save_mdp_v1(mdp, path):
+    with open(path, "w") as fh:
+        fh.write(dumps_canonical(mdp_to_dict_v1(mdp)) + "\n")
 
 
 def power_iteration_stationary(chain, tol=1e-12, max_iter=1_000_000):

@@ -7,6 +7,7 @@ from lppm.cli import main
 from lppm.mdp import make_mdp
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
 from lppm.synthesis import SynthesisResult
+from support import random_dense_mdp, save_mdp_v1
 
 
 def run(capsys, *argv):
@@ -67,9 +68,9 @@ class TestBuild:
 
 class TestSynthesize:
     def test_unconstrained_prints_cost(self, tmp_path, capsys):
-        rc, out, _ = run(capsys, "synthesize", "--fixture", "campus",
-                         "--mode", "unconstrained", "--out", str(tmp_path))
-        assert rc == 0
+        rc, out, err = run(capsys, "synthesize", "--fixture", "campus",
+                           "--mode", "unconstrained", "--out", str(tmp_path))
+        assert (rc, err) == (0, "")
         assert "average_cost" in out
         res = load_result(tmp_path / "result.json")
         assert res.average_cost == pytest.approx(3.526652, abs=1e-5)
@@ -109,6 +110,21 @@ class TestSynthesize:
         res = load_result(tmp_path / "result.json")
         assert res.mode == "asymptotic"
         assert res.b_inf[3] <= 0.16
+
+    def test_unichain_budget_exceeded_warns(self, tmp_path, capsys):
+        # two distinct rows at each of 15 states: 2**15 deterministic chains
+        mdp = random_dense_mdp(np.random.default_rng(7), n_states=15, n_actions=2)
+        save_mdp(mdp, tmp_path / "mdp.json")
+        rc, out, err = run(capsys, "synthesize", "--model", str(tmp_path / "mdp.json"),
+                           "--mode", "unconstrained", "--out", str(tmp_path))
+        assert rc == 0
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("warning: unichain check skipped: the model has more "
+                                   "than 20000 distinct deterministic policy chains")
+        assert "warning" not in out
+        assert load_result(tmp_path / "result.json").diagnostics["unichain"] == \
+            "budget_exceeded"
 
     def test_missing_epsilon_is_exit_1(self, tmp_path, capsys):
         rc, _, _ = run(capsys, "synthesize", "--fixture", "campus",
@@ -349,6 +365,54 @@ class TestBadInput:
         assert rc == 1
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+class TestMalformedFile:
+    @staticmethod
+    def without(doc, key):
+        return json.dumps({k: v for k, v in doc.items() if k != key})
+
+    @pytest.mark.parametrize("kind,base,edit,expect", [
+        ("model", "v2", lambda doc: json.dumps(doc)[:-5], "Expecting"),
+        ("model", "v2", lambda doc: "[1, 2]", "not hold a JSON object"),
+        ("model", "v1", lambda doc: TestMalformedFile.without(doc, "transition"),
+         "lacks the key 'transition'"),
+        ("model", "v1", lambda doc: json.dumps(
+            {**doc, "transition": np.add(doc["transition"], 0.1).tolist()}),
+         "every transition row must sum to one"),
+        ("model", "v2", lambda doc: json.dumps({**doc, "rows": doc["rows"][:-1]}),
+         "rows must hold 15 rows of 6 entries"),
+        ("model", "v2", lambda doc: json.dumps(
+            {**doc, "rows": [row[:-1] for row in doc["rows"]]}),
+         "rows must hold 15 rows of 6 entries"),
+        ("model", "v2", lambda doc: json.dumps({**doc, "available": doc["available"][:-1]}),
+         "available lists 5 states, n_states is 6"),
+        ("model", "v2", lambda doc: json.dumps(
+            {**doc, "available": [[*doc["available"][0], 6], *doc["available"][1:]]}),
+         "outside 0..5"),
+        ("model", "v2", lambda doc: json.dumps({**doc, "schema": 3}), "unknown model schema 3"),
+        ("result", None, lambda doc: json.dumps(doc)[:-5], "Expecting"),
+        ("result", None, lambda doc: TestMalformedFile.without(doc, "theta"),
+         "lacks the key 'theta'"),
+    ], ids=["model_not_json", "model_not_an_object", "model_v1_no_transition",
+            "model_v1_row_sums", "model_rows_missing_a_pair", "model_rows_too_short",
+            "model_state_count", "model_action_range", "model_unknown_schema",
+            "result_not_json", "result_no_theta"])
+    def test_one_error_line_exit_1(self, tmp_path, capsys, campus, kind, base, edit, expect):
+        rc, _, _ = run(capsys, "synthesize", "--fixture", "campus", "--mode",
+                       "unconstrained", "--out", str(tmp_path))
+        assert rc == 0
+        good = {"model": tmp_path / "mdp.json", "result": tmp_path / "result.json"}
+        (save_mdp_v1 if base == "v1" else save_mdp)(campus, good["model"])
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_text(edit(json.loads(good[kind].read_text())))
+        good[kind] = bad
+        rc, out, err = run(capsys, "verify", "--model", str(good["model"]),
+                           "--result", str(good["result"]), "--out", str(tmp_path / "out"))
+        assert (rc, out) == (1, "")
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {kind} file {bad} "), err
+        assert expect in lines[0]
 
 
 class TestResultModelMismatch:

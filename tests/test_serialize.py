@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from lppm.cli import main
 from lppm.metrics import PrivacySpec
+from lppm.mobility import ClusterParams, build_model_from_traces
 from lppm.serialize import (dumps_canonical, load_mdp, load_result,
                             mdp_from_dict, mdp_to_dict, save_mdp, save_result)
 from lppm.synthesis import (synthesize_asymptotic, synthesize_eps_private,
                             synthesize_unconstrained)
-from support import random_dense_mdp
+from support import random_dense_mdp, save_mdp_v1
 
 
 class TestDumpsCanonical:
@@ -77,10 +79,71 @@ class TestMdpRoundTrip:
 
     def test_dict_form_lists_only(self, campus):
         doc = mdp_to_dict(campus)
+        assert doc["schema"] == 2
         assert doc["n_states"] == 6
-        assert isinstance(doc["transition"], list)
+        assert isinstance(doc["rows"], list)
         rebuilt = mdp_from_dict(json.loads(dumps_canonical(doc)))
         np.testing.assert_array_equal(rebuilt.transition, campus.transition)
+
+    def test_rows_are_the_available_pairs(self, campus):
+        doc = mdp_to_dict(campus)
+        assert "transition" not in doc
+        states, actions = campus.pair_index()
+        assert doc["rows"] == campus.transition[actions, states].tolist()
+
+    def test_unsorted_available_reads_rows_in_pair_order(self, rng):
+        mdp = random_dense_mdp(rng)
+        doc = json.loads(dumps_canonical(mdp_to_dict(mdp)))
+        doc["available"] = [acts[::-1] for acts in doc["available"]]
+        assert mdp_from_dict(doc).transition.tobytes() == mdp.transition.tobytes()
+
+
+@pytest.fixture(params=["campus", "random_dense", "trace"])
+def model_case(request, campus, tmp_path):
+    """(model, secret, epsilon) at a budget where the eps_private LP is feasible."""
+    if request.param == "campus":
+        return campus, 3, 0.2
+    if request.param == "random_dense":
+        return random_dense_mdp(np.random.default_rng(42)), 2, 0.38
+    from test_mobility import commute_csv
+    trace = tmp_path / "commute.csv"
+    commute_csv(trace, [(x, 0.0) for x in (0, 700, 1400, 700, 0, 1400, 2100, 700, 0, 2100, 0)])
+    return build_model_from_traces(trace, ClusterParams())[0], 1, 0.3
+
+
+class TestVersionOneFiles:
+    """Files with the dense `transition` tensor and no schema key still load."""
+
+    def test_loads_bit_identical(self, model_case, tmp_path):
+        mdp = model_case[0]
+        save_mdp_v1(mdp, tmp_path / "v1.json")
+        back = load_mdp(tmp_path / "v1.json")
+        assert back.transition.tobytes() == mdp.transition.tobytes()
+        assert back.utility.tobytes() == mdp.utility.tobytes()
+        assert back.p0.tobytes() == mdp.p0.tobytes()
+        assert back.available == mdp.available
+
+    def test_resaves_as_version_two(self, model_case, tmp_path):
+        mdp = model_case[0]
+        save_mdp_v1(mdp, tmp_path / "v1.json")
+        save_mdp(load_mdp(tmp_path / "v1.json"), tmp_path / "resaved.json")
+        save_mdp(mdp, tmp_path / "v2.json")
+        assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
+
+    def test_eps_private_result_byte_identical(self, model_case, tmp_path, capsys):
+        mdp, secret, epsilon = model_case
+        save_mdp_v1(mdp, tmp_path / "v1.json")
+        save_mdp(mdp, tmp_path / "v2.json")
+        printed = []
+        for version in ("v1", "v2"):
+            rc = main(["synthesize", "--model", str(tmp_path / f"{version}.json"),
+                       "--mode", "eps_private", "--secret", str(secret),
+                       "--epsilon", str(epsilon), "--out", str(tmp_path / version)])
+            assert rc == 0
+            printed.append(capsys.readouterr().out.splitlines()[0])
+        assert printed[0] == printed[1]
+        assert ((tmp_path / "v1" / "result.json").read_bytes()
+                == (tmp_path / "v2" / "result.json").read_bytes())
 
 
 class TestResultRoundTrip:

@@ -8,8 +8,6 @@ transition matrices.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .mdp import Mdp, stationary_distribution
@@ -64,13 +62,17 @@ def stationary_belief(chain: np.ndarray) -> np.ndarray:
 
 
 def write_belief_csv(path, beliefs: np.ndarray, secret_states) -> None:
-    """Belief trajectory table: t, one column per state, secret mass."""
+    """Belief trajectory table: t, one column per state, secret mass.
+
+    The bytes csv.writer would write (comma separated, \\r\\n line ends, no
+    field needs quoting), every float with 17 significant digits (%.17g).
+    """
     beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
     n = beliefs.shape[1]
-    secret = list(secret_states)
+    # one 1-D sum per row: sum(axis=1) adds 8 or more entries in another order
+    mass = [float(row.sum()) for row in beliefs[:, list(secret_states)]]
+    line = ",".join(["%d"] + ["%.17g"] * (n + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"b{i + 1}" for i in range(n)] + ["secret_mass"])
-        for t, b in enumerate(beliefs):
-            writer.writerow([t] + [format(x, ".17g") for x in b]
-                            + [format(float(b[secret].sum()), ".17g")])
+        fh.write(",".join(["t"] + [f"b{i + 1}" for i in range(n)] + ["secret_mass"]) + "\r\n")
+        fh.writelines(line % (t, *b, m)
+                      for t, (b, m) in enumerate(zip(beliefs.tolist(), mass)))

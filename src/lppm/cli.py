@@ -254,6 +254,10 @@ def cmd_build(args):
         return EXIT_EMPTY
     except mobility.ParameterError as exc:
         raise CliError(str(exc))
+    except OSError as exc:
+        raise CliError(f"cannot read trace file {traces}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read trace file {traces}: {exc}")
     serialize.save_mdp(mdp, out / "mdp.json")
     mobility.write_poi_summary(out / "poi_summary.csv", pois, cloaks)
     print(f"parsed {diag['n_samples']} samples ({diag['n_skipped']} skipped), "

@@ -8,7 +8,10 @@ losses. Every stage is deterministic given the input order.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -91,12 +94,15 @@ class CloakRegion:
 
 
 def parse_traces(path, fmt: str | None = None, user: str | None = None) -> TraceDataset:
-    """Load one user's trace from a csv or a Geolife plt file.
+    """Load one user's trace from a csv or a Geolife plt file, read as UTF-8.
 
     csv: header line, then rows lat,lon,timestamp with the timestamp in epoch
     seconds. plt: six header lines, latitude and longitude in the first two
-    fields, date and time in the sixth and seventh (UTC). Malformed rows and
-    rows breaking the strictly-increasing time order are skipped and counted.
+    fields, date and time in the sixth and seventh (UTC), read as strptime's
+    "%Y-%m-%d %H:%M:%S" reads them; a row whose fields are ASCII YYYY-MM-DD
+    and HH:MM:SS within one day gets the same timestamp from the date's
+    midnight plus the time of day. Malformed rows and rows breaking the
+    strictly-increasing time order are skipped and counted.
     """
     path = Path(path)
     if fmt is None:
@@ -105,35 +111,73 @@ def parse_traces(path, fmt: str | None = None, user: str | None = None) -> Trace
         raise ValueError(f"unknown trace format {fmt!r}")
     lat, lon, t = [], [], []
     skipped = 0
-    with open(path) as fh:
-        lines = fh.readlines()
     start = 6 if fmt == "plt" else 1
-    for line in lines[start:]:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        try:
-            if fmt == "plt":
-                la, lo = float(parts[0]), float(parts[1])
-                stamp = datetime.strptime(parts[5] + " " + parts[6], "%Y-%m-%d %H:%M:%S")
-                ts = stamp.replace(tzinfo=timezone.utc).timestamp()
-            else:
-                la, lo, ts = float(parts[0]), float(parts[1]), float(parts[2])
-        except (ValueError, IndexError):
-            skipped += 1
-            continue
-        if not (math.isfinite(la) and math.isfinite(lo) and math.isfinite(ts)) \
-                or abs(la) > 90.0 or abs(lo) > 180.0 or (t and ts <= t[-1]):
-            skipped += 1
-            continue
-        lat.append(la)
-        lon.append(lo)
-        t.append(ts)
+    # per-call caches: a plt file repeats each date on many rows, and times of day across days
+    midnight = functools.cache(_utc_midnight)
+    of_day = functools.cache(_seconds_of_day)
+    with open(path, encoding="utf-8") as fh:
+        for line in itertools.islice(fh, start, None):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            try:
+                if fmt == "plt":
+                    la, lo = float(parts[0]), float(parts[1])
+                    base, offset = midnight(parts[5]), of_day(parts[6])
+                    if base is not None and offset is not None:
+                        ts = base + offset
+                    else:
+                        stamp = datetime.strptime(parts[5] + " " + parts[6], "%Y-%m-%d %H:%M:%S")
+                        ts = stamp.replace(tzinfo=timezone.utc).timestamp()
+                else:
+                    la, lo, ts = float(parts[0]), float(parts[1]), float(parts[2])
+            except (ValueError, IndexError):
+                skipped += 1
+                continue
+            if not (math.isfinite(la) and math.isfinite(lo) and math.isfinite(ts)) \
+                    or abs(la) > 90.0 or abs(lo) > 180.0 or (t and ts <= t[-1]):
+                skipped += 1
+                continue
+            lat.append(la)
+            lon.append(lo)
+            t.append(ts)
     if not lat:
         warnings.warn(f"no valid samples in {path} ({skipped} rows skipped)")
     return TraceDataset(np.array(lat), np.array(lon), np.array(t),
                         user=user or path.stem, n_skipped=skipped)
+
+
+_PLT_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_PLT_TIME = re.compile(r"([0-9]{2}):([0-9]{2}):([0-9]{2})")
+
+
+def _utc_midnight(day: str) -> float | None:
+    """strptime's UTC timestamp of an ASCII YYYY-MM-DD date field, or None when
+    the field has another form or strptime rejects it (the row then goes
+    through strptime whole)."""
+    if not _PLT_DATE.fullmatch(day):
+        return None
+    try:
+        return datetime.strptime(day, "%Y-%m-%d").replace(tzinfo=timezone.utc).timestamp()
+    except ValueError:
+        return None
+
+
+def _seconds_of_day(clock: str) -> int | None:
+    """Seconds since midnight of an ASCII HH:MM:SS time field within one day,
+    or None for any other field.
+
+    timestamp() of a whole-second time is an integer count of seconds divided
+    exactly, so midnight plus this offset is strptime's float bit for bit.
+    """
+    match = _PLT_TIME.fullmatch(clock)
+    if match is None:
+        return None
+    hour, minute, second = int(match[1]), int(match[2]), int(match[3])
+    if hour < 24 and minute < 60 and second < 60:
+        return hour * 3600 + minute * 60 + second
+    return None
 
 
 def stationary_flags(traces: TraceDataset, params: ClusterParams) -> np.ndarray:
@@ -219,14 +263,16 @@ def _greedy_clusters(traces: TraceDataset, idxs: np.ndarray, max_radius_m: float
     they stood at the block's start. A sample then tests, in cluster order,
     only its screened candidates and the clusters that changed or opened
     during the block; haversine_m decides every test the screen leaves open.
+    After each such decision, _sure_run joins in one step the samples that
+    follow it in the block and surely join the same cluster.
     """
     sums: list[list[float]] = []
     joined = np.empty(idxs.size, dtype=int)
     for start in range(0, idxs.size, CLUSTER_BLOCK):
         block = idxs[start:start + CLUSTER_BLOCK]
         lat_b, lon_b = traces.lat[block], traces.lon[block]
+        rows = cols = np.empty(0, dtype=int)
         bounds = [0] * (block.size + 1)
-        cands: list[int] = []
         unsure: set[tuple[int, int]] = set()   # (row, cluster) inside the band
         if sums:
             cent = np.array(sums)
@@ -234,11 +280,15 @@ def _greedy_clusters(traces: TraceDataset, idxs: np.ndarray, max_radius_m: float
                                  cent[:, 0] / cent[:, 2], cent[:, 1] / cent[:, 2])
             rows, cols = np.nonzero(d <= max_radius_m + SCREEN_TOL_M)
             bounds = np.searchsorted(rows, np.arange(block.size + 1)).tolist()
-            cands = cols.tolist()
             band = d[rows, cols] > max_radius_m - SCREEN_TOL_M
             unsure = set(zip(rows[band].tolist(), cols[band].tolist()))
+        cands = cols.tolist()
+        moved = np.zeros(len(sums), dtype=bool)   # screened ones changed in the block
         changed: set[int] = set()
-        for r, (la, lo) in enumerate(zip(lat_b.tolist(), lon_b.tolist())):
+        lat_l, lon_l = lat_b.tolist(), lon_b.tolist()
+        r = 0
+        while r < block.size:
+            la, lo = lat_l[r], lon_l[r]
             target = -1
             for c in sorted(changed.union(cands[bounds[r]:bounds[r + 1]])):
                 if c in changed or (r, c) in unsure:
@@ -255,8 +305,55 @@ def _greedy_clusters(traces: TraceDataset, idxs: np.ndarray, max_radius_m: float
                 sums[target][1] += lo
                 sums[target][2] += 1.0
             changed.add(target)
-            joined[start + r] = target
+            if target < moved.size:
+                moved[target] = True
+            run = 1
+            sla, slo, cnt = sums[target]
+            # a run pays for its numpy calls only if the next row surely joins too
+            if r + 1 < block.size and haversine_m(lat_l[r + 1], lon_l[r + 1], sla / cnt,
+                                                  slo / cnt) <= max_radius_m - SCREEN_TOL_M:
+                # it ends before the first row an unchanged lower cluster may take
+                rest = slice(bounds[r + 1], None)
+                held = rows[rest][(cols[rest] < target) & ~moved[cols[rest]]]
+                end = held[0] if held.size else block.size
+                run += _sure_run(lat_b[r + 1:end], lon_b[r + 1:end], sums, target,
+                                 [c for c in changed if c < target], max_radius_m)
+            joined[start + r:start + r + run] = target
+            r += run
     return sums, joined
+
+
+def _sure_run(lat: np.ndarray, lon: np.ndarray, sums: list[list[float]], t: int,
+              lower: list[int], max_radius_m: float) -> int:
+    """Join to cluster t, in place, the leading samples (lat, lon) that surely
+    join it one after another; return how many.
+
+    Sample i is taken while t's centroid after the i samples before it is
+    surely within max_radius_m and the centroid of every cluster in lower
+    surely beyond it. np.add.accumulate makes the same sequential additions as
+    joining one sample at a time, so the sums, and every centroid, are bit for
+    bit those of the per-sample path.
+    """
+    if lat.size == 0:
+        return 0
+    sla, slo, cnt = sums[t]
+    lat_acc = np.add.accumulate(np.concatenate(([sla], lat)))
+    lon_acc = np.add.accumulate(np.concatenate(([slo], lon)))
+    cnts = cnt + np.arange(lat.size)
+    run = _leading_true(haversine_many_m(lat, lon, lat_acc[:-1] / cnts, lon_acc[:-1] / cnts)
+                        <= max_radius_m - SCREEN_TOL_M)
+    if lower and run:
+        cent = np.array([sums[c] for c in lower])
+        d = haversine_many_m(lat[:run, None], lon[:run, None],
+                             cent[:, 0] / cent[:, 2], cent[:, 1] / cent[:, 2])
+        run = _leading_true((d > max_radius_m + SCREEN_TOL_M).all(axis=1))
+    sums[t] = [float(lat_acc[run]), float(lon_acc[run]), cnt + run]
+    return run
+
+
+def _leading_true(flags: np.ndarray) -> int:
+    """Length of the leading run of True in a boolean vector."""
+    return flags.size if flags.all() else int(flags.argmin())
 
 
 def build_cloaks(pois: list[PoiCluster], params: ClusterParams) -> list[CloakRegion]:

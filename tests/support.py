@@ -1,12 +1,16 @@
 """Shared helpers: brute-force oracles and random-instance factories."""
+import csv
 import math
+import warnings
+from datetime import datetime, timezone
 from itertools import combinations, islice, product
+from pathlib import Path
 
 import numpy as np
 
 from lppm.geo import EARTH_RADIUS_M, haversine_m
 from lppm.mdp import NonErgodicError, UnichainReport, make_mdp
-from lppm.mobility import COVER_TOL_M, PoiCluster, stationary_flags
+from lppm.mobility import COVER_TOL_M, PoiCluster, TraceDataset, stationary_flags
 from lppm.optim import OPT_TOL, LpSolution, constraint_violation
 from lppm.serialize import dumps_canonical
 
@@ -216,6 +220,47 @@ def sample_safe_beliefs(rng, n, secret, epsilon, count):
     rest_mass = b[np.ix_(over, rest)].sum(axis=1)
     b[np.ix_(over, rest)] *= ((1.0 - epsilon) / rest_mass)[:, None]
     return b
+
+
+def strptime_parse_traces(path, fmt=None, user=None):
+    """Reference for mobility.parse_traces: datetime.strptime on every plt row,
+    the file read whole."""
+    path = Path(path)
+    if fmt is None:
+        fmt = "plt" if path.suffix.lower() == ".plt" else "csv"
+    if fmt not in ("csv", "plt"):
+        raise ValueError(f"unknown trace format {fmt!r}")
+    lat, lon, t = [], [], []
+    skipped = 0
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    start = 6 if fmt == "plt" else 1
+    for line in lines[start:]:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        try:
+            if fmt == "plt":
+                la, lo = float(parts[0]), float(parts[1])
+                stamp = datetime.strptime(parts[5] + " " + parts[6], "%Y-%m-%d %H:%M:%S")
+                ts = stamp.replace(tzinfo=timezone.utc).timestamp()
+            else:
+                la, lo, ts = float(parts[0]), float(parts[1]), float(parts[2])
+        except (ValueError, IndexError):
+            skipped += 1
+            continue
+        if not (math.isfinite(la) and math.isfinite(lo) and math.isfinite(ts)) \
+                or abs(la) > 90.0 or abs(lo) > 180.0 or (t and ts <= t[-1]):
+            skipped += 1
+            continue
+        lat.append(la)
+        lon.append(lo)
+        t.append(ts)
+    if not lat:
+        warnings.warn(f"no valid samples in {path} ({skipped} rows skipped)")
+    return TraceDataset(np.array(lat), np.array(lon), np.array(t),
+                        user=user or path.stem, n_skipped=skipped)
 
 
 def scalar_extract_pois(traces, params):
@@ -619,3 +664,16 @@ def binding_spec(mdp):
         if uniform < 0.97 * cheapest and cheapest <= 1.0:
             return PrivacySpec((int(secret),), 0.5 * (uniform + cheapest))
     raise ValueError("no binding budget among the five most visited states")
+
+
+def csv_write_belief_csv(path, beliefs, secret_states):
+    """Reference for adversary.write_belief_csv: csv.writer, one format() per value."""
+    beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
+    n = beliefs.shape[1]
+    secret = list(secret_states)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"b{i + 1}" for i in range(n)] + ["secret_mass"])
+        for t, b in enumerate(beliefs):
+            writer.writerow([t] + [format(x, ".17g") for x in b]
+                            + [format(float(b[secret].sum()), ".17g")])

@@ -5,7 +5,7 @@ from lppm.adversary import (action_frequencies, adversary_matrix,
                             belief_trajectory, belief_update,
                             stationary_belief, write_belief_csv)
 from lppm.mdp import induce_chain, occupancy_from_policy, stationary_distribution
-from support import random_chain, random_dense_mdp
+from support import csv_write_belief_csv, random_chain, random_dense_mdp
 from test_mdp import CAMPUS_P_INF
 
 
@@ -162,3 +162,25 @@ class TestWriteBeliefCsv:
         assert row[0] == "0"
         assert float(row[1]) == 1.0
         assert float(row[-1]) == float(row[3])
+
+    @pytest.mark.parametrize("n,secret", [(3, [2]), (4, []), (121, list(range(0, 121, 3))),
+                                          (300, list(range(200)))])
+    def test_bytes_equal_csv_writer(self, tmp_path, rng, n, secret):
+        beliefs = rng.dirichlet(np.ones(n), size=40)
+        beliefs[0] = 0.0
+        beliefs[1] = -0.0
+        beliefs[2] = np.eye(n)[n - 1]               # one-hot
+        beliefs[3, ::2] = -0.0
+        beliefs[4] = np.nextafter(0.0, 1.0)         # subnormal
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_belief_csv(got, beliefs, secret)
+        csv_write_belief_csv(want, beliefs, secret)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_single_row_bytes_equal_csv_writer(self, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_belief_csv(got, [0.25, -0.0, 0.75], (0, 1))
+        csv_write_belief_csv(want, [0.25, -0.0, 0.75], (0, 1))
+        assert got.read_bytes() == want.read_bytes() == \
+            b"t,b1,b2,b3,secret_mass\r\n0,0.25,-0,0.75,0.25\r\n"
+

@@ -366,6 +366,20 @@ class TestBadInput:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
+    @pytest.mark.parametrize("content", [None, b"lat,lon,timestamp\n40.0,-74.0,1\xff\n"],
+                             ids=["directory", "not_utf8"])
+    def test_unreadable_trace_file_exit_1(self, tmp_path, capsys, content):
+        path = tmp_path / "traces.csv"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        rc, out, err = run(capsys, "build", "--traces", str(path), "--out", str(tmp_path / "out"))
+        assert (rc, out) == (1, "")
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith(f"error: cannot read trace file {path}: "), err
+
 
 class TestMalformedFile:
     @staticmethod

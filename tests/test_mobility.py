@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lppm.geo import haversine_m, offset_latlon
+from lppm import mobility
+from lppm.geo import haversine_m, haversine_many_m, offset_latlon
 from lppm.mdp import check_unichain_exhaustive
 from lppm.mobility import (BLOCK_ROWS, CLUSTER_BLOCK, COVER_TOL_M, ClusterParams,
                            CloakRegion, EmptyPoiError, ParameterError,
@@ -14,9 +15,10 @@ from lppm.mobility import (BLOCK_ROWS, CLUSTER_BLOCK, COVER_TOL_M, ClusterParams
                            estimate_transitions, extract_pois, parse_traces,
                            stationary_flags, write_poi_summary)
 from support import (scalar_estimate_transitions, scalar_extract_pois,
-                     scalar_nearest_disk)
+                     scalar_nearest_disk, strptime_parse_traces)
 
 REF = (40.0, -74.0)
+ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_SHA = "16a4a13b099f6706992a1945142e9537035cdb44ca2fe297b20d1ab6e09f2618"
 
 
@@ -124,6 +126,83 @@ class TestParseTraces:
         p = tmp_path / "t.txt"
         write_csv(p, [(40.1, -74.2, 100.0)])
         assert len(parse_traces(p)) == 1
+
+
+PLT_HEADER = ("Geolife trajectory\nWGS 84\nAltitude is in Feet\nReserved 3\n"
+              "0,2,255,My Track,0,0,2,8421376\n0\n")
+
+
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_parse_matches_strptime(path):
+    """parse_traces reads exactly what a strptime call per plt row reads."""
+    ds, ref = parse_traces(path), strptime_parse_traces(path)
+    for got, want in ((ds.lat, ref.lat), (ds.lon, ref.lon), (ds.t, ref.t)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert ds.n_skipped == ref.n_skipped
+    return ds
+
+
+class TestPltTimestamps:
+    # (date, time, accepted) in file order; accepted rows have increasing times
+    ROWS = [
+        ("0001-01-01", "00:00:00", True),
+        ("1969-07-20", "20:17:40", True),
+        ("1969-12-31", "23:59:59", True),
+        ("1969-12-31", "23:59:58", False),       # decreasing
+        ("1970-01-01", "00:00:00", True),
+        ("2020-02-29", "12:00:00", True),        # leap day
+        ("2020-9-3", "1:2:3", True),             # strptime only: short fields
+        ("2020-09-03", "01:02:03", False),       # the same instant again
+        ("2020-09-03", "01:02:04", True),
+        ("\u0662\u0660\u0662\u0660-09-13", "10:00:00", True),   # Arabic-Indic digits
+        ("2020-09-13", "10:1\u0660:00", True),             # 10:10:00
+        ("2020-09-13", "10:\u0665\u0660:00", False),      # %M takes [0-5] first
+        ("2020-09-13", " 11:00:00", True),       # space before the time
+        ("2021-02-29", "00:00:00", False),       # no such day
+        ("2021-03-01", "00:00:60", False),
+        ("2021-03-01", "24:00:00", False),
+        ("2021-03-01", "12:00:00 ,x", False),    # trailing space in the time
+        ("2021-03-01", "12:00:00", True),
+        ("2021-13-01", "12:00:01", False),
+        ("2021-03-01", "", False),
+        ("2021-03-01", "12:00:01", True),
+        ("2021-03-01", "11:00:00", False),       # decreasing
+        ("9999-12-31", "23:59:59", True),
+    ]
+
+    def test_rows_read_as_strptime_reads_them(self, tmp_path):
+        lines = [f"{39.9 + i * 1e-4:.7f},{116.4 - i * 1e-4:.7f},0,100,40000.0,{date},{clock}"
+                 for i, (date, clock, _) in enumerate(self.ROWS)]
+        lines.insert(4, "39.9,116.4,0")           # short row
+        lines.insert(9, "")
+        # CRLF on every other line
+        text = PLT_HEADER + "".join(line + ("\r\n" if i % 2 else "\n")
+                                    for i, line in enumerate(lines))
+        path = tmp_path / "t.plt"
+        path.write_text(text, encoding="utf-8", newline="")
+        ds = assert_parse_matches_strptime(path)
+        assert len(ds) == sum(ok for *_, ok in self.ROWS)
+        assert ds.n_skipped == len(lines) - 1 - len(ds)
+        assert ds.t[0] == -62135596800.0 and ds.t[2] == -1.0 and ds.t[3] == 0.0
+
+    @pytest.mark.parametrize("user,places,samples,fmt",
+                             [(0, 10, 50_000, "csv"), (1, 20, 50_000, "plt"),
+                              (2, 30, 60_000, "csv")])
+    def test_benchmark_trace_shapes(self, tmp_path, user, places, samples, fmt):
+        gen = load_module("perfbench_gen", ROOT / "perfbench" / "gen.py")
+        trace = gen.make_trace(5, user, places, samples)
+        # as the benchmark writes it, and as plt in any case
+        for suffix in sorted({"plt", fmt}):
+            path = tmp_path / f"user{user}.{suffix}"
+            (gen.write_plt if suffix == "plt" else gen.write_csv)(trace, path)
+            ds = assert_parse_matches_strptime(path)
+            assert len(ds) == samples and ds.n_skipped == 0
 
 
 class TestStationaryFlags:
@@ -402,11 +481,7 @@ class TestWritePoiSummary:
 
 
 def load_trace_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_traces.py"
-    spec = importlib.util.spec_from_file_location("make_synthetic_traces", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("make_synthetic_traces", ROOT / "scripts" / "make_synthetic_traces.py")
 
 
 def slow_trace(points):
@@ -415,6 +490,14 @@ def slow_trace(points):
     lat = np.array([p[0] for p in points], dtype=float)
     lon = np.array([p[1] for p in points], dtype=float)
     return TraceDataset(lat, lon, np.arange(lat.size) * 1e5)
+
+
+def mean_of(points):
+    """Centroid of points as the clustering forms it: sums in order over the count."""
+    sla = slo = 0.0
+    for la, lo in points:
+        sla, slo = sla + la, slo + lo
+    return sla / len(points), slo / len(points)
 
 
 def assert_matches_oracle(traces, params):
@@ -514,6 +597,111 @@ class TestScalarOracle:
         assert len(pois) == 2
         _, assignment = extract_pois(traces, params)
         assert assignment[-1] == assignment[1]
+
+    @staticmethod
+    def planar(xs_m):
+        return [offset_latlon(40.0, -74.0, x, 0.0) for x in xs_m]
+
+    def test_run_drifts_out_of_radius(self):
+        # each sample 3 m east of the last: the running centroid lags behind
+        # and a sample leaves its radius every ~65 samples, mid-block
+        traces = slow_trace(self.planar(3.0 * np.arange(2 * CLUSTER_BLOCK + 50)))
+        params = ClusterParams(min_dist_m=0.0, min_stay_h=0.0)
+        assert len(assert_matches_oracle(traces, params)) > 6
+
+    def test_run_crosses_block_boundary(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        xy = rng.uniform(-20.0, 20.0, size=(3 * CLUSTER_BLOCK, 2))
+        traces = slow_trace([offset_latlon(40.0, -74.0, x, y) for x, y in xy])
+        params = ClusterParams(min_dist_m=0.0, min_stay_h=0.0)
+        calls = []
+        monkeypatch.setattr(mobility, "haversine_m",
+                            lambda *args: calls.append(args) or haversine_m(*args))
+        pois, _ = extract_pois(traces, params)
+        # one decided sample per block, the rest joined in runs
+        assert len(pois) == 1 and len(calls) < 10
+        monkeypatch.undo()
+        assert assert_matches_oracle(traces, params) == pois
+
+    @pytest.mark.parametrize("same_block", [False, True])
+    def test_lower_cluster_reachable_mid_run(self, same_block):
+        home, work, between = self.planar([0.0, 150.0, 75.0])
+        # a run joins samples at work to cluster 1 until a sample within reach
+        # of both centroids, which goes to cluster 0; home's cluster is either
+        # unchanged since the block start or changed within the block
+        if same_block:
+            points = [home] * 10 + [work] * 100 + [between] + [work] * 20
+        else:
+            points = [home] * 2 + [work] * CLUSTER_BLOCK + [between] + [work] * 20
+        traces = slow_trace(points)
+        params = ClusterParams(min_dist_m=0.0, min_stay_h=0.0)
+        pois = assert_matches_oracle(traces, params)
+        _, assignment = extract_pois(traces, params)
+        assert len(pois) == 2
+        assert assignment[points.index(between)] == assignment[1] != assignment[-1]
+
+    def test_sample_on_running_centroid_radius(self):
+        a, b = (40.0, -74.0), (40.0005, -74.0003)
+        # the sample b ends a run that has joined ten samples at a
+        traces = slow_trace([a] * 11 + [b] + [a] * 5)
+        d = haversine_m(b[0], b[1], *mean_of([a] * 10))
+        for radius, n_clusters in ((d, 1), (np.nextafter(d, 0.0), 2)):
+            params = ClusterParams(max_radius_m=radius, min_dist_m=0.0, min_stay_h=0.0)
+            assert len(assert_matches_oracle(traces, params)) == n_clusters
+
+    @staticmethod
+    def screen_disagrees(center, east_deg, above):
+        """A point near (40, -74 + east_deg) whose screened distance to center
+        lies above (else below) its haversine_m distance, and that distance.
+
+        The two differ in the last bits on a few points in 10 000.
+        """
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            lat = 40.0 + rng.uniform(-1e-4, 1e-4, 4096)
+            lon = -74.0 + east_deg + rng.uniform(-5e-5, 5e-5, 4096)
+            screen = haversine_many_m(lat, lon, *center)
+            exact = np.array([haversine_m(la, lo, *center)
+                              for la, lo in zip(lat.tolist(), lon.tolist())])
+            hits = np.flatnonzero(screen > exact if above else screen < exact)
+            if hits.size:
+                k = hits[0]
+                return (float(lat[k]), float(lon[k])), float(exact[k])
+        pytest.skip("haversine_many_m agrees with haversine_m on every point tried")
+
+    def test_screen_below_exact_distance_to_running_centroid(self):
+        home = (40.0, -74.0)
+        center = mean_of([home] * 10)
+        far, d = self.screen_disagrees(center, 8e-4, above=False)     # ~70 m east
+        # the screen puts `far` within the radius, haversine_m just beyond it
+        traces = slow_trace([home] * 11 + [far] + [home] * 5)
+        params = ClusterParams(max_radius_m=np.nextafter(d, 0.0), min_dist_m=0.0,
+                               min_stay_h=0.0)
+        assert len(assert_matches_oracle(traces, params)) == 2
+
+    def test_screen_above_exact_distance_to_lower_cluster(self):
+        home, work = self.planar([0.0, 150.0])
+        center = mean_of([home] * 10)
+        edge, d = self.screen_disagrees(center, 1.17e-3, above=True)  # ~100 m east
+        # during a run at work, `edge` lies on the radius of home's cluster,
+        # which changed in the same block; the screen puts it just beyond
+        points = [home] * 11 + [work] * 20 + [edge] + [work] * 5
+        traces = slow_trace(points)
+        params = ClusterParams(max_radius_m=d, min_dist_m=0.0, min_stay_h=0.0)
+        assert len(assert_matches_oracle(traces, params)) == 2
+        _, assignment = extract_pois(traces, params)
+        assert assignment[points.index(edge)] == assignment[1]
+
+    @pytest.mark.parametrize("step_m,jump_p,radius", [(30.0, 0.05, 100.0), (2.0, 0.3, 20.0),
+                                                      (60.0, 0.0, 50.0)])
+    def test_random_walk(self, step_m, jump_p, radius):
+        rng = np.random.default_rng(11)
+        xy = np.cumsum(rng.normal(0.0, step_m, size=(1500, 2)), axis=0)
+        jumps = rng.random(1500) < jump_p
+        xy[jumps] = rng.uniform(-2000.0, 2000.0, size=(int(jumps.sum()), 2))
+        traces = slow_trace([offset_latlon(40.0, -74.0, x, y) for x, y in xy])
+        assert_matches_oracle(traces, ClusterParams(max_radius_m=radius, min_dist_m=0.0,
+                                                    min_stay_h=0.0))
 
     def test_no_stationary_samples(self, tmp_path):
         p = tmp_path / "t.csv"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import Mdp, stationary_distribution
+from .mdp import Mdp, mix_actions, stationary_distribution
 
 
 def _check_simplex(v: np.ndarray, what: str, atol: float = 1e-10) -> np.ndarray:
@@ -28,7 +28,12 @@ def belief_update(mdp: Mdp, belief: np.ndarray, action_dist: np.ndarray) -> np.n
     """
     belief = _check_simplex(belief, "belief")
     action_dist = _check_simplex(action_dist, "action distribution")
-    post = np.einsum("a,aqr,q->r", action_dist, mdp.transition, belief)
+    # the dense contraction's order, for the same bits: terms (p_a T[a](q, .)) b(q),
+    # added action by action, and within an action state by state
+    post = np.zeros(mdp.n_states)
+    for a in range(mdp.n_actions):
+        terms = (action_dist[a] * mdp.action_matrix(a)) * belief[:, None]
+        post = np.add.reduce(np.vstack([post, terms]))
     return post / post.sum()
 
 
@@ -42,7 +47,7 @@ def action_frequencies(theta: np.ndarray) -> np.ndarray:
 def adversary_matrix(mdp: Mdp, theta: np.ndarray) -> np.ndarray:
     """Expected belief-transition chain sum_a theta_a T[a] of a stationary policy."""
     freq = action_frequencies(theta)
-    return np.einsum("a,aqr->qr", freq, mdp.transition)
+    return mix_actions(mdp, freq)
 
 
 def belief_trajectory(chain: np.ndarray, b0: np.ndarray, horizon: int) -> np.ndarray:

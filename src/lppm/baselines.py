@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversary import belief_update
-from .mdp import Mdp, scatter_pairs, uniform_policy
+from .mdp import Mdp, pushforward, scatter_pairs, uniform_policy
 from .metrics import validate_distance_matrix
 from .optim import LinearProgram, maximize_concave, solve_lp
 
@@ -32,7 +32,12 @@ def step_user(mdp: Mdp, p: np.ndarray, f: np.ndarray):
     p = np.asarray(p, dtype=float)
     f = np.asarray(f, dtype=float)
     action_dist = f.T @ p
-    p_next = np.einsum("s,sa,asn->n", p, f, mdp.transition)
+    # the dense contraction's order, for the same bits: terms (p(s) f(s, a)) T[a](s, .),
+    # added action by action, and within an action state by state
+    p_next = np.zeros(mdp.n_states)
+    for a in range(mdp.n_actions):
+        terms = (p * f[:, a])[:, None] * mdp.action_matrix(a)
+        p_next = np.add.reduce(np.vstack([p_next, terms]))
     return p_next, action_dist
 
 
@@ -47,7 +52,7 @@ def _row_constraints(mdp: Mdp):
 def _posterior_map(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray) -> np.ndarray:
     """Matrix Phi with posterior = Phi^T f_vec for the flattened mechanism."""
     states, actions = mdp.pair_index()
-    w = np.einsum("aqr,q->ar", mdp.transition, belief)  # w[a, j] = (T_a^T b)(j)
+    w = pushforward(mdp, belief)  # w[a, j] = (T_a^T b)(j)
     return p_user[states, None] * w[actions]
 
 

@@ -1,16 +1,20 @@
 """Finite MDP mobility models and the induced-chain machinery.
 
 A model is a finite state set (points of interest), a finite action set
-(cloaking regions), per-action transition matrices, a per-state action
-availability relation, a quality-loss matrix and an initial distribution.
-Stationary policies induce Markov chains; occupancy measures summarize the
-long-run behavior and carry the average quality loss.
+(cloaking regions), a per-state action availability relation, one
+transition row per available (state, action) pair, a quality-loss matrix and
+an initial distribution. At an unavailable pair the user stays put (the
+self-loop completion rule); a per-action transition matrix T[a] is built on
+demand from the stored rows and is not kept. Stationary policies induce
+Markov chains; occupancy measures summarize the long-run behavior and carry
+the average quality loss.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,19 +51,26 @@ class ActionMeta:
 class Mdp:
     """Mobility MDP with explicit action availability.
 
+    Only the available (state, action) pairs have dynamics, so only their
+    rows are stored. Every other pair follows the self-loop completion rule:
+    T(s, a, .) is the point mass on s. `action_matrix` is the one place that
+    applies the rule; every contraction of T builds the T[a] it needs from it.
+
     Attributes
     ----------
-    transition : (m, n, n) array, transition[a][s, s'] = T(s, a, s'). Every
-        slice is row-stochastic; rows of actions unavailable at s are the
-        self-loop completion row (probability one on s).
+    rows : (pairs, n) array, rows[k] = T(s_k, a_k, .) for the k-th pair
+        (s_k, a_k) of `pair_index()`. Every row is a distribution.
     available : tuple of sorted tuples, available[s] lists the actions usable
         at state s.
     utility : (n, m) quality-loss matrix; unavailable pairs all carry one
-        common sentinel loss strictly above every available loss.
+        common sentinel loss strictly above every available loss. It fixes
+        n_states and n_actions.
     p0 : initial state distribution.
+    state_meta, action_meta : optional labels and places, one per state and
+        one per action.
     """
 
-    transition: np.ndarray
+    rows: np.ndarray
     available: tuple[tuple[int, ...], ...]
     utility: np.ndarray
     p0: np.ndarray
@@ -67,41 +78,39 @@ class Mdp:
     action_meta: list[ActionMeta] | None = None
 
     def __post_init__(self):
-        self.transition = np.asarray(self.transition, dtype=float)
+        self.rows = np.asarray(self.rows, dtype=float)
         self.utility = np.asarray(self.utility, dtype=float)
         self.p0 = np.asarray(self.p0, dtype=float)
-        if self.transition.ndim != 3 or self.transition.shape[1] != self.transition.shape[2]:
-            raise ValueError("transition must have shape (n_actions, n_states, n_states)")
-        m, n, _ = self.transition.shape
-        if self.utility.shape != (n, m):
+        if self.utility.ndim != 2:
             raise ValueError("utility must have shape (n_states, n_actions)")
+        n, m = self.utility.shape
         if self.p0.shape != (n,):
             raise ValueError("p0 must have shape (n_states,)")
         if len(self.available) != n:
-            raise ValueError("available needs one action tuple per state")
+            raise ValueError(f"available lists {len(self.available)} states, n_states is {n}")
         self.available = tuple(tuple(sorted(acts)) for acts in self.available)
         for s, acts in enumerate(self.available):
             if not acts:
                 raise ValueError(f"state {s} has no available action")
+            bad = [a for a in acts if not isinstance(a, (int, np.integer))]
+            if bad:
+                raise ValueError(f"state {s} lists a non-integer action {bad[0]!r}")
             if acts[0] < 0 or acts[-1] >= m:
                 raise ValueError(f"state {s} lists an action outside 0..{m - 1}")
             if len(set(acts)) != len(acts):
                 raise ValueError(f"state {s} repeats an action")
         self._pairs = _pair_index(self.available)
-        if not np.all(np.isfinite(self.transition)) or np.any(self.transition < -CONSTRUCTION_ATOL):
+        states, actions = self._pairs
+        if self.rows.shape != (len(states), n):
+            raise ValueError(f"rows must hold {len(states)} rows of {n} entries, one per "
+                             f"available pair; got shape {self.rows.shape}")
+        if not np.all(np.isfinite(self.rows)) or np.any(self.rows < -CONSTRUCTION_ATOL):
             raise ValueError("transition entries must be finite and nonnegative")
-        row_sums = self.transition.sum(axis=2)
-        if not np.allclose(row_sums, 1.0, atol=CONSTRUCTION_ATOL, rtol=0.0):
+        if not np.allclose(self.rows.sum(axis=1), 1.0, atol=CONSTRUCTION_ATOL, rtol=0.0):
             raise ValueError("every transition row must sum to one")
-        mask = self.availability_mask()
-        eye = np.eye(n)
-        for a in range(m):
-            off = ~mask[:, a]
-            if np.any(off) and not np.allclose(self.transition[a][off], eye[off],
-                                               atol=CONSTRUCTION_ATOL, rtol=0.0):
-                raise ValueError(f"action {a}: unavailable rows must be self-loop completion rows")
         if not np.all(np.isfinite(self.utility)):
             raise ValueError("utility entries must be finite")
+        mask = self.availability_mask()
         if np.any(~mask):
             off_u = self.utility[~mask]
             u_bar = off_u[0]
@@ -111,28 +120,59 @@ class Mdp:
                 raise ValueError("sentinel loss must exceed every available loss")
         if np.any(self.p0 < -CONSTRUCTION_ATOL) or abs(self.p0.sum() - 1.0) > CONSTRUCTION_ATOL:
             raise ValueError("p0 must be a probability distribution")
+        if self.state_meta is not None and len(self.state_meta) != n:
+            raise ValueError(f"state_meta lists {len(self.state_meta)} states, n_states is {n}")
+        if self.action_meta is not None and len(self.action_meta) != m:
+            raise ValueError(f"action_meta lists {len(self.action_meta)} actions, "
+                             f"n_actions is {m}")
+        # pairs of each action, states ascending
+        self._action_pairs = np.split(np.argsort(actions, kind="stable"),
+                                      np.cumsum(np.bincount(actions, minlength=m))[:-1])
 
     @property
     def n_states(self) -> int:
-        return self.transition.shape[1]
+        return self.utility.shape[0]
 
     @property
     def n_actions(self) -> int:
-        return self.transition.shape[0]
+        return self.utility.shape[1]
 
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only int arrays (pair_states, pair_actions) of the available pairs.
 
         Pair k is (pair_states[k], pair_actions[k]). The order is state-major
-        with the actions of a state ascending; it is the column order of every
-        occupancy and mechanism LP, and the simplex's Bland rule pivots by
-        column index, so changing it changes the pivot sequence.
+        with the actions of a state ascending; it is the row order of `rows`
+        and the column order of every occupancy and mechanism LP, and the
+        simplex's Bland rule pivots by column index, so changing it changes
+        the pivot sequence.
         """
         return self._pairs
 
     def availability_mask(self) -> np.ndarray:
         """Boolean (n, m) mask of available (state, action) pairs."""
         return _pair_mask(self._pairs, self.n_states, self.n_actions)
+
+    def action_matrix(self, a: int) -> np.ndarray:
+        """T[a] as a new (n, n) array, T[a][s, s'] = T(s, a, s').
+
+        The identity (the self-loop completion rows) with the stored rows of
+        the pairs (s, a) scattered in.
+        """
+        k = self._action_pairs[a]
+        out = np.eye(self.n_states)
+        out[self._pairs[0][k]] = self.rows[k]
+        return out
+
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """Read-only dense (m, n, n) tensor of every T[a], built on first use.
+
+        For callers that want the dense form; the package itself contracts
+        T one action at a time through `action_matrix`.
+        """
+        dense = np.stack([self.action_matrix(a) for a in range(self.n_actions)])
+        dense.flags.writeable = False
+        return dense
 
 
 def _pair_index(available) -> tuple[np.ndarray, np.ndarray]:
@@ -165,24 +205,37 @@ def scatter_pairs(mdp: Mdp, x: np.ndarray) -> np.ndarray:
 
 def make_mdp(transition, utility, available, p0,
              state_meta=None, action_meta=None) -> Mdp:
-    """Build an Mdp, overwriting unavailable rows with the completion discipline.
+    """Build an Mdp from a dense (m, n, n) array of T, keeping its available rows.
 
     Only the available rows of `transition` and entries of `utility` are read;
-    unavailable rows become self-loops and unavailable losses all become the
-    sentinel 1e3 times the largest available loss.
+    unavailable losses all become the sentinel 1e3 times the largest
+    available loss.
     """
-    transition = np.array(transition, dtype=float)
     utility = np.array(utility, dtype=float)
-    m, n, _ = transition.shape
     available = tuple(tuple(sorted(acts)) for acts in available)
-    mask = _pair_mask(_pair_index(available), n, m)
-    u_bar = 1e3 * float(np.max(np.abs(utility[mask])))
-    eye = np.eye(n)
-    for a in range(m):
-        off = ~mask[:, a]
-        transition[a][off] = eye[off]
-    utility[~mask] = u_bar
-    return Mdp(transition, available, utility, p0, state_meta, action_meta)
+    states, actions = _pair_index(available)
+    mask = _pair_mask((states, actions), *utility.shape)
+    utility[~mask] = 1e3 * float(np.max(np.abs(utility[mask])))
+    rows = np.asarray(transition, dtype=float)[actions, states]
+    return Mdp(rows, available, utility, p0, state_meta, action_meta)
+
+
+def mix_actions(mdp: Mdp, weights: np.ndarray) -> np.ndarray:
+    """sum_a w_a T[a], with w_a = weights[a] or the column weights[:, a].
+
+    Sums over actions in order: bit for bit the einsum over the dense tensor.
+    """
+    weights = np.asarray(weights, dtype=float)
+    out = np.zeros((mdp.n_states, mdp.n_states))
+    for a in range(mdp.n_actions):
+        out += weights[..., a, None] * mdp.action_matrix(a)
+    return out
+
+
+def pushforward(mdp: Mdp, belief: np.ndarray) -> np.ndarray:
+    """(m, n) array w with w[a] = T[a]^T belief, summed over states in order."""
+    return np.stack([(mdp.action_matrix(a) * belief[:, None]).sum(axis=0)
+                     for a in range(mdp.n_actions)])
 
 
 def uniform_policy(mdp: Mdp) -> np.ndarray:
@@ -206,8 +259,7 @@ def validate_policy(mdp: Mdp, policy: np.ndarray, atol: float = CONSTRUCTION_ATO
 
 def induce_chain(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     """Markov chain of the closed loop, M(s, s') = sum_a policy(s, a) T(s, a, s')."""
-    policy = validate_policy(mdp, policy)
-    return np.einsum("sa,asn->sn", policy, mdp.transition)
+    return mix_actions(mdp, validate_policy(mdp, policy))
 
 
 def check_ergodic(chain: np.ndarray, tol: float = 1e-12) -> bool:
@@ -268,20 +320,18 @@ def check_unichain_exhaustive(mdp: Mdp, budget: int = UNICHAIN_BUDGET) -> Unicha
     that. The witness is the lexicographically first failing action tuple,
     which always picks first-of-class actions.
     """
-    choices = []
-    for s, acts in enumerate(mdp.available):
-        first: dict[bytes, int] = {}
-        for a in acts:
-            first.setdefault(mdp.transition[a, s].tobytes(), a)
-        choices.append(tuple(first.values()))
+    states, actions = mdp.pair_index()
+    choices: list[dict[bytes, int]] = [{} for _ in range(mdp.n_states)]
+    for k, s in enumerate(states):  # pair k's row, keyed by its bytes
+        choices[s].setdefault(mdp.rows[k].tobytes(), k)
     if math.prod(len(c) for c in choices) > budget:
         return UnichainReport("budget_exceeded", None, 0)
-    states = np.arange(mdp.n_states)
     checked = 0
-    for choice in itertools.product(*choices):
+    for choice in itertools.product(*(c.values() for c in choices)):
         checked += 1
-        if not check_ergodic(mdp.transition[list(choice), states]):
-            return UnichainReport("not_unichain", choice, checked)
+        if not check_ergodic(mdp.rows[list(choice)]):
+            return UnichainReport("not_unichain", tuple(int(actions[k]) for k in choice),
+                                  checked)
     return UnichainReport("unichain", None, checked)
 
 
@@ -320,14 +370,19 @@ def simulate(mdp: Mdp, policy: np.ndarray, horizon: int, seed: int) -> np.ndarra
     policy = validate_policy(mdp, policy)
     rng = np.random.default_rng(seed)
     cum_policy = np.cumsum(policy, axis=1)
-    cum_trans = np.cumsum(mdp.transition, axis=2)
+    cum_rows = np.cumsum(mdp.rows, axis=1)
+    n, m = mdp.n_states, mdp.n_actions
+    pair_of = np.full((n, m), -1)
+    pair_of[mdp.pair_index()] = np.arange(len(cum_rows))
     draws = rng.random((horizon, 2))
     out = np.empty((horizon, 2), dtype=np.int64)
-    n, m = mdp.n_states, mdp.n_actions
     s = min(int(np.searchsorted(np.cumsum(mdp.p0), rng.random(), side="right")), n - 1)
     for t in range(horizon):
         a = min(int(np.searchsorted(cum_policy[s], draws[t, 0], side="right")), m - 1)
         out[t, 0] = s
         out[t, 1] = a
-        s = min(int(np.searchsorted(cum_trans[a, s], draws[t, 1], side="right")), n - 1)
+        k = pair_of[s, a]
+        # an unavailable action is drawn only through policy dust or the clamp
+        cum = cum_rows[k] if k >= 0 else np.cumsum(mdp.action_matrix(a)[s])
+        s = min(int(np.searchsorted(cum, draws[t, 1], side="right")), n - 1)
     return out

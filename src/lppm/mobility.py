@@ -77,10 +77,6 @@ class PoiCluster:
     members: tuple[int, ...] = ()
 
     @property
-    def n_points(self) -> int:
-        return len(self.members)
-
-    @property
     def area_m2(self) -> float:
         return math.pi * max(self.radius_m, MIN_STATE_RADIUS_M) ** 2
 

@@ -6,9 +6,10 @@ file. Key order is fixed by the writers below and documented in
 docs/schemas.md.
 
 A model file (schema 2) stores one transition row per available
-(state, action) pair; the self-loop completion rows of unavailable pairs are
-rebuilt on load. Files without a schema key are version 1, which stores the
-dense (n_actions, n_states, n_states) tensor, and still load.
+(state, action) pair, the form `Mdp.rows` holds in memory. Files without a
+schema key are version 1, which stores the dense
+(n_actions, n_states, n_states) tensor; they still load, and their
+unavailable rows must be the self-loop completion rows.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .mdp import ActionMeta, Mdp, StateMeta, _pair_index
+from .mdp import CONSTRUCTION_ATOL, ActionMeta, Mdp, StateMeta, _pair_index
 from .synthesis import Certificate, SynthesisResult
 
 MDP_SCHEMA = 2
@@ -58,13 +59,12 @@ def _nested(array: np.ndarray):
 
 
 def mdp_to_dict(mdp: Mdp) -> dict:
-    states, actions = mdp.pair_index()
     doc = {
         "schema": MDP_SCHEMA,
         "n_states": mdp.n_states,
         "n_actions": mdp.n_actions,
         "available": [list(acts) for acts in mdp.available],
-        "rows": _nested(mdp.transition[actions, states]),
+        "rows": _nested(mdp.rows),
         "p0": _nested(mdp.p0),
         "utility": _nested(mdp.utility),
         "state_meta": None,
@@ -84,33 +84,32 @@ def save_mdp(mdp: Mdp, path) -> None:
         fh.write(dumps_canonical(mdp_to_dict(mdp)) + "\n")
 
 
-def _transition_from_rows(doc: dict, available) -> np.ndarray:
-    """Dense (m, n, n) tensor: self-loops, with the pair rows scattered in."""
-    n, m = int(doc["n_states"]), int(doc["n_actions"])
-    if len(available) != n:
-        raise ValueError(f"available lists {len(available)} states, n_states is {n}")
+def _mdp_from_v1(doc: dict, available, utility, p0, state_meta, action_meta) -> Mdp:
+    """Model of a version-1 file: the available rows of its dense tensor, whose
+    other rows must be the self-loop completion rows."""
+    transition = np.array(doc["transition"], dtype=float)
     states, actions = _pair_index(tuple(tuple(sorted(acts)) for acts in available))
-    if not 0 <= actions.min() <= actions.max() < m:
-        raise ValueError(f"available lists an action outside 0..{m - 1}")
-    rows = np.array(doc["rows"], dtype=float)
-    if rows.shape != (len(states), n):
-        raise ValueError(f"rows must hold {len(states)} rows of {n} entries, one per "
-                         f"available pair; got shape {rows.shape}")
-    transition = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-    transition[actions, states] = rows
-    return transition
+    try:
+        rows = transition[actions, states]
+    except IndexError:  # available names a state or action past the tensor; Mdp says which
+        rows = np.empty((0, 0))
+    mdp = Mdp(rows, available, utility, p0, state_meta, action_meta)
+    if transition.shape != (mdp.n_actions, mdp.n_states, mdp.n_states):
+        raise ValueError("transition must have shape (n_actions, n_states, n_states)")
+    for a in range(mdp.n_actions):
+        if not np.allclose(transition[a], mdp.action_matrix(a), atol=CONSTRUCTION_ATOL, rtol=0.0):
+            raise ValueError(f"action {a}: unavailable rows must be self-loop completion rows")
+    return mdp
 
 
 def mdp_from_dict(doc: dict) -> Mdp:
     schema = doc.get("schema", 1)
-    available = tuple(tuple(a) for a in doc["available"])
-    if schema == 1:
-        transition = np.array(doc["transition"], dtype=float)
-    elif schema == MDP_SCHEMA:
-        transition = _transition_from_rows(doc, available)
-    else:
+    if schema not in (1, MDP_SCHEMA):
         raise ValueError(f"unknown model schema {schema!r}; this version reads 1 and "
                          f"{MDP_SCHEMA}")
+    available = tuple(tuple(a) for a in doc["available"])
+    utility = np.array(doc["utility"], dtype=float)
+    p0 = np.array(doc["p0"], dtype=float)
     state_meta = action_meta = None
     if doc.get("state_meta") is not None:
         state_meta = [StateMeta(d["label"], d["lat"], d["lon"], d["area_m2"])
@@ -118,10 +117,14 @@ def mdp_from_dict(doc: dict) -> Mdp:
     if doc.get("action_meta") is not None:
         action_meta = [ActionMeta(d["label"], d["lat"], d["lon"], d["radius_m"])
                        for d in doc["action_meta"]]
-    return Mdp(transition=transition, available=available,
-               utility=np.array(doc["utility"], dtype=float),
-               p0=np.array(doc["p0"], dtype=float),
-               state_meta=state_meta, action_meta=action_meta)
+    if schema == 1:
+        return _mdp_from_v1(doc, available, utility, p0, state_meta, action_meta)
+    shape = (int(doc["n_states"]), int(doc["n_actions"]))
+    if utility.shape != shape:
+        raise ValueError(f"utility must have shape (n_states, n_actions) = {shape}; "
+                         f"got {utility.shape}")
+    return Mdp(np.array(doc["rows"], dtype=float), available, utility, p0,
+               state_meta, action_meta)
 
 
 def _load_object(path) -> dict:

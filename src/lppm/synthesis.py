@@ -17,7 +17,7 @@ import numpy as np
 from .adversary import adversary_matrix, stationary_belief
 from .mdp import (Mdp, NonErgodicError, NotUnichainError, average_cost,
                   check_unichain_exhaustive, occupancy_from_policy, policy_from_theta,
-                  scatter_pairs)
+                  pushforward, scatter_pairs)
 from .metrics import PrivacySpec
 from .optim import LinearProgram, LpSolution, solve_lp
 
@@ -125,10 +125,10 @@ def _base_constraints(mdp: Mdp, n_extra: int):
     Row s' holds sum_{(s, a)} theta(s, a) (delta_{s s'} - T(s, a, s')); row n
     sums theta to one.
     """
-    states, actions = mdp.pair_index()
+    states, _ = mdp.pair_index()
     n, k = mdp.n_states, len(states)
     a_eq = np.zeros((n + 1, k + n_extra))
-    a_eq[:n, :k] -= mdp.transition[actions, states].T
+    a_eq[:n, :k] -= mdp.rows.T
     a_eq[states, np.arange(k)] += 1.0
     a_eq[n, :k] = 1.0
     b_eq = np.zeros(n + 1)
@@ -190,10 +190,8 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
     sel = spec.selector(n)
     eps = spec.epsilon
     a_eq, b_eq = _base_constraints(mdp, 1)  # theta pairs then z
-    # inflow coefficient of pair (s, a) on certificate row j: T[a](j, secret)
-    g = np.einsum("aqr,r->aq", mdp.transition, sel)  # g[a, j]
     _, actions = mdp.pair_index()
-    a_ub = np.column_stack([g[actions].T, eps - sel])
+    a_ub = np.column_stack([_certificate_inflow(mdp, sel)[actions].T, eps - sel])
     b_ub = np.full(n, eps)
     c = np.append(mdp.utility[mdp.pair_index()], 0.0)
     sol = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
@@ -216,6 +214,14 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
                      b_inf=_try_stationary(chain))
     _post_verify(mdp, result, spec, diagnostics)
     return result
+
+
+def _certificate_inflow(mdp: Mdp, sel: np.ndarray) -> np.ndarray:
+    """g[a, j] = T[a](j, secret), the coefficient of every pair (s, a) on
+    certificate row j. einsum, not matmul, sums each row in the order of the
+    dense-tensor contraction, so every coefficient matches it bit for bit."""
+    return np.stack([np.einsum("qr,r->q", mdp.action_matrix(a), sel)
+                     for a in range(mdp.n_actions)])
 
 
 def _try_stationary(chain: np.ndarray) -> np.ndarray | None:
@@ -305,7 +311,7 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec, n_starts: int = 16, seed:
         for rounds in range(1, max_rounds + 1):
             info["rounds"] = rounds
             # (T[a]^T b_hat)(j): coefficient of theta(s, a) on belief row j
-            w = np.einsum("aqr,q->ar", mdp.transition, b_hat)  # w[a, j]
+            w = pushforward(mdp, b_hat)  # w[a, j]
             fix = w[actions].T
             resid_up = np.hstack([fix, -np.eye(n), -np.eye(n)])
             resid_dn = np.hstack([-fix, np.eye(n), -np.eye(n)])

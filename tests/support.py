@@ -98,6 +98,57 @@ def save_mdp_v1(mdp, path):
         fh.write(dumps_canonical(mdp_to_dict_v1(mdp)) + "\n")
 
 
+# The contractions of the dense (m, n, n) tensor that the pair-row model core
+# replaced, kept as oracles: the library must match them bit for bit.
+
+def dense_induce_chain(mdp, policy):
+    return np.einsum("sa,asn->sn", policy, mdp.transition)
+
+
+def dense_adversary_matrix(mdp, theta):
+    return np.einsum("a,aqr->qr", np.asarray(theta).sum(axis=0), mdp.transition)
+
+
+def dense_belief_update(mdp, belief, action_dist):
+    post = np.einsum("a,aqr,q->r", action_dist, mdp.transition, belief)
+    return post / post.sum()
+
+
+def dense_step_user(mdp, p, f):
+    return np.einsum("s,sa,asn->n", p, f, mdp.transition)
+
+
+def dense_pushforward(mdp, belief):
+    """w[a] = T[a]^T belief; synthesize_asymptotic's belief rows."""
+    return np.einsum("aqr,q->ar", mdp.transition, belief)
+
+
+def dense_posterior_map(mdp, belief, p_user):
+    states, actions = mdp.pair_index()
+    return p_user[states, None] * dense_pushforward(mdp, belief)[actions]
+
+
+def dense_certificate_inflow(mdp, sel):
+    """g[a, j] = T[a](j, secret); synthesize_eps_private's certificate rows."""
+    return np.einsum("aqr,r->aq", mdp.transition, sel)
+
+
+def dense_simulate(mdp, policy, horizon, seed):
+    """Reference for mdp.simulate: next states drawn from the dense tensor's cumsum."""
+    rng = np.random.default_rng(seed)
+    cum_policy = np.cumsum(policy, axis=1)
+    cum_trans = np.cumsum(mdp.transition, axis=2)
+    draws = rng.random((horizon, 2))
+    out = np.empty((horizon, 2), dtype=np.int64)
+    n, m = mdp.n_states, mdp.n_actions
+    s = min(int(np.searchsorted(np.cumsum(mdp.p0), rng.random(), side="right")), n - 1)
+    for t in range(horizon):
+        a = min(int(np.searchsorted(cum_policy[s], draws[t, 0], side="right")), m - 1)
+        out[t] = s, a
+        s = min(int(np.searchsorted(cum_trans[a, s], draws[t, 1], side="right")), n - 1)
+    return out
+
+
 def power_iteration_stationary(chain, tol=1e-12, max_iter=1_000_000):
     """Stationary distribution by repeated application of P^T."""
     chain = np.asarray(chain, dtype=float)

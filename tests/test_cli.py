@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from lppm import serialize
 from lppm.cli import main
 from lppm.mdp import make_mdp
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
 from lppm.synthesis import SynthesisResult
-from support import random_dense_mdp, save_mdp_v1
+from support import action_independent_mdp, binding_spec, random_dense_mdp, save_mdp_v1
 
 
 def run(capsys, *argv):
@@ -405,12 +406,36 @@ class TestMalformedFile:
             {**doc, "available": [[*doc["available"][0], 6], *doc["available"][1:]]}),
          "outside 0..5"),
         ("model", "v2", lambda doc: json.dumps({**doc, "schema": 3}), "unknown model schema 3"),
+        ("model", "v2", lambda doc: json.dumps({**doc, "n_states": 7}),
+         "utility must have shape (n_states, n_actions) = (7, 6)"),
+        ("model", "v2", lambda doc: json.dumps(
+            {**doc, "available": [[0.5, *doc["available"][0][1:]], *doc["available"][1:]]}),
+         "state 0 lists a non-integer action 0.5"),
+        ("model", "v2", lambda doc: json.dumps({**doc, "state_meta": doc["state_meta"][:1]}),
+         "state_meta lists 1 states, n_states is 6"),
+        ("model", "v2", lambda doc: json.dumps({**doc, "action_meta": doc["action_meta"][:-1]}),
+         "action_meta lists 5 actions, n_actions is 6"),
+        ("model", "v1", lambda doc: json.dumps(  # action 1 is unavailable at state 0
+            {**doc, "transition": [[[0.0, 1.0, 0.0, 0.0, 0.0, 0.0], *doc["transition"][1][1:]]
+                                   if a == 1 else t for a, t in enumerate(doc["transition"])]}),
+         "action 1: unavailable rows must be self-loop completion rows"),
+        ("model", "v1", lambda doc: json.dumps(
+            {**doc, "transition": [*doc["transition"], doc["transition"][0]]}),
+         "transition must have shape (n_actions, n_states, n_states)"),
+        ("model", "v1", lambda doc: json.dumps(
+            {**doc, "available": [[*doc["available"][0], 6], *doc["available"][1:]]}),
+         "outside 0..5"),
+        ("model", "v1", lambda doc: json.dumps({**doc, "available": [*doc["available"], [0]]}),
+         "available lists 7 states, n_states is 6"),
         ("result", None, lambda doc: json.dumps(doc)[:-5], "Expecting"),
         ("result", None, lambda doc: TestMalformedFile.without(doc, "theta"),
          "lacks the key 'theta'"),
     ], ids=["model_not_json", "model_not_an_object", "model_v1_no_transition",
             "model_v1_row_sums", "model_rows_missing_a_pair", "model_rows_too_short",
             "model_state_count", "model_action_range", "model_unknown_schema",
+            "model_n_states_disagrees", "model_non_integer_action", "model_state_meta_length",
+            "model_action_meta_length", "model_v1_unavailable_row_not_self_loop",
+            "model_v1_extra_action", "model_v1_action_range", "model_v1_state_count",
             "result_not_json", "result_no_theta"])
     def test_one_error_line_exit_1(self, tmp_path, capsys, campus, kind, base, edit, expect):
         rc, _, _ = run(capsys, "synthesize", "--fixture", "campus", "--mode",
@@ -427,6 +452,38 @@ class TestMalformedFile:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {kind} file {bad} "), err
         assert expect in lines[0]
+
+
+class TestModelCore:
+    def test_session_never_builds_the_dense_view(self, tmp_path, capsys, monkeypatch):
+        """The commands contract T one action at a time: no loaded model ever
+        holds the dense (m, n, n) tensor."""
+        mdp = action_independent_mdp(11, 16)
+        spec = binding_spec(mdp)
+        model, secret = tmp_path / "mdp.json", str(spec.secret_states[0])
+        save_mdp(mdp, model)
+        loaded = []
+
+        def recording_load(path):
+            loaded.append(load_mdp(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(serialize, "load_mdp", recording_load)
+        model_args = ("--model", str(model))
+        for mode, extra in [("unconstrained", ()),
+                            ("eps_private", ("--epsilon", repr(spec.epsilon), "--secret", secret))]:
+            out = tmp_path / mode
+            assert run(capsys, "synthesize", *model_args, "--mode", mode, *extra,
+                       "--out", str(out))[0] == 0
+            assert run(capsys, "simulate", *model_args, "--result", str(out / "result.json"),
+                       "--horizon", "50", "--secret", secret, "--out", str(out))[0] == 0
+        assert run(capsys, "verify", *model_args, "--result",
+                   str(tmp_path / "eps_private" / "result.json"), "--out", str(tmp_path))[0] == 0
+        rc, out, _ = run(capsys, "baselines", *model_args, "--horizon", "1", "--secret", secret,
+                         "--out", str(tmp_path / "baselines"))
+        assert rc == 0 and out.count(": avg quality loss") == 3
+        assert len(loaded) == 6
+        assert all("transition" not in m.__dict__ for m in loaded)
 
 
 class TestResultModelMismatch:

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
+from lppm.adversary import adversary_matrix, belief_update
+from lppm.baselines import _posterior_map, step_user
+from lppm.fixtures import campus as campus_fixture
 from lppm.mdp import (Mdp, NonErgodicError, average_cost, check_ergodic,
                       check_unichain_exhaustive, induce_chain, make_mdp,
-                      occupancy_from_policy, policy_from_theta, simulate,
+                      occupancy_from_policy, policy_from_theta, pushforward, simulate,
                       stationary_distribution, uniform_policy, validate_policy)
-from support import (bfs_check_ergodic, enumerate_unichain, power_iteration_stationary,
-                     random_dense_mdp, random_shared_row_mdp, random_sparse_mdp)
+from lppm.synthesis import _certificate_inflow
+from support import (action_independent_mdp, bfs_check_ergodic, dense_adversary_matrix,
+                     dense_belief_update, dense_certificate_inflow, dense_induce_chain,
+                     dense_posterior_map, dense_pushforward, dense_simulate, dense_step_user,
+                     enumerate_unichain, power_iteration_stationary, random_dense_mdp,
+                     random_shared_row_mdp, random_sparse_mdp)
 
 # campus stationary distribution under any policy (shared successor rows)
 CAMPUS_P_INF = np.array([3, 8, 15, 21, 18, 9]) / 74.0
@@ -53,6 +60,61 @@ class TestMdpValidation:
         mask = campus.availability_mask()
         assert campus.utility[~mask][0] == pytest.approx(
             1e3 * campus.utility[mask].max())
+
+
+class TestPairRows:
+    def test_rows_are_the_dense_input_at_the_pairs(self, rng):
+        transition = rng.dirichlet(np.ones(4), size=(3, 4))
+        mdp = make_mdp(transition, np.ones((4, 3)), ((2, 0), (1,), (0, 1, 2), (2,)),
+                       np.full(4, 0.25))
+        expected = transition[[0, 2, 1, 0, 1, 2, 2], [0, 0, 1, 2, 2, 2, 3]]
+        assert mdp.rows.tobytes() == expected.tobytes()
+
+    def test_transition_is_a_cached_read_only_view(self):
+        mdp = campus_fixture()
+        assert "transition" not in mdp.__dict__
+        dense = mdp.transition
+        assert mdp.transition is dense and not dense.flags.writeable
+        for a in range(mdp.n_actions):
+            assert dense[a].tobytes() == mdp.action_matrix(a).tobytes()
+
+
+ORACLE_MODELS = {
+    "campus": lambda rng: campus_fixture(),
+    "random_dense": lambda rng: random_dense_mdp(rng, n_states=7, n_actions=5),
+    "random_sparse": lambda rng: random_sparse_mdp(rng)[0],
+    "random_shared_row": lambda rng: random_shared_row_mdp(rng, shared=True),
+    "action_independent": lambda rng: action_independent_mdp(3, 40),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_contractions_equal_dense_einsums_bit_for_bit(rng, name):
+    """Every contraction of T over on-demand T[a] gives the dense einsum's bits."""
+    mdp = ORACLE_MODELS[name](rng)
+    n, m = mdp.n_states, mdp.n_actions
+    mask = mdp.availability_mask()
+    for trial in range(8):
+        policy = rng.random((n, m)) * mask
+        if trial % 2:  # dust on unavailable pairs, within validate_policy's tolerance
+            policy += 1e-14 * ~mask
+        policy /= policy.sum(axis=1, keepdims=True)
+        f = rng.dirichlet(np.ones(m), size=n)  # a mechanism that also uses unavailable pairs
+        theta = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+        b, p = rng.dirichlet(np.ones(n), size=2)
+        action_dist = rng.dirichlet(np.ones(m))
+        sel = np.zeros(n)
+        sel[rng.permutation(n)[:max(1, n // 4)]] = 1.0
+        for got, want in [
+            (induce_chain(mdp, policy), dense_induce_chain(mdp, policy)),
+            (adversary_matrix(mdp, theta), dense_adversary_matrix(mdp, theta)),
+            (belief_update(mdp, b, action_dist), dense_belief_update(mdp, b, action_dist)),
+            (step_user(mdp, p, f)[0], dense_step_user(mdp, p, f)),
+            (pushforward(mdp, b), dense_pushforward(mdp, b)),
+            (_posterior_map(mdp, b, p), dense_posterior_map(mdp, b, p)),
+            (_certificate_inflow(mdp, sel), dense_certificate_inflow(mdp, sel)),
+        ]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestPairIndex:
@@ -274,6 +336,31 @@ class TestSimulate:
         a = simulate(campus, policy, horizon=500, seed=1)
         b = simulate(campus, policy, horizon=500, seed=2)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["campus", "random_sparse", "action_independent"])
+    def test_matches_dense_sampler(self, rng, name):
+        mdp = ORACLE_MODELS[name](rng)
+        policy = rng.random((mdp.n_states, mdp.n_actions)) * mdp.availability_mask()
+        policy /= policy.sum(axis=1, keepdims=True)
+        for seed in range(3):
+            np.testing.assert_array_equal(simulate(mdp, policy, 2000, seed),
+                                          dense_simulate(mdp, policy, 2000, seed))
+
+    def test_unavailable_draw_stays_put(self, campus, monkeypatch):
+        class Draws:  # scripted stand-in for the generator simulate seeds
+            def __init__(self, seed):
+                pass
+
+            def random(self, size=None):
+                return 0.0 if size is None else np.array([[1.0 - 1e-13, 0.99]] * size[0])
+
+        # action 5 is unavailable at state 0 and gets dust that the first draw hits
+        policy = uniform_policy(campus)
+        policy[0] = [0.5 - 1e-12, 0.0, 0.0, 0.0, 0.5, 1e-12]
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+        traj = simulate(campus, policy, horizon=3, seed=0)
+        np.testing.assert_array_equal(traj, dense_simulate(campus, policy, 3, 0))
+        assert traj.tolist() == [[0, 5]] * 3
 
     def test_frequencies_approach_stationary(self, campus):
         policy = uniform_policy(campus)

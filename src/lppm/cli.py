@@ -28,7 +28,7 @@ from .mdp import (UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, induce_cha
 from .metrics import (PrivacySpec, distance_matrix_from_meta, eps_privacy_check,
                       write_metric_series)
 from .optim import FW_GAP_TOL
-from .synthesis import (InfeasibleSynthesisError, synthesize_asymptotic,
+from .synthesis import (ASYMPTOTIC_MARGIN, InfeasibleSynthesisError, synthesize_asymptotic,
                         synthesize_eps_private, synthesize_unconstrained,
                         theorem1_certificate, verify_invariance)
 
@@ -280,6 +280,9 @@ def cmd_synthesize(args):
         if epsilon is None:
             raise CliError(f"mode {mode!r} needs --epsilon")
         spec = PrivacySpec(secret, _epsilon(epsilon))
+        if mode == "asymptotic" and not spec.epsilon > ASYMPTOTIC_MARGIN:
+            raise CliError(f"asymptotic mode needs epsilon above its margin "
+                           f"{ASYMPTOTIC_MARGIN:g}, got {spec.epsilon:g}")
     try:
         if mode == "unconstrained":
             result = synthesize_unconstrained(mdp)
@@ -298,6 +301,12 @@ def cmd_synthesize(args):
         print(f"warning: unichain check skipped: the model has more than {UNICHAIN_BUDGET} "
               f"distinct deterministic policy chains, so a policy with a reducible chain "
               f"was not ruled out", file=sys.stderr)
+    starts = result.diagnostics.get("starts", [])
+    unconverged = sum(start["status"] != "converged" for start in starts)
+    if unconverged:
+        print(f"warning: {unconverged} of {len(starts)} asymptotic starts ended without "
+              f"converging, so the cost is that of the best safe start, not a proven "
+              f"optimum", file=sys.stderr)
     serialize.save_result(result, out / "result.json")
     line = f"mode={result.mode} average_cost={result.average_cost:.6f}"
     if result.certificate is not None:
@@ -362,6 +371,8 @@ def cmd_verify(args):
     secret_text = _get(args, config, "secret")
     secret = (_parse_secret(secret_text, mdp) if secret_text is not None
               else result.secret_states)
+    if not secret:
+        raise CliError("result has no secret states; pass --secret")
     spec = PrivacySpec(secret, _epsilon(epsilon))
     # the policy is what gets deployed: its own occupancy must be the stored theta
     try:

@@ -1,11 +1,12 @@
 """Dense linear programming and Frank-Wolfe over a product of simplices.
 
-Invariance certificates, policy synthesis and two of the per-step
-mechanism baselines reduce to small dense LPs, so the solver favors
-robustness and determinism over speed: a two-phase revised primal simplex
-with Bland's anti-cycling rule, whose basis inverse is kept current by
-rank-one eta updates and refactorized every REFACTOR_EVERY pivots; optimal
-and unbounded verdicts are confirmed by dense solves on the final basis. The
+Policy synthesis and two of the per-step mechanism baselines reduce to
+small dense LPs over nonnegative variables, so the solver favors robustness
+and determinism over speed: a two-phase revised primal simplex on
+[A_ub I; A_eq 0] with Bland's anti-cycling rule, whose basis inverse is
+kept current by rank-one eta updates and refactorized every REFACTOR_EVERY
+pivots; optimal and unbounded verdicts are confirmed by dense solves on the
+final basis. The
 max-entropy baseline runs over a product of simplices (one per mechanism
 row), where Frank-Wolfe's linear oracle is a closed-form argmax.
 """
@@ -23,18 +24,13 @@ FW_GAP_TOL = 1e-6
 
 @dataclass
 class LinearProgram:
-    """min c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  lb <= x <= ub.
-
-    Bounds default to [0, +inf); pass -inf/+inf entries to free a variable.
-    """
+    """min c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x >= 0."""
 
     c: np.ndarray
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -53,12 +49,6 @@ class LinearProgram:
             self.b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
             if self.a_eq.shape != (self.b_eq.size, d):
                 raise ValueError("a_eq/b_eq shapes do not match c")
-        self.lb = np.zeros(d) if self.lb is None else np.asarray(self.lb, dtype=float)
-        self.ub = np.full(d, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
-        if self.lb.shape != (d,) or self.ub.shape != (d,):
-            raise ValueError("lb/ub must match c in length")
-        if np.any(self.lb > self.ub):
-            raise ValueError("lb exceeds ub for some variable")
 
     @property
     def n_vars(self) -> int:
@@ -84,63 +74,29 @@ class LpSolution:
 
 
 def constraint_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest amount by which x breaks any constraint or bound of lp."""
+    """Largest amount by which x breaks any constraint of lp, x >= 0 included."""
     worst = 0.0
     if lp.a_ub is not None:
         worst = max(worst, float(np.max(lp.a_ub @ x - lp.b_ub, initial=0.0)))
     if lp.a_eq is not None:
         worst = max(worst, float(np.max(np.abs(lp.a_eq @ x - lp.b_eq), initial=0.0)))
-    worst = max(worst, float(np.max(lp.lb - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - lp.ub, initial=0.0)))
-    return worst
+    return max(worst, float(np.max(-x, initial=0.0)))
 
 
 def _to_standard_form(lp: LinearProgram):
-    """Rewrite as min c.y, A y = b, y >= 0; returns (c, A, b, recover, offset).
+    """Rewrite as min c.y, A y = b, y >= 0 with A = [A_ub I; A_eq 0]; returns (c, A, b).
 
-    Columns follow the original variables in index order: one column per
-    variable, shifted by a finite lower bound or mirrored at a finite upper
-    bound, and a (+, -) pair per free variable; then one slack per
-    inequality row and per finite range. Rows are the inequalities, the
-    range caps, then the equalities. Bland's rule pivots by this order.
+    Columns are the variables in index order, then one slack per inequality
+    row; rows are the inequalities, then the equalities. Bland's rule pivots
+    by this order.
     """
-    lo, hi = lp.lb, lp.ub
-    lower = np.isfinite(lo)
-    upper = ~lower & np.isfinite(hi)
-    free = ~lower & ~upper
-    orig = np.repeat(np.arange(lp.n_vars), np.where(free, 2, 1))
-    sign = np.where(upper[orig], -1.0, 1.0)
-    sign[1:][orig[1:] == orig[:-1]] = -1.0   # the mirrored half of a free variable
-    shift = np.where(lower, lo, np.where(upper, hi, 0.0))
-    ranged = lower & np.isfinite(hi)
-    range_cols = np.flatnonzero(ranged[orig])
-    n_std = orig.size
-    n_ub = 0 if lp.a_ub is None else lp.a_ub.shape[0]
-    n_slack = n_ub + range_cols.size
-
-    def remap(a):
-        return 0.0 + a[:, orig] * sign  # 0.0 + keeps zeros unsigned
-
-    a_std = np.zeros((n_slack + (0 if lp.a_eq is None else lp.a_eq.shape[0]), n_std + n_slack))
-    b_parts = []
-    if lp.a_ub is not None:
-        a_std[:n_ub, :n_std] = remap(lp.a_ub)
-        b_parts.append(lp.b_ub - lp.a_ub @ shift)
-    a_std[n_ub + np.arange(range_cols.size), range_cols] = 1.0
-    b_parts.append(hi[ranged] - lo[ranged])
-    a_std[np.arange(n_slack), n_std + np.arange(n_slack)] = 1.0
-    if lp.a_eq is not None:
-        a_std[n_slack:, :n_std] = remap(lp.a_eq)
-        b_parts.append(lp.b_eq - lp.a_eq @ shift)
-    c_full = np.concatenate([lp.c[orig] * sign, np.zeros(n_slack)])
-    offset = float(lp.c @ shift)
-
-    def recover(y):
-        x = shift.copy()
-        np.add.at(x, orig, sign * y[:n_std])  # in column order, as a loop would
-        return x
-
-    return c_full, a_std, np.concatenate(b_parts), recover, offset
+    none = (np.zeros((0, lp.n_vars)), np.zeros(0))
+    a_ub, b_ub = none if lp.a_ub is None else (lp.a_ub, lp.b_ub)
+    a_eq, b_eq = none if lp.a_eq is None else (lp.a_eq, lp.b_eq)
+    n_ub, n_eq = len(a_ub), len(a_eq)
+    # 0.0 + keeps zeros unsigned
+    a_std = 0.0 + np.block([[a_ub, np.eye(n_ub)], [a_eq, np.zeros((n_eq, n_ub))]])
+    return np.concatenate([lp.c, np.zeros(n_ub)]), a_std, np.concatenate([b_ub, b_eq])
 
 
 def _eta_update(binv: np.ndarray, row: int, d: np.ndarray):
@@ -213,10 +169,10 @@ def _simplex_phase(a, b, c, basis, max_iter, tol):
 def solve_lp(lp: LinearProgram, tol: float = OPT_TOL, max_iter: int | None = None) -> LpSolution:
     """Two-phase dense simplex. Deterministic for identical input.
 
-    The iteration budget defaults to 50 * (n_vars + n_rows); exceeding it
-    yields status "stalled" rather than a wrong answer.
+    The iteration budget defaults to 50 * (n_vars + 2 n_rows + 2); exceeding
+    it yields status "stalled" rather than a wrong answer.
     """
-    c, a, b, recover, offset = _to_standard_form(lp)
+    c, a, b = _to_standard_form(lp)
     m, n = a.shape
     if max_iter is None:
         max_iter = 50 * (lp.n_vars + lp.n_rows + m + 2)
@@ -224,7 +180,7 @@ def solve_lp(lp: LinearProgram, tol: float = OPT_TOL, max_iter: int | None = Non
         # only nonnegativity left: unbounded exactly when some cost is negative
         if np.any(c < -tol):
             return LpSolution("unbounded", None, None, 0)
-        x = recover(np.zeros(n))
+        x = np.zeros(n)
         return LpSolution("optimal", x, float(lp.c @ x), 0, constraint_violation(lp, x))
 
     flip = b < 0
@@ -268,7 +224,7 @@ def solve_lp(lp: LinearProgram, tol: float = OPT_TOL, max_iter: int | None = Non
         return LpSolution("stalled", None, None, it1 + it2)
     y = np.zeros(n)
     y[basis2] = np.maximum(xb, 0.0)
-    x = recover(y)
+    x = y[:lp.n_vars] + 0.0  # drops the slacks and the sign of zeros
     return LpSolution("optimal", x, float(lp.c @ x), it1 + it2,
                       constraint_violation(lp, x))
 

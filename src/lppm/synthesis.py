@@ -1,12 +1,13 @@
 """Policy synthesis with privacy guarantees.
 
 The verification side asks whether the safe belief region (secret mass at
-most epsilon) is invariant under the adversary's belief chain; a one-row
-linear certificate is equivalent to that invariance and stays linear in the
-occupancy measure, so optimal all-time private policies come out of a single
-LP. The asymptotic variant only pins the limit belief and is bilinear, so it
-runs a seeded multi-start alternation between the policy LP and the exact
-stationary belief.
+most epsilon) is invariant under the adversary's belief chain. That check
+and the equivalent one-row linear certificate are closed forms in the
+chain's largest secret and non-secret inflows, and the certificate rows are
+linear in the occupancy measure, so optimal all-time private policies come
+out of a single LP. The asymptotic variant only pins the limit belief and is
+bilinear, so it runs a seeded multi-start alternation between the policy LP
+and the exact stationary belief.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .metrics import PrivacySpec
 from .optim import LinearProgram, LpSolution, solve_lp
 
 VERIFY_SLACK = 1e-9
+ASYMPTOTIC_MARGIN = 1e-3  # the asymptotic mode keeps limit beliefs this far inside epsilon
 
 
 class InfeasibleSynthesisError(RuntimeError):
@@ -67,48 +69,59 @@ def secret_inflow(chain: np.ndarray, spec: PrivacySpec) -> np.ndarray:
     return chain @ sel
 
 
+def _largest_inflows(chain: np.ndarray, spec: PrivacySpec):
+    """(sel, inflow, i_s, i_n, lift): the secret selector, the per-state
+    secret inflow, the secret and the non-secret state of largest inflow
+    (R_S and R_N, lowest index on ties) and lift = max(0, R_S - R_N)."""
+    sel = spec.selector(np.shape(chain)[0])
+    inflow = secret_inflow(chain, spec)
+    secret, public = np.flatnonzero(sel), np.flatnonzero(sel == 0.0)
+    i_s = int(secret[np.argmax(inflow[secret])])
+    i_n = int(public[np.argmax(inflow[public])])
+    return sel, inflow, i_s, i_n, max(0.0, float(inflow[i_s] - inflow[i_n]))
+
+
 def verify_invariance(chain: np.ndarray, spec: PrivacySpec) -> InvarianceVerdict:
     """Exact worst-case check of safe-set invariance.
 
-    Maximizes the next-step secret mass over all safe beliefs; the set is
-    invariant exactly when that optimum stays at or below epsilon.
+    Maximizes the next-step secret mass inflow . b over the safe beliefs
+    {b in the simplex : b(secret) <= epsilon}, a fractional knapsack. With
+    R_S and R_N the largest secret and non-secret inflows, the optimum puts
+    epsilon on the secret argmax and the rest on the non-secret argmax when
+    R_S > R_N, and everything on the non-secret argmax otherwise, so it is
+    R_N + epsilon * max(0, R_S - R_N). The set is invariant exactly when
+    that optimum stays at or below epsilon.
     """
-    chain = np.asarray(chain, dtype=float)
-    n = chain.shape[0]
-    sel = spec.selector(n)
-    inflow = secret_inflow(chain, spec)
-    sol = solve_lp(LinearProgram(-inflow, a_ub=sel[None, :], b_ub=[spec.epsilon],
-                                 a_eq=np.ones((1, n)), b_eq=[1.0]))
-    if sol.status != "optimal":
-        raise RuntimeError(f"invariance LP unexpectedly {sol.status}")
-    worst = -sol.objective
-    invariant = worst <= spec.epsilon + VERIFY_SLACK
-    return InvarianceVerdict(invariant, worst, None if invariant else sol.x)
+    sel, inflow, i_s, i_n, lift = _largest_inflows(chain, spec)
+    eps = spec.epsilon
+    worst = float(inflow[i_n]) + eps * lift
+    invariant = worst <= eps + VERIFY_SLACK
+    witness = None
+    if not invariant:
+        witness = np.zeros(sel.size)
+        if lift > 0.0:
+            witness[i_s], witness[i_n] = eps, 1.0 - eps
+        else:
+            witness[i_n] = 1.0
+    return InvarianceVerdict(invariant, worst, witness)
 
 
 def theorem1_certificate(chain: np.ndarray, spec: PrivacySpec) -> Certificate | None:
     """Linear invariance certificate (z, beta), or None when none exists.
 
-    Searches the scalar multiplier z >= 0 maximizing the smallest slack of
-    the row condition; by LP duality that slack is epsilon minus the worst
-    reachable secret mass, so existence coincides with verify_invariance.
+    Takes the scalar multiplier z >= 0 that maximizes the smallest slack
+    epsilon - inflow_j - z (epsilon - sel_j) of the row condition. The secret
+    rows rise and the others fall with z, so the best z is where the tightest
+    of each meet, max(0, R_S - R_N); by LP duality that slack is epsilon
+    minus verify_invariance's optimum, so existence coincides with it.
     """
-    chain = np.asarray(chain, dtype=float)
-    n = chain.shape[0]
-    sel = spec.selector(n)
+    sel, inflow, _, _, z = _largest_inflows(chain, spec)
     eps = spec.epsilon
-    inflow = secret_inflow(chain, spec)
-    # variables (z, t): maximize t s.t. t + (eps - sel_j) z <= eps - inflow_j
-    rows = np.column_stack([eps - sel, np.ones(n)])
-    sol = solve_lp(LinearProgram(np.array([0.0, -1.0]), a_ub=rows, b_ub=eps - inflow,
-                                 lb=np.array([0.0, -np.inf])))
-    if sol.status != "optimal":
-        raise RuntimeError(f"certificate LP unexpectedly {sol.status}")
-    z, t = float(sol.x[0]), float(sol.x[1])
-    if t < -VERIFY_SLACK:
+    margin = float(np.min(eps - inflow - z * (eps - sel)))
+    if margin < -VERIFY_SLACK:
         return None
     beta = np.maximum(eps - eps * z + z * sel - inflow, 0.0)
-    return Certificate(z, beta, t)
+    return Certificate(z, beta, margin)
 
 
 def certificate_margin(chain: np.ndarray, spec: PrivacySpec, cert: Certificate) -> float:
@@ -267,7 +280,8 @@ def _diagnose_infeasible(a_eq, b_eq, a_ub, b_ub) -> dict:
 
 
 def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec, n_starts: int = 16, seed: int = 0,
-                          max_rounds: int = 200, margin: float = 1e-3) -> SynthesisResult:
+                          max_rounds: int = 200,
+                          margin: float = ASYMPTOTIC_MARGIN) -> SynthesisResult:
     """Minimum-loss policy whose limit belief keeps the secret mass below epsilon.
 
     The limit-belief constraint couples the policy and its stationary belief

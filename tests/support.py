@@ -419,84 +419,21 @@ def scalar_estimate_transitions(traces, pois, params):
 
 
 def loop_to_standard_form(lp):
-    """Reference for optim._to_standard_form, built row by row."""
+    """Reference for optim._to_standard_form, built row by row: [A_ub I; A_eq 0]."""
     d = lp.n_vars
-    shift = np.zeros(d)
-    col_of = []     # (orig_index, sign) per standard column, None for slacks
-    c_std = []
-    extra_ub_rows = []  # (std_col, value) for finite ranges
-
-    for j in range(d):
-        lo, hi = lp.lb[j], lp.ub[j]
-        if np.isfinite(lo):
-            shift[j] = lo
-            col_of.append([(j, 1.0)])
-            c_std.append(lp.c[j])
-            if np.isfinite(hi):
-                extra_ub_rows.append((len(col_of) - 1, hi - lo))
-        elif np.isfinite(hi):
-            shift[j] = hi
-            col_of.append([(j, -1.0)])
-            c_std.append(-lp.c[j])
-        else:
-            col_of.append([(j, 1.0)])
-            c_std.append(lp.c[j])
-            col_of.append([(j, -1.0)])
-            c_std.append(-lp.c[j])
-
-    n_std = len(col_of)
-
-    def remap(a):
-        out = np.zeros((a.shape[0], n_std))
-        for k, parts in enumerate(col_of):
-            for j, sign in parts:
-                out[:, k] += sign * a[:, j]
-        return out
-
-    rows_a = []
-    rows_b = []
-    n_slack = (0 if lp.a_ub is None else lp.a_ub.shape[0]) + len(extra_ub_rows)
-    slack_base = n_std
-    si = 0
-    if lp.a_ub is not None:
-        a = remap(lp.a_ub)
-        b = lp.b_ub - lp.a_ub @ shift
-        for i in range(a.shape[0]):
-            row = np.zeros(n_std + n_slack)
-            row[:n_std] = a[i]
-            row[slack_base + si] = 1.0
-            si += 1
+    n_ub = 0 if lp.a_ub is None else lp.a_ub.shape[0]
+    rows_a, rows_b = [], []
+    for a, b, slack in ((lp.a_ub, lp.b_ub, True), (lp.a_eq, lp.b_eq, False)):
+        for i in range(0 if a is None else a.shape[0]):
+            row = np.zeros(d + n_ub)
+            for j in range(d):
+                row[j] += a[i, j]  # zeros come out unsigned
+            if slack:
+                row[d + i] = 1.0
             rows_a.append(row)
             rows_b.append(b[i])
-    for k, cap in extra_ub_rows:
-        row = np.zeros(n_std + n_slack)
-        row[k] = 1.0
-        row[slack_base + si] = 1.0
-        si += 1
-        rows_a.append(row)
-        rows_b.append(cap)
-    if lp.a_eq is not None:
-        a = remap(lp.a_eq)
-        b = lp.b_eq - lp.a_eq @ shift
-        for i in range(a.shape[0]):
-            row = np.zeros(n_std + n_slack)
-            row[:n_std] = a[i]
-            rows_a.append(row)
-            rows_b.append(b[i])
-
-    a_std = np.array(rows_a) if rows_a else np.zeros((0, n_std + n_slack))
-    b_std = np.array(rows_b)
-    c_full = np.concatenate([np.array(c_std), np.zeros(n_slack)])
-    offset = float(lp.c @ shift)
-
-    def recover(y):
-        x = shift.copy()
-        for k, parts in enumerate(col_of):
-            for j, sign in parts:
-                x[j] += sign * y[k]
-        return x
-
-    return c_full, a_std, b_std, recover, offset
+    a_std = np.array(rows_a) if rows_a else np.zeros((0, d + n_ub))
+    return np.concatenate([lp.c, np.zeros(n_ub)]), a_std, np.array(rows_b, dtype=float)
 
 
 def refactorizing_simplex_phase(a, b, c, basis, max_iter, tol):
@@ -535,14 +472,14 @@ def refactorizing_simplex_phase(a, b, c, basis, max_iter, tol):
 def refactorizing_solve_lp(lp, tol=OPT_TOL, max_iter=None):
     """Reference for optim.solve_lp on the per-pivot refactorizing phases:
     same two phases, same artificial drive-out, one solve per artificial."""
-    c, a, b, recover, offset = loop_to_standard_form(lp)
+    c, a, b = loop_to_standard_form(lp)
     m, n = a.shape
     if max_iter is None:
         max_iter = 50 * (lp.n_vars + lp.n_rows + m + 2)
     if m == 0:
         if np.any(c < -tol):
             return LpSolution("unbounded", None, None, 0)
-        x = recover(np.zeros(n))
+        x = np.zeros(n)
         return LpSolution("optimal", x, float(lp.c @ x), 0, constraint_violation(lp, x))
 
     flip = b < 0
@@ -587,20 +524,21 @@ def refactorizing_solve_lp(lp, tol=OPT_TOL, max_iter=None):
         return LpSolution("stalled", None, None, it1 + it2)
     y = np.zeros(n)
     y[basis2] = np.maximum(xb, 0.0)
-    x = recover(y)
+    x = np.zeros(lp.n_vars)
+    for j in range(lp.n_vars):
+        x[j] += y[j]
     return LpSolution("optimal", x, float(lp.c @ x), it1 + it2,
                       constraint_violation(lp, x))
 
 
 def random_simplex_lp(rng, degenerate):
-    """Small LP with mixed rows and bounds, usually feasible and bounded.
+    """Small LP over x >= 0 with mixed rows, usually feasible and bounded.
 
     Degenerate instances take small integer data and an integer start point
     with many zeros, so right-hand sides hit 0, ratios tie exactly and
-    equality rows can repeat (the phase-1 drive-out meets them). Some
-    variables are free, bounded above only, or ranged. About one LP in ten
-    lacks the rows that bound every variable and may be unbounded; about
-    one in ten gets an unreachable row and is infeasible.
+    equality rows can repeat (the phase-1 drive-out meets them). About one
+    LP in ten lacks the row that bounds every variable and may be unbounded;
+    about one in ten gets an unreachable row and is infeasible.
     """
     from lppm.optim import LinearProgram
 
@@ -616,28 +554,22 @@ def random_simplex_lp(rng, degenerate):
         x0 = rng.random(n)
         c = rng.normal(size=n)
         slack = rng.random(m_ub)
-    kind = rng.choice(4, size=n, p=[0.7, 0.1, 0.1, 0.1])  # lower, free, upper only, range
-    lb = np.where((kind == 1) | (kind == 2), -np.inf, 0.0)
-    ub = np.where(kind >= 2, x0 + rng.integers(0, 2, size=n), np.inf)
     a_ub = draw(m_ub)
     b_ub = a_ub @ x0 + slack
     if rng.random() < 0.9:
-        # rows that x0 satisfies and that bound every variable
-        free = np.flatnonzero(kind == 1)
-        cap = np.where(kind == 2, -1.0, 1.0)
-        a_ub = np.vstack([a_ub, cap, -np.eye(n)[free]])
-        b_ub = np.concatenate([b_ub, [cap @ x0 + 5.0], 5.0 - x0[free]])
+        # a row that x0 satisfies and that bounds every variable
+        a_ub = np.vstack([a_ub, np.ones(n)])
+        b_ub = np.append(b_ub, x0.sum() + 5.0)
     a_eq = draw(m_eq)
     if m_eq > 1 and rng.random() < 0.5:
         a_eq[-1] = 2.0 * a_eq[0]  # a dependent row
     b_eq = a_eq @ x0
     if rng.random() < 0.1:
-        # the nonnegative variables summing to at most -1
-        a_ub = np.vstack([a_ub, ((kind == 0) | (kind == 3)).astype(float)])
+        # the variables summing to at most -1
+        a_ub = np.vstack([a_ub, np.ones(n)])
         b_ub = np.append(b_ub, -1.0)
     return LinearProgram(c, a_ub=a_ub if len(a_ub) else None, b_ub=b_ub if len(a_ub) else None,
-                         a_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None,
-                         lb=lb, ub=ub)
+                         a_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None)
 
 
 def record_synthesis_lps(monkeypatch):
@@ -695,6 +627,45 @@ def required_budget(chain, secret):
     rest = float(np.delete(inflow, secret).max())
     lift = max(0.0, float(inflow[secret]) - rest)
     return math.inf if lift >= 1.0 else rest / (1.0 - lift)
+
+
+def lp_verify_invariance(chain, spec):
+    """Reference for synthesis.verify_invariance: the invariance LP,
+    max inflow . b over {b >= 0, sum(b) = 1, b(secret) <= epsilon}."""
+    from lppm.optim import LinearProgram, solve_lp
+    from lppm.synthesis import VERIFY_SLACK, InvarianceVerdict, secret_inflow
+
+    n = np.asarray(chain).shape[0]
+    sel = spec.selector(n)
+    sol = solve_lp(LinearProgram(-secret_inflow(chain, spec), a_ub=sel[None, :],
+                                 b_ub=[spec.epsilon], a_eq=np.ones((1, n)), b_eq=[1.0]))
+    if sol.status != "optimal":
+        raise RuntimeError(f"invariance LP unexpectedly {sol.status}")
+    worst = -sol.objective
+    invariant = worst <= spec.epsilon + VERIFY_SLACK
+    return InvarianceVerdict(invariant, worst, None if invariant else sol.x)
+
+
+def lp_theorem1_certificate(chain, spec):
+    """Reference for synthesis.theorem1_certificate: the certificate LP,
+    max t s.t. t + (epsilon - sel_j) z <= epsilon - inflow_j, z >= 0, with
+    the free t written as t+ - t-."""
+    from lppm.optim import LinearProgram, solve_lp
+    from lppm.synthesis import VERIFY_SLACK, Certificate, secret_inflow
+
+    n = np.asarray(chain).shape[0]
+    sel = spec.selector(n)
+    eps = spec.epsilon
+    inflow = secret_inflow(chain, spec)
+    rows = np.column_stack([eps - sel, np.ones(n), -np.ones(n)])
+    sol = solve_lp(LinearProgram(np.array([0.0, -1.0, 1.0]), a_ub=rows, b_ub=eps - inflow))
+    if sol.status != "optimal":
+        raise RuntimeError(f"certificate LP unexpectedly {sol.status}")
+    z, t = float(sol.x[0]), float(sol.x[1] - sol.x[2])
+    if t < -VERIFY_SLACK:
+        return None
+    beta = np.maximum(eps - eps * z + z * sel - inflow, 0.0)
+    return Certificate(z, beta, t)
 
 
 def binding_spec(mdp):

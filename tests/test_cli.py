@@ -8,7 +8,8 @@ from lppm.cli import main
 from lppm.mdp import make_mdp
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
 from lppm.synthesis import SynthesisResult
-from support import action_independent_mdp, binding_spec, random_dense_mdp, save_mdp_v1
+from support import (action_independent_mdp, binding_spec, random_dense_mdp,
+                     record_synthesis_lps, save_mdp_v1)
 
 
 def run(capsys, *argv):
@@ -104,13 +105,20 @@ class TestSynthesize:
         assert "infeasible" in (out + err).lower()
 
     def test_asymptotic_mode(self, tmp_path, capsys):
-        rc, out, _ = run(capsys, "synthesize", "--fixture", "campus",
-                         "--mode", "asymptotic", "--epsilon", "0.16",
-                         "--secret", "s4", "--out", str(tmp_path))
+        rc, out, err = run(capsys, "synthesize", "--fixture", "campus",
+                           "--mode", "asymptotic", "--epsilon", "0.16",
+                           "--secret", "s4", "--out", str(tmp_path))
         assert rc == 0
         res = load_result(tmp_path / "result.json")
         assert res.mode == "asymptotic"
         assert res.b_inf[3] <= 0.16
+        # 15 of the 16 starts stop at the round cap
+        unconverged = sum(s["status"] != "converged" for s in res.diagnostics["starts"])
+        assert unconverged == 15
+        assert err.splitlines() == [
+            "warning: 15 of 16 asymptotic starts ended without converging, so the cost is "
+            "that of the best safe start, not a proven optimum"]
+        assert "warning" not in out
 
     def test_unichain_budget_exceeded_warns(self, tmp_path, capsys):
         # two distinct rows at each of 15 states: 2**15 deterministic chains
@@ -210,8 +218,16 @@ class TestVerify:
                          "--epsilon", "0.16", "--secret", "s4",
                          "--out", str(tmp_path))
         assert rc == 1
-        assert "witness" in out
+        assert "witness belief: [0 0 0 0.16 0 0.84]\n" in out
 
+    def test_verify_solves_no_lp(self, tmp_path, capsys, monkeypatch):
+        solved = record_synthesis_lps(monkeypatch)
+        self.private_result(tmp_path, capsys)
+        assert len(solved) == 1  # the eps_private LP; its post-verify check is closed form
+        rc, out, _ = run(capsys, "verify", "--fixture", "campus",
+                         "--result", str(tmp_path / "result.json"), "--out", str(tmp_path))
+        assert rc == 0 and "invariant: True" in out
+        assert len(solved) == 1
 
     def private_result(self, tmp_path, capsys):
         rc, _, _ = run(capsys, "synthesize", "--fixture", "campus",
@@ -352,10 +368,14 @@ class TestBadInput:
         ["build", "--traces", "{traces}", "--min-speed", "-1"],
         ["build", "--traces", "{traces}", "--k", "99"],
         ["build", "--traces", "{traces}", "--start-state", "99"],
+        ["verify", "--fixture", "campus", "--result", "{result}", "--epsilon", "0.2"],
+        ["synthesize", "--fixture", "campus", "--mode", "asymptotic", "--secret", "s4",
+         "--epsilon", "0.0005"],
     ], ids=["epsilon_above_one", "epsilon_nan", "secret_out_of_range",
             "simulate_negative_horizon", "baselines_negative_horizon", "eps_dp_zero",
             "baselines_horizon_zero", "belief_mass_above_one", "negative_min_speed",
-            "k_above_poi_count", "start_state_out_of_range"])
+            "k_above_poi_count", "start_state_out_of_range", "verify_without_secret",
+            "asymptotic_epsilon_within_margin"])
     def test_one_error_line_exit_1(self, tmp_path, capsys, trace_path, argv):
         result = tmp_path / "result.json"
         rc, _, _ = run(capsys, "synthesize", "--fixture", "campus", "--mode",

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from lppm.synthesis import (InfeasibleSynthesisError, _base_constraints,
                             certificate_margin, secret_inflow, synthesize_asymptotic,
                             synthesize_eps_private, synthesize_unconstrained,
                             theorem1_certificate, verify_invariance)
-from support import (action_independent_mdp, binding_spec, random_chain, random_sparse_mdp,
+from support import (action_independent_mdp, binding_spec, lp_theorem1_certificate,
+                     lp_verify_invariance, random_chain, random_sparse_mdp,
                      record_synthesis_lps, sample_safe_beliefs)
 
 CAMPUS_SECRET = (3,)
@@ -128,6 +131,71 @@ class TestTheorem1Certificate:
                                                                       abs=1e-12)
 
 
+class TestClosedFormsAgainstLpOracles:
+    @staticmethod
+    def instances(count=5000):
+        """Random chains with 1..n-1 secret states; every third chain has
+        entries on a 0.1 grid so that inflows tie, every tenth budget is 1."""
+        rng = np.random.default_rng(20261018)
+        for k in range(count):
+            n = int(rng.integers(2, 9))
+            if k % 3 == 2:
+                chain = rng.multinomial(10, np.full(n, 1.0 / n), size=n) / 10.0
+            else:
+                chain = rng.dirichlet(np.ones(n), size=n)
+            secret = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            eps = 1.0 if k % 10 == 0 else float(rng.uniform(0.02, 0.98))
+            yield chain, PrivacySpec(tuple(secret), eps)
+
+    @staticmethod
+    def clear_argmaxes(chain, spec):
+        """Both largest inflows are unique and differ, each by more than the
+        LP oracle's optimality tolerance, so its optimal vertex is unique."""
+        inflow = secret_inflow(chain, spec)
+        secret = spec.selector(chain.shape[0]) > 0.0
+        tops = [np.sort(inflow[part])[::-1] for part in (secret, ~secret)]
+        gaps = [top[0] - top[1] for top in tops if top.size > 1]
+        return min(gaps + [abs(tops[0][0] - tops[1][0])]) > 1e-9
+
+    def test_verdicts_certificates_and_witnesses_match(self):
+        seen = Counter()
+        for chain, spec in self.instances():
+            clear = self.clear_argmaxes(chain, spec)
+            verdict, ref = verify_invariance(chain, spec), lp_verify_invariance(chain, spec)
+            assert verdict.invariant == ref.invariant
+            assert verdict.optimum == pytest.approx(ref.optimum, abs=1e-12)
+            cert, ref_cert = theorem1_certificate(chain, spec), lp_theorem1_certificate(chain, spec)
+            assert (cert is None) == (ref_cert is None) == (not verdict.invariant)
+            if cert is not None:
+                assert cert.z == pytest.approx(ref_cert.z, abs=1e-12)
+                assert cert.margin == pytest.approx(ref_cert.margin, abs=1e-12)
+                np.testing.assert_allclose(cert.beta, ref_cert.beta, rtol=0.0, atol=1e-12)
+            elif clear:
+                np.testing.assert_array_equal(verdict.witness, ref.witness)
+                seen["witness"] += 1
+            seen["certified"] += cert is not None
+            seen["full_budget"] += spec.epsilon == 1.0
+            seen["several_secret"] += len(spec.secret_states) > 1
+            seen["tied"] += not clear
+        assert min(seen.values()) >= 400, seen
+
+    def test_ties_go_to_the_lowest_index(self):
+        # states 0 and 2 tie as secret argmax, 1 and 3 as non-secret argmax
+        chain = np.array([[0.5, 0.0, 0.5, 0.0],
+                          [0.1, 0.8, 0.1, 0.0],
+                          [0.5, 0.0, 0.5, 0.0],
+                          [0.1, 0.0, 0.1, 0.8]])
+        verdict = verify_invariance(chain, PrivacySpec((0, 2), 0.3))
+        assert verdict.optimum == pytest.approx(0.2 + 0.3 * 0.8, abs=1e-15)
+        np.testing.assert_array_equal(verdict.witness, [0.3, 0.7, 0.0, 0.0])
+        # R_S = R_N: all mass on the first non-secret state
+        flat = np.full((4, 4), 0.25)
+        for secret, witness in [((1,), [1.0, 0.0, 0.0, 0.0]), ((0,), [0.0, 1.0, 0.0, 0.0])]:
+            verdict = verify_invariance(flat, PrivacySpec(secret, 0.1))
+            assert verdict.optimum == 0.25
+            np.testing.assert_array_equal(verdict.witness, witness)
+
+
 class TestBaseConstraints:
     def test_stationarity_rows_entry_by_entry(self, rng):
         mdp, available = random_sparse_mdp(rng)
@@ -174,10 +242,8 @@ class TestHighsCrossCheck:
     @staticmethod
     def highs_objective(lp):
         linprog = pytest.importorskip("scipy.optimize").linprog
-        bounds = [(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
-                  for lo, hi in zip(lp.lb, lp.ub)]
         res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                      bounds=bounds, method="highs")
+                      bounds=(0, None), method="highs")
         assert res.status == 0, res.message
         return float(res.fun)
 
@@ -190,8 +256,8 @@ class TestHighsCrossCheck:
         free = synthesize_unconstrained(mdp)
         private = synthesize_eps_private(mdp, spec)
         assert private.average_cost > free.average_cost + 1e-6  # the budget binds
-        # the two occupancy LPs; eps_private's post-verify LP comes after them
-        for lp, sol in solved[:2]:
+        assert len(solved) == 2  # the two occupancy LPs; the post-verify check solves none
+        for lp, sol in solved:
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(self.highs_objective(lp), abs=1e-9)
 

@@ -133,6 +133,9 @@ def _load_result(args, config, mdp):
     if bad:
         raise CliError(f"result {result_path} names secret state {bad[0]}, "
                        f"out of range 0..{mdp.n_states - 1} for the model")
+    if len(set(result.secret_states or ())) == mdp.n_states:
+        raise CliError(f"result file {result_path} is malformed: its secret set must leave "
+                       f"at least one state public")
     try:
         validate_policy(mdp, result.policy)
     except ValueError as exc:

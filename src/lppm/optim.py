@@ -8,7 +8,10 @@ kept current by rank-one eta updates and refactorized every REFACTOR_EVERY
 pivots; optimal and unbounded verdicts are confirmed by dense solves on the
 final basis. The
 max-entropy baseline runs over a product of simplices (one per mechanism
-row), where Frank-Wolfe's linear oracle is a closed-form argmax.
+row) by pairwise Frank-Wolfe, whose linear oracle and away vertex are
+closed-form argmaxes; once the support stops changing, damped Newton steps
+on its face take over, and a secant search on the directional derivative
+sets every step.
 """
 from __future__ import annotations
 
@@ -20,6 +23,10 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 REFACTOR_EVERY = 64  # pivots between fresh factorizations of the basis inverse
 FW_GAP_TOL = 1e-6
+LINE_SEARCH_TOL = 0.1  # the secant stops at |slope| <= this share of the slope at step 0
+LINE_SEARCH_MAX_ITER = 60  # a safety bound: seeded test problems need at most 11 trials
+HESSIAN_STEP = 1e-7  # forward-difference step of the face Hessian
+CURVATURE_FLOOR = 1e-6  # Newton's damping, as a share of the largest face curvature
 
 
 @dataclass
@@ -253,38 +260,112 @@ def argmax_vertex(g: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return vertex
 
 
+def _line_search(grad, x, d, slope):
+    """Point x + t d near the maximum of a concave f along d, with x + t d >= 0.
+
+    slope = grad(x) . d must be positive. The bracket is [0, t_max], t_max
+    the largest step that keeps every coordinate nonnegative; a full step
+    sets the coordinates it empties to exactly 0.0. Inside the bracket, a
+    safeguarded secant (Illinois) search looks for the root of the
+    decreasing directional derivative grad(x + t d) . d: every trial lies
+    strictly inside the current bracket, and the search stops once the
+    derivative is within LINE_SEARCH_TOL * slope of zero.
+    Returns (x + t d, grad there).
+    """
+    shrinking = np.flatnonzero(d < 0.0)
+    room = x[shrinking] / -d[shrinking]
+    lo, s_lo, hi = 0.0, slope, float(room.min())
+    point = x + hi * d
+    point[shrinking[room == hi]] = 0.0
+    g = np.asarray(grad(point), dtype=float)
+    s_hi = float(g @ d)
+    if s_hi >= 0.0:
+        return point, g
+    kept = 0  # +1 / -1: the last trial replaced lo / hi
+    for _ in range(LINE_SEARCH_MAX_ITER):
+        trial = lo + (hi - lo) * (s_lo / (s_lo - s_hi))
+        if not lo < trial < hi:
+            break  # the bracket is down to adjacent floats
+        point = x + trial * d
+        g = np.asarray(grad(point), dtype=float)
+        s_t = float(g @ d)
+        if abs(s_t) <= LINE_SEARCH_TOL * slope:
+            break
+        # Illinois: halve the slope kept at an end that survives twice running
+        if s_t > 0.0:
+            lo, s_lo = trial, s_t
+            if kept == 1:
+                s_hi *= 0.5
+            kept = 1
+        else:
+            hi, s_hi = trial, s_t
+            if kept == -1:
+                s_lo *= 0.5
+            kept = -1
+    return point, g
+
+
+def _face_newton(grad, x, g, groups):
+    """Levenberg-damped Newton direction for a concave f on the face of x's support.
+
+    The face is spanned by e_k - e_base for every supported k of a group,
+    base being the group's largest coordinate (ties to the lower index).
+    The Hessian on the face comes from forward differences of grad along
+    those directions, steps of HESSIAN_STEP that stay on the face. Every
+    curvature is floored at CURVATURE_FLOOR times the largest one, so a
+    direction along which f is (nearly) linear gets a long step that the
+    line search cuts where a coordinate runs out.
+    """
+    base = argmax_vertex(x, groups)  # every group holds mass, so its largest is supported
+    base_of = np.zeros(groups.max() + 1, dtype=int)
+    base_of[groups[base > 0.0]] = np.flatnonzero(base)
+    free = np.flatnonzero((x > 0.0) & (base == 0.0))
+    face = np.zeros((len(x), len(free)))
+    cols = np.arange(len(free))
+    face[free, cols] = 1.0
+    face[base_of[groups[free]], cols] = -1.0
+    hess = face.T @ np.column_stack(
+        [(np.asarray(grad(x + HESSIAN_STEP * col), dtype=float) - g) / HESSIAN_STEP
+         for col in face.T])
+    curv, vecs = np.linalg.eigh(-0.5 * (hess + hess.T))
+    floor = CURVATURE_FLOOR * float(np.abs(curv).max()) or 1.0
+    return face @ (vecs @ ((vecs.T @ (face.T @ g)) / np.maximum(curv, floor)))
+
+
 def maximize_concave(fun, grad, groups: np.ndarray, x0: np.ndarray,
                      gap_tol: float = FW_GAP_TOL, max_iter: int = 500) -> FwResult:
-    """Conditional-gradient maximization of a concave function over a product of simplices.
+    """Pairwise Frank-Wolfe maximization of a concave function over a product of simplices.
 
     Coordinate k belongs to simplex groups[k] (the entries of each group sum
-    to one); x0 must lie in that set. Each round moves from x toward the
-    argmax_vertex of grad(x) with a bisection line search. Stops at duality
-    gap <= gap_tol or after max_iter rounds; the reached gap is reported
-    either way.
+    to one); x0 must lie in that set. Each round takes s = argmax_vertex(g),
+    g = grad(x), and the away vertex v, which puts all the mass of every
+    group on its supported (x > 0) coordinate with the smallest gradient,
+    ties going to the lower coordinate. The round moves along s - v, unless
+    the last round left the support unchanged and s lies on its face: then
+    it takes a damped Newton step on that face (_face_newton), which ends
+    the zig-zag of first-order steps along ill-conditioned faces. Either
+    way a secant line search (_line_search) sets the step, at most up to
+    where the first coordinate runs out of mass; a full step leaves that
+    coordinate at exactly 0.0. Stops at Frank-Wolfe gap g . (s - x) <=
+    gap_tol or after max_iter rounds; the reached gap is reported either
+    way.
     """
+    groups = np.asarray(groups)
     x = np.asarray(x0, dtype=float).copy()
+    g = np.asarray(grad(x), dtype=float)
     gap = np.inf
     it = 0
+    settled = False
     for it in range(1, max_iter + 1):
-        g = np.asarray(grad(x), dtype=float)
-        d = argmax_vertex(g, groups) - x
-        gap = float(g @ d)
+        toward = argmax_vertex(g, groups)
+        gap = float(g @ (toward - x))
         if gap <= gap_tol:
             break
-        # concave line search: bisect on the directional derivative
-        lo, hi = 0.0, 1.0
-        if float(np.asarray(grad(x + d)) @ d) >= 0.0:
-            step = 1.0
+        if settled and np.all(x[toward > 0.0] > 0.0):
+            d = _face_newton(grad, x, g, groups)
         else:
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if float(np.asarray(grad(x + mid * d)) @ d) >= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            step = 0.5 * (lo + hi)
-        if step <= 0.0:
-            break
-        x = x + step * d
+            d = toward - argmax_vertex(np.where(x > 0.0, -g, -np.inf), groups)
+        support = x > 0.0
+        x, g = _line_search(grad, x, d, float(g @ d))
+        settled = np.array_equal(support, x > 0.0)
     return FwResult(x, float(fun(x)), gap, it)

@@ -11,7 +11,8 @@ import numpy as np
 from lppm.geo import EARTH_RADIUS_M, haversine_m
 from lppm.mdp import NonErgodicError, UnichainReport, make_mdp
 from lppm.mobility import COVER_TOL_M, PoiCluster, TraceDataset, stationary_flags
-from lppm.optim import OPT_TOL, LpSolution, constraint_violation
+from lppm.optim import (FW_GAP_TOL, OPT_TOL, FwResult, LpSolution, argmax_vertex,
+                        constraint_violation)
 from lppm.serialize import dumps_canonical
 
 
@@ -226,6 +227,64 @@ def random_sparse_mdp(rng, n_states=7, n_actions=5):
                  for _ in range(n_states)]
     p0 = rng.dirichlet(np.ones(n_states))
     return make_mdp(transition, utility, available, p0), available
+
+
+def bisection_frank_wolfe(fun, grad, groups, x0, gap_tol=FW_GAP_TOL, max_iter=500):
+    """Vanilla Frank-Wolfe with a 40-step bisection line search.
+
+    The loop `optim.maximize_concave` ran before it moved to pairwise
+    steps, kept as an oracle: each round moves from x toward the
+    argmax_vertex of grad(x).
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    gap = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        g = np.asarray(grad(x), dtype=float)
+        d = argmax_vertex(g, groups) - x
+        gap = float(g @ d)
+        if gap <= gap_tol:
+            break
+        # concave line search: bisect on the directional derivative
+        lo, hi = 0.0, 1.0
+        if float(np.asarray(grad(x + d)) @ d) >= 0.0:
+            step = 1.0
+        else:
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                if float(np.asarray(grad(x + mid * d)) @ d) >= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            step = 0.5 * (lo + hi)
+        if step <= 0.0:
+            break
+        x = x + step * d
+    return FwResult(x, float(fun(x)), gap, it)
+
+
+def random_entropy_problem(rng):
+    """Entropy of w = mix^T x / (number of groups) over a random product of simplices.
+
+    Up to six groups of one to four coordinates; every row of `mix` is a
+    distribution over two to seven outcomes with about a third of its
+    entries zero, so w is a distribution and the objective is concave.
+    Returns (fun, grad, groups, x0), x0 uniform in every group.
+    """
+    sizes = rng.integers(1, 5, size=rng.integers(1, 7))
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    k, n_out = len(groups), int(rng.integers(2, 8))
+    mix = rng.random((k, n_out)) * (rng.random((k, n_out)) < 2 / 3)
+    mix[np.arange(k), rng.integers(0, n_out, size=k)] += rng.random(k)
+    mix /= mix.sum(axis=1, keepdims=True) * len(sizes)
+
+    def fun(x):
+        w = x @ mix
+        return float(-np.sum(w * np.log(np.maximum(w, 1e-300))))
+
+    def grad(x):
+        return mix @ -(np.log(np.maximum(x @ mix, 1e-300)) + 1.0)
+    return fun, grad, groups, 1.0 / sizes[groups]
 
 
 def random_shared_row_mdp(rng, shared):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lppm import baselines as bl
 from lppm.baselines import (BaselineRollout, MechanismInfeasibleError,
                             _posterior_map, _row_constraints,
                             dp_mechanism, max_entropy_mechanism,
@@ -10,7 +11,8 @@ from lppm.baselines import (BaselineRollout, MechanismInfeasibleError,
                             step_user)
 from lppm.mdp import make_mdp, uniform_policy
 from lppm.metrics import entropy, max_dp_ratio, validate_distance_matrix
-from support import random_sparse_mdp
+from lppm.optim import FW_GAP_TOL
+from support import bisection_frank_wolfe, random_sparse_mdp
 
 
 def forcing_mdp(n=3, utility=None):
@@ -115,6 +117,32 @@ class TestMaxEntropyMechanism:
             assert entropy(b) <= math.log(6) + 1e-9
             assert b.sum() == pytest.approx(1.0, abs=1e-9)
         assert roll.diagnostics["fw_gaps"]
+
+    @pytest.mark.parametrize("secret_mass", [1 / 6, 0.3])
+    def test_campus_rollout_converges(self, campus, secret_mass):
+        b0 = np.full(6, (1.0 - secret_mass) / 5)
+        b0[3] = secret_mass
+        roll = run_baseline(campus, "max_entropy", b0, b0, 50)
+        assert len(roll.diagnostics["fw_gaps"]) == 50
+        assert max(roll.diagnostics["fw_gaps"]) <= FW_GAP_TOL
+
+    @staticmethod
+    def random_steps(rng, campus):
+        """Steps from random beliefs: 50 on campus, then 200 on random sparse models."""
+        for k in range(250):
+            mdp = campus if k < 50 else random_sparse_mdp(
+                rng, int(rng.integers(2, 9)), int(rng.integers(2, 7)))[0]
+            yield mdp, rng.dirichlet(np.ones(mdp.n_states)), rng.dirichlet(np.ones(mdp.n_states))
+
+    def test_random_steps_converge_past_the_bisection_oracle(self, rng, campus, monkeypatch):
+        for k, (mdp, b, p) in enumerate(self.random_steps(rng, campus)):
+            _, fw = max_entropy_mechanism(mdp, b, p)
+            assert fw.gap <= FW_GAP_TOL and fw.iterations < 500, k
+            if k % 10 == 0:  # the oracle runs up to 500 rounds of 42 gradients each
+                with monkeypatch.context() as patch:
+                    patch.setattr(bl, "maximize_concave", bisection_frank_wolfe)
+                    _, ref = max_entropy_mechanism(mdp, b, p)
+                assert fw.value >= ref.value - 1e-9, k
 
 
 class TestMaxInferenceErrorMechanism:

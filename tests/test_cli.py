@@ -1,9 +1,10 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from lppm import serialize
+from lppm import baselines as bl, serialize
 from lppm.cli import main
 from lppm.mdp import make_mdp
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
@@ -322,10 +323,13 @@ class TestBaselines:
                        "--out", str(tmp_path))
         assert rc == 3
 
-    def test_unconverged_frank_wolfe_warns_once(self, tmp_path, capsys):
-        argv = ["baselines", "--fixture", "campus", "--horizon", "2", "--belief", "unsafe",
-                "--secret", "s4"]
-        rc, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    UNSAFE_ARGV = ("baselines", "--fixture", "campus", "--horizon", "2", "--belief", "unsafe",
+                   "--secret", "s4")
+
+    def test_unconverged_frank_wolfe_warns_once(self, tmp_path, capsys, monkeypatch):
+        # one round per step cannot reach the gap tolerance from the uniform start
+        monkeypatch.setattr(bl, "maximize_concave", partial(bl.maximize_concave, max_iter=1))
+        rc, out, err = run(capsys, *self.UNSAFE_ARGV, "--out", str(tmp_path))
         assert rc == 0
         lines = err.strip().splitlines()
         assert len(lines) == 1, err
@@ -333,8 +337,12 @@ class TestBaselines:
                                    "tolerance 1e-06 in 2 of 2 steps (largest gap ")
         assert "warning" not in out
         # the other kinds run no Frank-Wolfe loop
-        rc, _, err = run(capsys, *argv, "--kind", "max_inference_error,dp",
+        rc, _, err = run(capsys, *self.UNSAFE_ARGV, "--kind", "max_inference_error,dp",
                          "--out", str(tmp_path))
+        assert (rc, err) == (0, "")
+
+    def test_campus_baselines_converge_silently(self, tmp_path, capsys):
+        rc, _, err = run(capsys, *self.UNSAFE_ARGV, "--out", str(tmp_path))
         assert (rc, err) == (0, "")
 
     def test_converged_frank_wolfe_is_silent(self, tmp_path, capsys):
@@ -450,13 +458,15 @@ class TestMalformedFile:
         ("result", None, lambda doc: json.dumps(doc)[:-5], "Expecting"),
         ("result", None, lambda doc: TestMalformedFile.without(doc, "theta"),
          "lacks the key 'theta'"),
+        ("result", None, lambda doc: json.dumps({**doc, "secret_states": list(range(6))}),
+         "secret set must leave at least one state public"),
     ], ids=["model_not_json", "model_not_an_object", "model_v1_no_transition",
             "model_v1_row_sums", "model_rows_missing_a_pair", "model_rows_too_short",
             "model_state_count", "model_action_range", "model_unknown_schema",
             "model_n_states_disagrees", "model_non_integer_action", "model_state_meta_length",
             "model_action_meta_length", "model_v1_unavailable_row_not_self_loop",
             "model_v1_extra_action", "model_v1_action_range", "model_v1_state_count",
-            "result_not_json", "result_no_theta"])
+            "result_not_json", "result_no_theta", "result_every_state_secret"])
     def test_one_error_line_exit_1(self, tmp_path, capsys, campus, kind, base, edit, expect):
         rc, _, _ = run(capsys, "synthesize", "--fixture", "campus", "--mode",
                        "unconstrained", "--out", str(tmp_path))

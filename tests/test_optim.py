@@ -3,12 +3,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lppm.optim import (FEAS_TOL, REFACTOR_EVERY, FwResult, LinearProgram, _to_standard_form,
-                        argmax_vertex, constraint_violation, maximize_concave, solve_lp)
+from lppm.optim import (FEAS_TOL, FW_GAP_TOL, REFACTOR_EVERY, FwResult, LinearProgram,
+                        _to_standard_form, argmax_vertex, constraint_violation,
+                        maximize_concave, solve_lp)
 from lppm.synthesis import synthesize_eps_private
-from support import (action_independent_mdp, binding_spec, brute_force_lp,
-                     loop_to_standard_form, random_bounded_lp, random_simplex_lp,
-                     random_sparse_mdp, record_synthesis_lps, refactorizing_solve_lp)
+from support import (action_independent_mdp, binding_spec, bisection_frank_wolfe,
+                     brute_force_lp, loop_to_standard_form, random_bounded_lp,
+                     random_entropy_problem, random_simplex_lp, random_sparse_mdp,
+                     record_synthesis_lps, refactorizing_solve_lp)
 
 
 class TestSolveLp:
@@ -221,18 +223,49 @@ class TestMaximizeConcave:
         assert res.x[:3].sum() == pytest.approx(1.0, abs=1e-12)
         assert res.x[3:].sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_iterates_stay_inside_polytope(self):
+    @staticmethod
+    def recording(fun, grad):
+        """fun and grad that also record every point they are called at."""
         seen = []
 
-        def fun(x):
+        def rec_fun(x):
             seen.append(x.copy())
-            return -float(np.sum(x ** 2))
+            return fun(x)
 
-        res = maximize_concave(fun, lambda x: -2.0 * x, np.zeros(5, dtype=int),
+        def rec_grad(x):
+            seen.append(x.copy())
+            return grad(x)
+        return rec_fun, rec_grad, seen
+
+    def test_iterates_stay_inside_polytope(self):
+        fun, grad, seen = self.recording(lambda x: -float(np.sum(x ** 2)), lambda x: -2.0 * x)
+        res = maximize_concave(fun, grad, np.zeros(5, dtype=int),
                                np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        assert len(seen) > 2
         for x in seen + [res.x]:
             assert abs(x.sum() - 1.0) <= 1e-9
             assert x.min() >= -1e-12
+        np.testing.assert_allclose(res.x, 0.2, atol=1e-6)
+
+    def test_drop_step_leaves_an_exact_zero(self):
+        # maximize -|x - c|^2: the optimum (0.6, 0.4, 0) drops the mass of x_2,
+        # which the first pairwise step (toward x_0, away from x_2) removes in full
+        c = np.array([0.7, 0.5, -0.2])
+        fun, grad, seen = self.recording(lambda x: -float(np.sum((x - c) ** 2)),
+                                         lambda x: -2.0 * (x - c))
+        res = maximize_concave(fun, grad, np.zeros(3, dtype=int), np.full(3, 1 / 3))
+        assert res.x[2] == 0.0 and not np.signbit(res.x[2])
+        assert all(x.min() >= 0.0 for x in seen)
+        np.testing.assert_allclose(res.x, [0.6, 0.4, 0.0], atol=1e-6)
+        assert res.gap <= FW_GAP_TOL
+
+    def test_random_entropy_problems_converge_past_the_bisection_oracle(self, rng):
+        for k in range(200):
+            fun, grad, groups, x0 = random_entropy_problem(rng)
+            res = maximize_concave(fun, grad, groups, x0)
+            assert res.gap <= FW_GAP_TOL and res.iterations < 500, k
+            if k % 10 == 0:  # the oracle runs up to 500 rounds of 42 gradients each
+                assert res.value >= bisection_frank_wolfe(fun, grad, groups, x0).value - 1e-9, k
 
     def test_result_reports_gap(self):
         res = maximize_concave(lambda x: -float(x @ x), lambda x: -2.0 * x,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mdp import Mdp, mix_actions, stationary_distribution
+from .metrics import secret_mass_series
 
 
 def _check_simplex(v: np.ndarray, what: str, atol: float = 1e-10) -> np.ndarray:
@@ -74,8 +75,7 @@ def write_belief_csv(path, beliefs: np.ndarray, secret_states) -> None:
     """
     beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
     n = beliefs.shape[1]
-    # one 1-D sum per row: sum(axis=1) adds 8 or more entries in another order
-    mass = [float(row.sum()) for row in beliefs[:, list(secret_states)]]
+    mass = secret_mass_series(beliefs, secret_states).tolist()
     line = ",".join(["%d"] + ["%.17g"] * (n + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t"] + [f"b{i + 1}" for i in range(n)] + ["secret_mass"]) + "\r\n")

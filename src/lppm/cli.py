@@ -25,8 +25,8 @@ from . import fixtures, mobility, serialize
 from .adversary import adversary_matrix, belief_trajectory, write_belief_csv
 from .mdp import (UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, induce_chain,
                   occupancy_from_policy, validate_policy)
-from .metrics import (PrivacySpec, distance_matrix_from_meta, eps_privacy_check,
-                      write_metric_series)
+from .metrics import (PrivacySpec, distance_matrix_from_meta, mass_bound_check,
+                      secret_mass_series, write_metric_series)
 from .optim import FW_GAP_TOL
 from .synthesis import (ASYMPTOTIC_MARGIN, InfeasibleSynthesisError, synthesize_asymptotic,
                         synthesize_eps_private, synthesize_unconstrained,
@@ -163,7 +163,7 @@ def _parse_secret(spec_text, mdp):
         raise CliError(f"secret state {bad[0]} out of range 0..{mdp.n_states - 1}")
     if len(set(states)) == mdp.n_states:
         raise CliError("secret set must leave at least one state public")
-    return tuple(states)
+    return tuple(dict.fromkeys(states))  # a repeated state counts once
 
 
 def _epsilon(value):
@@ -355,8 +355,8 @@ def cmd_simulate(args):
             writer.writerow([t, format(cost, ".17g"), format(total / (t + 1), ".17g")])
             p = p @ user_chain
     if epsilon is not None and horizon > 0:
-        spec = PrivacySpec(secret, epsilon)
-        check = eps_privacy_check(beliefs, spec)
+        # the secret_mass column of belief.csv and metrics.csv, bit for bit
+        check = mass_bound_check(secret_mass_series(beliefs, secret), epsilon)
         status = "holds" if check.holds else f"violated at t={check.first_violation}"
         print(f"secret-mass bound over {horizon} steps: {status} "
               f"(max mass {check.max_mass:.6f}, epsilon {epsilon})")

@@ -32,6 +32,15 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _float_list(values) -> str:
+    """`_fmt_float` of every value, joined by ", ", in one format call."""
+    # v + 0.0 turns -0.0 into 0.0 and leaves every other float as it is
+    text = ", ".join(["%.17g"] * len(values)) % tuple(v + 0.0 for v in values)
+    if "n" in text:  # "inf" or "nan": no finite %.17g text has an n
+        _fmt_float(next(v for v in values if not math.isfinite(v)))  # raises its error
+    return text
+
+
 def dumps_canonical(obj, indent: int = 0) -> str:
     """Deterministic JSON text; dict keys in insertion order."""
     pad = " " * indent
@@ -41,6 +50,8 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         items = [f'{pad} "{k}": {dumps_canonical(v, indent + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return "[" + _float_list(obj) + "]"
         parts = [dumps_canonical(v, indent) for v in obj]
         return "[" + ", ".join(parts) + "]"
     if isinstance(obj, bool) or obj is None:
@@ -55,7 +66,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
 
 def _nested(array: np.ndarray):
-    return [float(v) for v in array] if array.ndim == 1 else [_nested(row) for row in array]
+    return np.asarray(array, dtype=float).tolist()
 
 
 def mdp_to_dict(mdp: Mdp) -> dict:

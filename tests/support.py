@@ -1,5 +1,6 @@
 """Shared helpers: brute-force oracles and random-instance factories."""
 import csv
+import json
 import math
 import warnings
 from datetime import datetime, timezone
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from lppm.geo import EARTH_RADIUS_M, haversine_m
-from lppm.mdp import NonErgodicError, UnichainReport, make_mdp
+from lppm.mdp import ActionMeta, NonErgodicError, StateMeta, UnichainReport, make_mdp
+from lppm.metrics import entropy, expected_inference_error, max_dp_ratio, secret_mass
 from lppm.mobility import COVER_TOL_M, PoiCluster, TraceDataset, stationary_flags
 from lppm.optim import (FW_GAP_TOL, OPT_TOL, FwResult, LpSolution, argmax_vertex,
                         constraint_violation)
@@ -646,14 +648,16 @@ def record_synthesis_lps(monkeypatch):
     return solved
 
 
-def action_independent_mdp(seed, n):
+def action_independent_mdp(seed, n, geometry=False):
     """Mobility-like model: moving ignores the action, T(s, a, .) = p(s, .).
 
     States are random points in the unit square; cloak a sits near state a,
     and each state reports one of its three nearest cloaks at a loss that
     grows with the distance. Each state keeps a self-loop and moves to five
     nearest neighbours and to the next state of a seeded tour, so every
-    policy induces the same ergodic user chain.
+    policy induces the same ergodic user chain. With `geometry` the model
+    also carries state and cloak places: the unit square becomes a 5 km
+    square near 40 N, 75 W.
     """
     rng = np.random.default_rng([seed, n])
     xy = rng.random((n, 2))
@@ -671,7 +675,16 @@ def action_independent_mdp(seed, n):
     p[tour, np.roll(tour, -1)] += 0.05
     p /= p.sum(axis=1, keepdims=True)
     transition = np.broadcast_to(p, (n, n, n)).copy()
-    return make_mdp(transition, utility, available, np.full(n, 1.0 / n))
+    meta = {}
+    if geometry:
+        def latlon(x, y):
+            return (40.0 + math.degrees(5000.0 * y / EARTH_RADIUS_M),
+                    -75.0 + math.degrees(5000.0 * x / (EARTH_RADIUS_M * math.cos(math.radians(40.0)))))
+
+        meta = {"state_meta": [StateMeta(f"s{s + 1}", *latlon(*xy[s]), 2000.0) for s in range(n)],
+                "action_meta": [ActionMeta(f"a{a + 1}", *latlon(*cloak_xy[a]), 300.0)
+                                for a in range(n)]}
+    return make_mdp(transition, utility, available, np.full(n, 1.0 / n), **meta)
 
 
 def required_budget(chain, secret):
@@ -758,3 +771,50 @@ def csv_write_belief_csv(path, beliefs, secret_states):
         for t, b in enumerate(beliefs):
             writer.writerow([t] + [format(x, ".17g") for x in b]
                             + [format(float(b[secret].sum()), ".17g")])
+
+
+def csv_write_metric_series(path, beliefs, spec, distance):
+    """Reference for metrics.write_metric_series: csv.writer and the one-belief
+    metrics, with a dense dp_ratio matrix per step."""
+    beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "entropy", "exp_err", "max_dp_ratio", "secret_mass"])
+        for t, b in enumerate(beliefs):
+            err, _ = expected_inference_error(b, distance)
+            ratio = ""
+            if t + 1 < beliefs.shape[0]:
+                ratio = format(max_dp_ratio(b, beliefs[t + 1]), ".17g")
+            writer.writerow([t, format(entropy(b), ".17g"), format(err, ".17g"),
+                             ratio, format(secret_mass(b, spec), ".17g")])
+
+
+def recursive_dumps_canonical(obj, indent=0):
+    """Reference for serialize.dumps_canonical: one format() call per value."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{pad} "{k}": {recursive_dumps_canonical(v, indent + 1)}'
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(recursive_dumps_canonical(v, indent) for v in obj) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite value {x!r} cannot be serialized")
+        return format(0.0 if x == 0.0 else x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def loop_nested(array):
+    """Reference for serialize._nested: one float() per entry."""
+    return ([float(v) for v in array] if array.ndim == 1
+            else [loop_nested(row) for row in array])

@@ -9,8 +9,9 @@ from lppm.cli import main
 from lppm.mdp import make_mdp
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
 from lppm.synthesis import SynthesisResult
-from support import (action_independent_mdp, binding_spec, random_dense_mdp,
-                     record_synthesis_lps, save_mdp_v1)
+from support import (action_independent_mdp, binding_spec, csv_write_belief_csv,
+                     csv_write_metric_series, loop_nested, random_dense_mdp,
+                     record_synthesis_lps, recursive_dumps_canonical, save_mdp_v1)
 
 
 def run(capsys, *argv):
@@ -175,6 +176,27 @@ class TestSimulate:
                          "--secret", "s4", "--out", str(tmp_path))
         assert rc == 0
         assert "violated" in out
+
+    def test_bound_check_reads_the_csv_column(self, tmp_path, capsys):
+        rc, _, _ = run(capsys, "synthesize", "--fixture", "campus",
+                       "--mode", "unconstrained", "--out", str(tmp_path))
+        assert rc == 0
+        rows = []
+        for out, secret in [("once", "s4,s1,s6"), ("repeated", "s4,s1,s6,s4")]:
+            rc, text, _ = run(capsys, "simulate", "--fixture", "campus",
+                              "--result", str(tmp_path / "result.json"), "--horizon", "30",
+                              "--epsilon", "0.44", "--secret", secret,
+                              "--out", str(tmp_path / out))
+            assert rc == 0
+            masses = [float(r.split(",")[-1]) for r in
+                      (tmp_path / out / "belief.csv").read_text().splitlines()[1:]]
+            metric = [float(r.split(",")[-1]) for r in
+                      (tmp_path / out / "metrics.csv").read_text().splitlines()[1:]]
+            assert metric == masses
+            first = next(t for t, m in enumerate(masses) if m > 0.44 + 1e-9)
+            assert f"violated at t={first} (max mass {max(masses):.6f}" in text
+            rows.append((tmp_path / out / "belief.csv").read_bytes())
+        assert rows[0] == rows[1]   # a repeated secret state counts once
 
     def test_horizon_zero_header_only(self, tmp_path, capsys):
         self.synth(capsys, tmp_path)
@@ -514,6 +536,74 @@ class TestModelCore:
         assert rc == 0 and out.count(": avg quality loss") == 3
         assert len(loaded) == 6
         assert all("transition" not in m.__dict__ for m in loaded)
+
+
+class TestOracleWriters:
+    """Every file the commands write has the bytes of the reference writers in
+    tests/support.py: csv.writer rows of the one-belief metrics and one
+    format() call per JSON value."""
+
+    @staticmethod
+    def use_oracles(monkeypatch):
+        monkeypatch.setattr(serialize, "dumps_canonical", recursive_dumps_canonical)
+        monkeypatch.setattr(serialize, "_nested", loop_nested)
+        monkeypatch.setattr("lppm.cli.write_belief_csv",
+                            lambda path, beliefs, secret:
+                            csv_write_belief_csv(path, beliefs, secret))
+        monkeypatch.setattr("lppm.cli.write_metric_series",
+                            lambda path, beliefs, spec, distance:
+                            csv_write_metric_series(path, beliefs, spec, distance))
+
+    @staticmethod
+    def session(capsys, out, model_args, secret, epsilon):
+        secret_args = ("--secret", secret)
+        # a prior without the secret puts zeros into the first beliefs
+        for mode, extra, belief in [("unconstrained", (), "uniform_excluding_secret"),
+                                    ("eps_private", ("--epsilon", epsilon, *secret_args),
+                                     "uniform")]:
+            assert run(capsys, "synthesize", *model_args, "--mode", mode, *extra,
+                       "--out", str(out / mode))[0] == 0
+            assert run(capsys, "simulate", *model_args, "--result", str(out / mode / "result.json"),
+                       "--horizon", "200", *secret_args, "--belief", belief,
+                       "--out", str(out / mode))[0] == 0
+        for belief, kinds in [("unsafe", "max_entropy,max_inference_error,dp"),
+                              ("uniform_excluding_secret", "max_entropy,max_inference_error")]:
+            assert run(capsys, "baselines", *model_args, "--horizon", "2", *secret_args,
+                       "--belief", belief, "--kind", kinds,
+                       "--out", str(out / f"baselines_{belief}"))[0] == 0
+
+    @staticmethod
+    def assert_same_files(got, want):
+        names = sorted(p.relative_to(got) for p in got.rglob("*") if p.is_file())
+        assert names == sorted(p.relative_to(want) for p in want.rglob("*") if p.is_file())
+        assert {p.name for p in names} >= {"mdp.json", "result.json", "belief.csv", "metrics.csv",
+                                           "quality.csv", "baseline_dp.csv",
+                                           "baseline_max_entropy.csv",
+                                           "baseline_max_inference_error.csv"}
+        for name in names:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_campus_fixture(self, tmp_path, capsys, monkeypatch):
+        for side in ("got", "want"):
+            if side == "want":
+                self.use_oracles(monkeypatch)
+            out = tmp_path / side
+            assert run(capsys, "build", "--fixture", "campus", "--out", str(out))[0] == 0
+            self.session(capsys, out, ("--model", str(out / "mdp.json")), "s4", "0.2")
+        self.assert_same_files(tmp_path / "got", tmp_path / "want")
+
+    def test_generated_model_with_state_geometry(self, tmp_path, capsys, monkeypatch):
+        mdp = action_independent_mdp(5, 14, geometry=True)
+        spec = binding_spec(mdp)
+        for side in ("got", "want"):
+            if side == "want":
+                self.use_oracles(monkeypatch)
+            out = tmp_path / side
+            out.mkdir()
+            save_mdp(mdp, out / "mdp.json")
+            self.session(capsys, out, ("--model", str(tmp_path / "got" / "mdp.json")),
+                         f"s{spec.secret_states[0] + 1}", repr(spec.epsilon))
+        self.assert_same_files(tmp_path / "got", tmp_path / "want")
 
 
 class TestResultModelMismatch:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lppm.metrics import (EpsPrivacyResult, PrivacySpec, distance_matrix_from_meta,
-                          dp_ratio, entropy, eps_privacy_check,
-                          expected_inference_error, max_dp_ratio, secret_mass,
+from lppm.metrics import (RATIO_FLOOR, EpsPrivacyResult, PrivacySpec, _entropy_series,
+                          _max_dp_ratio_series, distance_matrix_from_meta, dp_ratio,
+                          entropy, eps_privacy_check, expected_inference_error,
+                          mass_bound_check, max_dp_ratio, secret_mass, secret_mass_series,
                           validate_distance_matrix, write_metric_series)
 from lppm.geo import haversine_m
 from lppm.mdp import StateMeta
+from support import csv_write_metric_series
 
 
 class TestEntropy:
@@ -208,3 +210,139 @@ class TestWriteMetricSeries:
                             validate_distance_matrix(1.0 - np.eye(2)))
         rows = (tmp_path / "m.csv").read_text().strip().splitlines()
         assert float(rows[1].split(",")[4]) == pytest.approx(0.2)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def pairwise_ratios(beliefs):
+    return [max_dp_ratio(beliefs[t], beliefs[t + 1]) for t in range(len(beliefs) - 1)]
+
+
+def scaled_steps(rng, n, steps):
+    """Each belief is its predecessor scaled by factors from {1/2, 1, 2}, then
+    normalized: several states share max r up to rounding."""
+    out = [rng.dirichlet(np.ones(n))]
+    for _ in range(steps):
+        nxt = out[-1] * rng.choice([0.5, 1.0, 2.0], size=n)
+        out.append(nxt / nxt.sum())
+    return np.array(out)
+
+
+class TestMaxDpRatioSeries:
+    """The O(n)-per-step screen returns max_dp_ratio's bits on every step."""
+
+    def test_random_trajectories(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            beliefs = rng.dirichlet(np.full(n, rng.choice([0.1, 1.0, 10.0])),
+                                    size=int(rng.integers(2, 12)))
+            assert bits(_max_dp_ratio_series(beliefs)) == bits(pairwise_ratios(beliefs))
+
+    def test_zero_entries_and_equal_consecutive_rows(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            beliefs = rng.dirichlet(np.ones(n), size=8)
+            beliefs[rng.random(beliefs.shape) < 0.2] = 0.0
+            beliefs[3] = beliefs[2]                    # r = 1 on the support
+            beliefs[6] = beliefs[5] = beliefs[4]
+            assert bits(_max_dp_ratio_series(beliefs)) == bits(pairwise_ratios(beliefs))
+
+    def test_states_tied_at_max_ratio(self, rng):
+        exact = np.array([[1.0, 1.0, 2.0, 4.0], [2.0, 2.0, 2.0, 2.0], [1.0, 1.0, 1.0, 5.0]]) / 8
+        assert bits(_max_dp_ratio_series(exact)) == bits(pairwise_ratios(exact))
+        for _ in range(300):
+            beliefs = scaled_steps(rng, int(rng.integers(2, 12)), 4)
+            assert bits(_max_dp_ratio_series(beliefs)) == bits(pairwise_ratios(beliefs))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")  # dp_ratio's own
+    def test_entries_below_the_underflow_guard(self, rng):
+        for tiny in (5e-324, 1e-300, 1e-160, RATIO_FLOOR, np.nextafter(RATIO_FLOOR, 1.0)):
+            beliefs = rng.dirichlet(np.ones(6), size=5)
+            beliefs[1, 2] = beliefs[2, 0] = beliefs[4, 5] = tiny
+            beliefs[3, 4] = -0.0
+            assert bits(_max_dp_ratio_series(beliefs)) == bits(pairwise_ratios(beliefs))
+
+    def test_two_states(self, rng):
+        beliefs = np.vstack([rng.dirichlet(np.ones(2), size=50), [[0.5, 0.5]] * 2,
+                             [[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]]])
+        assert bits(_max_dp_ratio_series(beliefs)) == bits(pairwise_ratios(beliefs))
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_short_trajectories(self, rng, steps):
+        beliefs = rng.dirichlet(np.ones(5), size=steps + 1)
+        assert bits(_max_dp_ratio_series(beliefs)) == bits(pairwise_ratios(beliefs))
+        assert _max_dp_ratio_series(np.empty((0, 5))) == []
+
+    def test_converged_trajectory_settles_in_blocks(self, rng):
+        # every state is near max r on every step: the settle runs in several chunks
+        b = rng.dirichlet(np.ones(300))
+        beliefs = np.array([b * (1.0 + rng.integers(-3, 4, size=300) * 2.0 ** -52)
+                            for _ in range(6)])
+        assert bits(_max_dp_ratio_series(beliefs)) == bits(pairwise_ratios(beliefs))
+
+
+class TestEntropySeries:
+    def test_bits_equal_entropy(self, rng):
+        beliefs = rng.dirichlet(np.ones(9), size=60)
+        beliefs[rng.random(beliefs.shape) < 0.15] = 0.0
+        beliefs[0] = 0.0
+        beliefs[1, ::2] = -0.0
+        beliefs[2, 3] = 5e-324
+        assert bits(_entropy_series(beliefs)) == bits([entropy(b) for b in beliefs])
+
+
+class TestSecretMassSeries:
+    def test_bits_equal_secret_mass(self, rng):
+        # 14 secret states: sum(axis=1) disagrees with the 1-D sums on some rows
+        beliefs = rng.dirichlet(np.ones(30), size=2000)
+        secret = [int(s) for s in rng.choice(30, size=14, replace=False)]
+        spec = PrivacySpec(secret, 0.5)
+        masses = secret_mass_series(beliefs, spec)
+        assert bits(masses) == bits([secret_mass(b, spec) for b in beliefs])
+        assert bits(secret_mass_series(beliefs, secret)) == \
+            bits([secret_mass(b, secret) for b in beliefs])
+        assert (beliefs[:, list(spec.secret_states)].sum(axis=1) != masses).any()
+
+    def test_bound_check_reads_the_same_column(self, rng):
+        beliefs = rng.dirichlet(np.ones(30), size=2000)
+        spec = PrivacySpec(range(0, 28, 2), 0.47)
+        masses = secret_mass_series(beliefs, spec)
+        check = eps_privacy_check(beliefs, spec, slack=0.0)
+        assert check == mass_bound_check(masses, spec.epsilon, slack=0.0)
+        assert check.max_mass == masses.max()
+        assert check.first_violation == int(np.argmax(masses > spec.epsilon))
+
+
+class TestMetricSeriesBytes:
+    """write_metric_series writes the bytes of the csv.writer reference."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, beliefs, spec, distance):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_metric_series(got, beliefs, spec, distance)
+        csv_write_metric_series(want, beliefs, spec, distance)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_random_trajectory_with_edge_rows(self, tmp_path, rng, n):
+        beliefs = rng.dirichlet(np.ones(n), size=30)
+        beliefs[3] = beliefs[2]
+        beliefs[5, 0] = 0.0
+        beliefs[7] = np.eye(n)[n - 1]
+        beliefs[9, 1] = 1e-200
+        beliefs[10:14] = scaled_steps(rng, n, 3)
+        beliefs[20] = 0.0
+        distance = rng.random((n, n)) * 1000.0
+        distance = validate_distance_matrix(np.triu(distance, 1) + np.triu(distance, 1).T)
+        for spec in (PrivacySpec((n - 1, 0), 0.5), [n - 1, 0], []):
+            self.assert_same_bytes(tmp_path, beliefs, spec, distance)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    def test_header_only_and_short(self, tmp_path, rng, rows):
+        beliefs = rng.dirichlet(np.ones(4), size=rows).reshape(rows, 4)
+        self.assert_same_bytes(tmp_path, beliefs, [1], 1.0 - np.eye(4))
+
+    def test_single_belief_vector(self, tmp_path):
+        self.assert_same_bytes(tmp_path, np.array([0.25, 0.0, 0.75]), [0], 1.0 - np.eye(3))

@@ -190,13 +190,14 @@ class TestMaximizeConcave:
         assert res.gap <= 1e-4
 
     def test_product_of_two_simplices_matches_grid(self):
-        # maximize the entropy of w / sum(w), w = (x_0 + 2 y_0, x_1, x_2 + y_1),
-        # over x in a 3-simplex and y in a 2-simplex; the uniform start is not
-        # optimal
+        # maximize the entropy of w / sum(w), w = (x_0 + y_0, x_1, x_2 + y_1),
+        # over x in a 3-simplex and y in a 2-simplex; every row of mix sums to
+        # 1, so sum(w) = 2 and the objective is concave; the uniform start is
+        # not optimal
         mix = np.array([[1.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0],
                         [0.0, 0.0, 1.0],
-                        [2.0, 0.0, 0.0],
+                        [1.0, 0.0, 0.0],
                         [0.0, 0.0, 1.0]])
 
         def values(v):

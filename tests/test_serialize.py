@@ -6,11 +6,12 @@ import pytest
 from lppm.cli import main
 from lppm.metrics import PrivacySpec
 from lppm.mobility import ClusterParams, build_model_from_traces
-from lppm.serialize import (dumps_canonical, load_mdp, load_result,
-                            mdp_from_dict, mdp_to_dict, save_mdp, save_result)
+from lppm import serialize
+from lppm.serialize import (dumps_canonical, load_mdp, load_result, mdp_from_dict,
+                            mdp_to_dict, result_to_dict, save_mdp, save_result)
 from lppm.synthesis import (synthesize_asymptotic, synthesize_eps_private,
                             synthesize_unconstrained)
-from support import random_dense_mdp, save_mdp_v1
+from support import loop_nested, random_dense_mdp, recursive_dumps_canonical, save_mdp_v1
 
 
 class TestDumpsCanonical:
@@ -41,6 +42,46 @@ class TestDumpsCanonical:
         doc = {"a": [1, 2.5], "b": None, "c": "text", "d": True}
         assert json.loads(dumps_canonical(doc)) == doc
 
+
+class TestFloatListFastPath:
+    """dumps_canonical writes the text of the per-value reference on every input."""
+
+    @pytest.mark.parametrize("doc", [
+        [], [[]], [[], [1.5]], [0.0, -0.0, 1.0, -1.0], [-0.0],
+        [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3, 1e22, 1e-7],
+        [1.0, 2, 3.5], [True, 0.5, False], [np.float64(-0.0), 0.25], [0.5, np.float64(0.1)],
+        [np.int64(7), 0.5], [0.5, None, "x"], (0.25, -0.0), {"a": [[0.1, -0.0], [2.0]], "b": []},
+        [[0.1, 0.2], [0.3, [0.4, -0.0]]],
+    ])
+    def test_same_text_as_reference(self, doc):
+        assert dumps_canonical(doc) == recursive_dumps_canonical(doc)
+
+    def test_random_doubles(self, rng):
+        bits = rng.integers(0, 2 ** 63, size=5000, dtype=np.int64)
+        values = [float(v) for v in bits.view(np.float64) if np.isfinite(v)]
+        values += [-v for v in values[:100]]
+        assert dumps_canonical(values) == recursive_dumps_canonical(values)
+
+    @pytest.mark.parametrize("values", [
+        [float("inf")], [1.0, float("nan")], [0.5, -float("inf"), float("nan")],
+        [float("nan"), float("inf")], [[0.5], [1.0, float("inf")]]])
+    def test_first_non_finite_value_raises_the_reference_error(self, values):
+        with pytest.raises(ValueError) as want:
+            recursive_dumps_canonical(values)
+        with pytest.raises(ValueError) as got:
+            dumps_canonical(values)
+        assert str(got.value) == str(want.value)
+
+    def test_model_and_result_documents(self, campus, rng, monkeypatch):
+        models = [campus, random_dense_mdp(rng)]
+        results = [synthesize_unconstrained(campus),
+                   synthesize_eps_private(campus, PrivacySpec((3,), 0.17))]
+        fast = ([dumps_canonical(mdp_to_dict(m)) for m in models]
+                + [dumps_canonical(result_to_dict(r)) for r in results])
+        monkeypatch.setattr(serialize, "_nested", loop_nested)
+        want = ([recursive_dumps_canonical(mdp_to_dict(m)) for m in models]
+                + [recursive_dumps_canonical(result_to_dict(r)) for r in results])
+        assert fast == want
 
 class TestMdpRoundTrip:
     def test_campus_bytes_stable(self, campus, tmp_path):

@@ -99,15 +99,28 @@ def parse_traces(path, fmt: str | None = None, user: str | None = None) -> Trace
     and HH:MM:SS within one day gets the same timestamp from the date's
     midnight plus the time of day. Malformed rows and rows breaking the
     strictly-increasing time order are skipped and counted.
+
+    A file whose data rows are all regular is read whole by numpy's C reader
+    (_read_whole); any other file row by row (_read_rows). Both read the same
+    values bit for bit and skip the same rows.
     """
     path = Path(path)
     if fmt is None:
         fmt = "plt" if path.suffix.lower() == ".plt" else "csv"
     if fmt not in ("csv", "plt"):
         raise ValueError(f"unknown trace format {fmt!r}")
+    start = 6 if fmt == "plt" else 1
+    lat, lon, t, skipped = _read_whole(path, fmt, start) or _read_rows(path, fmt, start)
+    if not lat.size:
+        warnings.warn(f"no valid samples in {path} ({skipped} rows skipped)")
+    return TraceDataset(lat, lon, t, user=user or path.stem, n_skipped=skipped)
+
+
+def _read_rows(path: Path, fmt: str, start: int):
+    """(lat, lon, t, skipped) of the data rows after the first `start` lines,
+    parsed one row at a time with float() and, for plt, the timestamp helpers."""
     lat, lon, t = [], [], []
     skipped = 0
-    start = 6 if fmt == "plt" else 1
     # per-call caches: a plt file repeats each date on many rows, and times of day across days
     midnight = functools.cache(_utc_midnight)
     of_day = functools.cache(_seconds_of_day)
@@ -138,10 +151,97 @@ def parse_traces(path, fmt: str | None = None, user: str | None = None) -> Trace
             lat.append(la)
             lon.append(lo)
             t.append(ts)
-    if not lat:
-        warnings.warn(f"no valid samples in {path} ({skipped} rows skipped)")
-    return TraceDataset(np.array(lat), np.array(lon), np.array(t),
-                        user=user or path.stem, n_skipped=skipped)
+    return np.array(lat), np.array(lon), np.array(t), skipped
+
+
+# The bytes a data row of numbers may hold: the ASCII of float() numbers (nan
+# and inf too), commas, the plt date and time, and line ends. A file whose data
+# rows hold any other byte goes to the row loop before the reader runs, so the
+# common irregular rows (quotes, "#" lines, "1_0", text, whitespace-only lines)
+# cost no parse. This also keeps out NUL and \x1c-\x1f: numpy strips
+# \x1c-\x1f around a number where float() does not, and its fixed-width
+# strings drop a trailing NUL.
+_ROW_BYTES = b"0123456789+-.,:eEnNaAiIfFtTyY\r\n"
+# The plt fields read; date and time are one byte wider than their form, so a
+# longer field shows in _PLT_STAMP's trailing NULs.
+_PLT_FIELDS = np.dtype([("lat", "f8"), ("lon", "f8"), ("date", "S11"), ("time", "S9")])
+_PLT_STAMP = np.frombuffer(b"9999-99-99\0" + b"99:99:99\0", dtype=np.uint8)   # "9": a digit
+# suffixes numpy's reader decompresses; the row loop reads such a file as text
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_whole(path: Path, fmt: str, start: int):
+    """(lat, lon, t, skipped) as _read_rows reads them, from one call of
+    numpy's C reader, or None when a data row is irregular.
+
+    Irregular: a data row holds a byte not in _ROW_BYTES, the reader rejects
+    the row (float() may still read it, as it reads "1_0"), or a plt date or
+    time is not ASCII YYYY-MM-DD / HH:MM:SS within one day or strptime rejects
+    the date. A pipe or other file that is not regular, read once by the row
+    loop, and a file with a suffix of _COMPRESSED are not tried. The reader
+    opens the file with universal newlines, as the row loop does, skips the
+    same `start` lines, parses floats with PyOS_string_to_double, as float()
+    does, and skips the empty lines the row loop skips. A row is kept when it
+    is valid and later than every valid row before it: a valid row the loop
+    drops never raises the latest time it compares against.
+    """
+    if path.suffix in _COMPRESSED or not path.is_file():
+        return None
+    raw = path.read_bytes()
+    # the `start` header lines, ended as universal newlines end them or by the end
+    header = raw[:re.match(rb"(?:[^\r\n]*(?:\r\n?|\n|\Z)){0,%d}" % start, raw).end()]
+    # every byte outside _ROW_BYTES is in the header; no copy of the data rows is made
+    if len(raw.translate(None, _ROW_BYTES)) > len(header.translate(None, _ROW_BYTES)):
+        return None
+    del raw   # not held through the parse
+    plt = fmt == "plt"
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, skiprows=start, delimiter=",", comments=None,
+                              quotechar=None, encoding="utf-8",
+                              dtype=_PLT_FIELDS if plt else float,
+                              usecols=(0, 1, 5, 6) if plt else (0, 1, 2), ndmin=1 if plt else 2)
+    except ValueError:   # UnicodeDecodeError too: the row loop raises it as it always did
+        return None
+    if plt:
+        lat, lon, t = rows["lat"], rows["lon"], _plt_timestamps(rows)
+        if t is None:
+            return None
+    else:
+        lat, lon, t = rows.T
+    # nan fails both bounds
+    valid = (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0) & np.isfinite(t)
+    latest = np.maximum.accumulate(np.where(valid, t, -np.inf))
+    keep = valid.copy()
+    keep[1:] &= t[1:] > latest[:-1]
+    return lat[keep], lon[keep], t[keep], int(keep.size - np.count_nonzero(keep))
+
+
+def _plt_timestamps(rows: np.ndarray) -> np.ndarray | None:
+    """Epoch seconds of the date and time of rows read as _PLT_FIELDS, or None
+    when one is not ASCII YYYY-MM-DD / HH:MM:SS within one day or strptime
+    rejects a date.
+
+    Each distinct date gets its midnight from _utc_midnight once; the time of
+    day comes from the bytes, as _seconds_of_day reads it.
+    """
+    offset = _PLT_FIELDS.fields["date"][1]
+    stamp = rows.view(np.uint8).reshape(rows.size, _PLT_FIELDS.itemsize)[:, offset:]
+    digit = _PLT_STAMP == ord("9")
+    values = stamp[:, digit]
+    values -= ord("0")   # a byte below "0" wraps past 9
+    if not ((values <= 9).all() and (stamp[:, ~digit] == _PLT_STAMP[~digit]).all()):
+        return None
+    hms = values[:, 8::2] * 10 + values[:, 9::2]
+    if not (hms < [24, 60, 60]).all():
+        return None
+    day = values[:, :8] @ 10 ** np.arange(7, -1, -1, dtype=np.int32)   # YYYYMMDD
+    _, first, inverse = np.unique(day, return_index=True, return_inverse=True)
+    midnight = [_utc_midnight(date.decode()) for date in rows["date"][first]]
+    if None in midnight:
+        return None
+    return np.array(midnight)[inverse] + hms @ [3600, 60, 1]
 
 
 _PLT_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -212,25 +312,7 @@ def extract_pois(traces: TraceDataset, params: ClusterParams):
     order = np.argsort(joined, kind="stable")
     bounds = np.searchsorted(joined[order], np.arange(len(sums) + 1))
     members = [idxs[order[bounds[c]:bounds[c + 1]]] for c in range(len(sums))]
-    # merge clusters with centroids closer than min_dist_m
-    merged = True
-    while merged and len(sums) > 1:
-        merged = False
-        for i in range(len(sums)):
-            for j in range(i + 1, len(sums)):
-                ci = (sums[i][0] / sums[i][2], sums[i][1] / sums[i][2])
-                cj = (sums[j][0] / sums[j][2], sums[j][1] / sums[j][2])
-                if haversine_m(*ci, *cj) < params.min_dist_m:
-                    sums[i] = [sums[i][0] + sums[j][0], sums[i][1] + sums[j][1],
-                               sums[i][2] + sums[j][2]]
-                    members[i] = np.concatenate([members[i], members[j]])
-                    del sums[j], members[j]
-                    label[label == j] = i
-                    label[label > j] -= 1
-                    merged = True
-                    break
-            if merged:
-                break
+    _merge_close(sums, members, label, params.min_dist_m)
     # dwell time per cluster: gaps between consecutive stationary samples,
     # attributed to the earlier sample's cluster, summed in sample order
     first = idxs[idxs + 1 < len(traces)]
@@ -248,6 +330,53 @@ def extract_pois(traces: TraceDataset, params: ClusterParams):
                                tuple(members[c].tolist())))
         assignment[members[c]] = new_c
     return pois, assignment
+
+
+def _merge_close(sums: list[list[float]], members: list[np.ndarray], label: np.ndarray,
+                 min_dist_m: float) -> None:
+    """Merge, in place, the first pair (i, j), i < j, in row-major order whose
+    centroids are closer than min_dist_m, j into i, until no pair is.
+
+    This is the scan that restarts from (0, 1) after every merge, without the
+    restarts. All pairs in rows before the current row i are known to be far
+    apart, as are all pairs in rows i+1 .. resume-1. A merge changes only i's
+    centroid: the scan re-tests (i2, i) for i2 < i in order, where a close
+    pair merges i into i2 and is handled the same way, and then rescans the
+    row of the cluster that last grew. Each merge adds O(k) tests, so there
+    are O(k^2) haversine_m calls for k clusters, not O(k^3).
+    """
+    def close(a: int, b: int) -> bool:
+        (la, lo, cnt), (lb, ob, cntb) = sums[a], sums[b]
+        return haversine_m(la / cnt, lo / cnt, lb / cntb, ob / cntb) < min_dist_m
+
+    def merge(a: int, b: int) -> None:
+        sums[a] = [sums[a][0] + sums[b][0], sums[a][1] + sums[b][1], sums[a][2] + sums[b][2]]
+        members[a] = np.concatenate([members[a], members[b]])
+        del sums[b], members[b]
+        label[label == b] = a
+        label[label > b] -= 1
+
+    i, resume = 0, 1
+    while i < len(sums):
+        j = i + 1
+        while j < len(sums):
+            if not close(i, j):
+                j += 1
+                continue
+            merge(i, j)
+            if j < resume:
+                resume -= 1
+            lower = 0
+            while lower < i:
+                if close(lower, i):
+                    merge(lower, i)
+                    # rows lower+1 .. i-1 were scanned in full, and i is gone
+                    i, lower, resume = lower, 0, resume - 1
+                else:
+                    lower += 1
+            j = i + 1
+        i = resume
+        resume = i + 1
 
 
 def _greedy_clusters(traces: TraceDataset, idxs: np.ndarray, max_radius_m: float):

@@ -404,24 +404,8 @@ def scalar_extract_pois(traces, params):
             sums[target][2] += 1.0
             members[target].append(int(i))
         label[i] = target
-    merged = True
-    while merged and len(sums) > 1:
-        merged = False
-        for i in range(len(sums)):
-            for j in range(i + 1, len(sums)):
-                ci = (sums[i][0] / sums[i][2], sums[i][1] / sums[i][2])
-                cj = (sums[j][0] / sums[j][2], sums[j][1] / sums[j][2])
-                if haversine_m(*ci, *cj) < params.min_dist_m:
-                    sums[i] = [sums[i][0] + sums[j][0], sums[i][1] + sums[j][1],
-                               sums[i][2] + sums[j][2]]
-                    members[i].extend(members[j])
-                    del sums[j], members[j]
-                    label[label == j] = i
-                    label[label > j] -= 1
-                    merged = True
-                    break
-            if merged:
-                break
+    members = [np.array(m, dtype=int) for m in members]
+    restart_merge_close(sums, members, label, params.min_dist_m)
     stay_s = np.zeros(len(sums))
     for i in idxs:
         if i + 1 < len(traces) and flags[i + 1] and label[i] >= 0:
@@ -435,9 +419,32 @@ def scalar_extract_pois(traces, params):
         radius = max((haversine_m(traces.lat[i], traces.lon[i], cla, clo)
                       for i in members[c]), default=0.0)
         pois.append(PoiCluster(cla, clo, radius, stay_s[c] / 3600.0,
-                               tuple(members[c])))
+                               tuple(members[c].tolist())))
         assignment[members[c]] = new_c
     return pois, assignment
+
+
+def restart_merge_close(sums, members, label, min_dist_m):
+    """Reference for mobility._merge_close: after every merge the pairwise scan
+    restarts from (0, 1), O(k^3) haversine_m calls for k clusters."""
+    merged = True
+    while merged and len(sums) > 1:
+        merged = False
+        for i in range(len(sums)):
+            for j in range(i + 1, len(sums)):
+                ci = (sums[i][0] / sums[i][2], sums[i][1] / sums[i][2])
+                cj = (sums[j][0] / sums[j][2], sums[j][1] / sums[j][2])
+                if haversine_m(*ci, *cj) < min_dist_m:
+                    sums[i] = [sums[i][0] + sums[j][0], sums[i][1] + sums[j][1],
+                               sums[i][2] + sums[j][2]]
+                    members[i] = np.concatenate([members[i], members[j]])
+                    del sums[j], members[j]
+                    label[label == j] = i
+                    label[label > j] -= 1
+                    merged = True
+                    break
+            if merged:
+                break
 
 
 def scalar_nearest_disk(traces, pois, params):

@@ -1,5 +1,9 @@
+import gzip
 import hashlib
 import importlib.util
+import os
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,7 @@ from lppm.mobility import (BLOCK_ROWS, CLUSTER_BLOCK, COVER_TOL_M, ClusterParams
                            build_cloaks, build_model_from_traces,
                            estimate_transitions, extract_pois, parse_traces,
                            stationary_flags, write_poi_summary)
-from support import (scalar_estimate_transitions, scalar_extract_pois,
+from support import (restart_merge_close, scalar_estimate_transitions, scalar_extract_pois,
                      scalar_nearest_disk, strptime_parse_traces)
 
 REF = (40.0, -74.0)
@@ -139,13 +143,34 @@ def load_module(name, path):
     return module
 
 
+def warned(parse, path):
+    """parse(path) and the text of every warning it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = parse(path)
+    return ds, [str(w.message) for w in caught]
+
+
 def assert_parse_matches_strptime(path):
-    """parse_traces reads exactly what a strptime call per plt row reads."""
-    ds, ref = parse_traces(path), strptime_parse_traces(path)
+    """parse_traces reads exactly what a strptime call per plt row reads, and
+    warns as it does."""
+    (ds, got_warnings), (ref, ref_warnings) = warned(parse_traces, path), \
+        warned(strptime_parse_traces, path)
     for got, want in ((ds.lat, ref.lat), (ds.lon, ref.lon), (ds.t, ref.t)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert ds.n_skipped == ref.n_skipped
+    assert got_warnings == ref_warnings
     return ds
+
+
+def parse_and_path(monkeypatch, path):
+    """assert_parse_matches_strptime(path) and the reader that ran: "rows" when
+    the row loop read the file, else "whole"."""
+    row_loop, ran = mobility._read_rows, []
+    monkeypatch.setattr(mobility, "_read_rows", lambda *args: ran.append(args) or row_loop(*args))
+    ds = assert_parse_matches_strptime(path)
+    monkeypatch.undo()
+    return ds, "rows" if ran else "whole"
 
 
 class TestPltTimestamps:
@@ -203,6 +228,225 @@ class TestPltTimestamps:
             (gen.write_plt if suffix == "plt" else gen.write_csv)(trace, path)
             ds = assert_parse_matches_strptime(path)
             assert len(ds) == samples and ds.n_skipped == 0
+
+    @pytest.mark.parametrize("user,places,samples,fmt",
+                             [(0, 10, 50_000, "csv"), (1, 20, 50_000, "plt"),
+                              (2, 30, 60_000, "csv")])
+    def test_benchmark_traces_read_whole(self, tmp_path, monkeypatch, user, places, samples,
+                                         fmt):
+        gen = load_module("perfbench_gen", ROOT / "perfbench" / "gen.py")
+        path = tmp_path / f"user{user}.{fmt}"
+        (gen.write_plt if fmt == "plt" else gen.write_csv)(
+            gen.make_trace(5, user, places, samples), path)
+        ref = strptime_parse_traces(path)
+
+        def no_row_loop(*args):
+            raise AssertionError("the row loop ran")
+
+        monkeypatch.setattr(mobility, "_read_rows", no_row_loop)
+        ds = parse_traces(path)
+        for got, want in ((ds.lat, ref.lat), (ds.lon, ref.lon), (ds.t, ref.t)):
+            assert got.tobytes() == want.tobytes()
+        assert len(ds) == samples
+        # one irregular row sends the whole file to the row loop
+        with open(path, "a") as fh:
+            fh.write("40.0,116.0,1_0\n" if fmt == "csv"
+                     else "40.0,116.0,0,100,1.0,2099-01-01,1:00:00\n")
+        with pytest.raises(AssertionError, match="the row loop ran"):
+            parse_traces(path)
+
+
+CSV_HEADER = "lat,lon,timestamp\n"
+
+
+class TestWholeFileParse:
+    """Files the whole-file reader takes and files it leaves to the row loop
+    read the same as the strptime reference, bit for bit."""
+
+    @pytest.mark.parametrize("body,path_taken", [
+        ("40.1,-74.2,100\n\n40.2,-74.3,200\n\n\n", "whole"),            # blank lines
+        ("40.1,-74.2,100\n   \n40.2,-74.3,200\n", "rows"),             # whitespace only
+        ("40.1,-74.2,100\n\t\n40.2,-74.3,200\n", "rows"),
+        ("# a comment\n40.1,-74.2,100\n#40.2,-74.3,200\n", "rows"),
+        ('"40.1",-74.2,100\n40.2,-74.3,200\n', "rows"),                # quoted field
+        ("40.1,-74.2,1_00\n40.2,-74.3,200\n", "rows"),                 # float() reads 100
+        ("40.1,-74.2,100,\n40.2,-74.3,200,\n", "whole"),               # trailing comma
+        ("40.1,-74.2,100,7,,-1\n40.2,-74.3,200,1e5\n", "whole"),       # extra columns
+        ("40.1,-74.2,100,x,,\"y\n40.2,-74.3,200,1_0\n", "rows"),       # text in them
+        ("40.1,-74.2\n40.2,-74.3,200\n", "rows"),                      # too few fields
+        ("40.1,,100\n40.2,-74.3,200\n", "rows"),                       # empty field
+        (" 40.1 , -74.2 ,\t100 \n\x0c40.2,-74.3,200\x0b\n", "rows"),    # whitespace
+        (" 40.1 , -74.2 ,\t100 \n\xa040.2,-74.3,200\u2003\n", "rows"),
+        ("40.1\x1c,-74.2,100\n40.2,-74.3,200\n", "rows"),              # float() rejects it
+        ("40.1,-74.2,100\x1f\n40.2,-74.3,200\n", "rows"),              # the line strip takes it
+        ("40.1,-74.2,100\x00\n40.2,-74.3,200\n", "rows"),
+        ("\u0664\u0660.1,-74.2,100\n40.2,-74.3,200\n", "rows"),        # float() reads 40.1
+        ("nan,-74.2,100\n40.1,inf,110\n40.2,-74.3,1e500\n40.3,-74.4,-inf\n"
+         "40.4,-74.5,NaN\n-Infinity,-74.6,120\n40.5,-74.7,1e-400\n40.6,-74.8,130\n", "whole"),
+        ("90,-74.2,100\n90.0000001,-74.2,110\n-90,180,120\n40.1,-180.5,130\n"
+         "-90.5,0,140\n0,-180,150\n-0.0,-0.0,160\n", "whole"),          # bounds
+        ("40.1,-74.2,100\n91,-74.2,300\n40.2,-74.3,200\n40.3,-74.4,200\n"
+         "40.4,-74.5,150\n40.5,-74.6,250\n", "whole"),                 # times after a skip
+        ("91,-74.2,300\n40.1,-74.2,100\n40.2,-74.3,nan\n40.3,-74.4,50\n", "whole"),
+        ("+40.1,-74.2,1.6e9\n.5,-7.,1600000000.5\n40.2,-74.3,16e8\n", "whole"),
+    ])
+    def test_csv_rows(self, tmp_path, monkeypatch, body, path_taken):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + body, encoding="utf-8", newline="")
+        assert parse_and_path(monkeypatch, path)[1] == path_taken
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "mixed"])
+    def test_line_endings(self, tmp_path, monkeypatch, newline):
+        rows = [CSV_HEADER.strip()] + [f"40.{i},-74.{i},{100 + i}" for i in range(9)] + [""] * 2
+        ends = ["\n", "\r\n", "\r"] if newline == "mixed" else [newline]
+        text = "".join(row + ends[i % len(ends)] for i, row in enumerate(rows))
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        ds, path_taken = parse_and_path(monkeypatch, path)
+        assert path_taken == "whole" and len(ds) == 9 and ds.n_skipped == 0
+
+    @pytest.mark.parametrize("text", ["", CSV_HEADER, CSV_HEADER + "\n\n", "lat,lon,timestamp"])
+    def test_no_data_warns_once(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        ds, path_taken = parse_and_path(monkeypatch, path)
+        assert path_taken == "whole" and len(ds) == 0 and ds.n_skipped == 0
+        _, messages = warned(parse_traces, path)
+        assert messages == [f"no valid samples in {path} (0 rows skipped)"]
+
+    def test_no_valid_row_warns_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.plt"
+        path.write_text(PLT_HEADER + "91,0,0,100,40000.0,2020-01-01,00:00:00\n")
+        ds, path_taken = parse_and_path(monkeypatch, path)
+        assert path_taken == "whole" and len(ds) == 0 and ds.n_skipped == 1
+        assert warned(parse_traces, path)[1] == [f"no valid samples in {path} (1 rows skipped)"]
+
+    def test_compressed_suffix_read_as_text(self, tmp_path, monkeypatch):
+        # numpy's reader would decompress a file with this suffix
+        path = tmp_path / "t.csv.gz"
+        path.write_text(CSV_HEADER + "40.1,-74.2,100\n40.2,-74.3,200\n")
+        assert parse_and_path(monkeypatch, path)[1] == "rows"
+        path.write_bytes(gzip.compress(path.read_bytes()))
+        with pytest.raises(UnicodeDecodeError):
+            parse_traces(path)
+
+    def test_fifo_read_once_by_the_row_loop(self, tmp_path, monkeypatch):
+        # a second open of a drained pipe would block or read nothing
+        text = CSV_HEADER + "".join(f"40.{i},-74.{i},{100 + i}\n" for i in range(50))
+        copy = tmp_path / "t.csv"
+        copy.write_text(text)
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        row_loop, ran, parsed = mobility._read_rows, [], []
+        monkeypatch.setattr(mobility, "_read_rows",
+                            lambda *args: ran.append(args) or row_loop(*args))
+        reader = threading.Thread(target=lambda: parsed.append(parse_traces(fifo, fmt="csv")),
+                                  daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive() and ran
+        ds, ref = parsed[0], strptime_parse_traces(copy)
+        for got, want in ((ds.lat, ref.lat), (ds.lon, ref.lon), (ds.t, ref.t)):
+            assert got.tobytes() == want.tobytes()
+        assert len(ds) == 50 and ds.n_skipped == ref.n_skipped == 0
+
+    @pytest.mark.parametrize("last", ["40.0,116.0,1_0", '"40.0",116.0,1', "# end",
+                                      "lat,lon,timestamp", "40.0,116.0,1\x00", "  ",
+                                      "40.0, 116.0, 1"])
+    def test_irregular_bytes_skip_the_reader(self, tmp_path, monkeypatch, last):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "40.1,-74.2,100\n" * 100 + last + "\n")
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("numpy's reader ran")
+
+        monkeypatch.setattr(mobility.np, "loadtxt", no_reader)
+        assert parse_and_path(monkeypatch, path)[1] == "rows"
+
+    def test_not_utf8_raises_as_the_row_loop(self, tmp_path):
+        # past the first 8 KiB, so the error's byte position depends on how the text is read
+        path = tmp_path / "t.csv"
+        path.write_bytes(CSV_HEADER.encode() + b"40.1,-74.2,100\n" * 1000 + b"40.1,-74.2,1\xff\n")
+        with pytest.raises(UnicodeDecodeError) as loop_error:
+            mobility._read_rows(path, "csv", 1)
+        with pytest.raises(UnicodeDecodeError) as parse_error:
+            parse_traces(path)
+        assert str(parse_error.value) == str(loop_error.value)
+
+    @pytest.mark.parametrize("date,clock,path_taken", [
+        ("2020-09-13", "12:00:00", "whole"),
+        ("2020-09-13", "12:00:000", "rows"),          # over-long
+        ("2020-09-131", "12:00:00", "rows"),
+        ("2020-09-13xxxx", "12:00:00", "rows"),       # longer than the reader's field
+        ("2020-09-13", "12:00:00xxxx", "rows"),
+        ("2021-02-29", "12:00:00", "rows"),           # strptime rejects the day
+        ("2020-09-13", "12:00:60", "rows"),
+        ("2020-09-13", "24:00:00", "rows"),
+        ("2020-09-13", "12:60:00", "rows"),
+        ("\u0662\u0660\u0662\u0660-09-13", "12:00:00", "rows"),   # Arabic-Indic digits
+        ("2020-09-13", "12:0\u0665:00", "rows"),
+        ("2020-9-13", "12:00:00", "rows"),            # strptime reads short fields
+        ("2020-09-13", "1:2:3", "rows"),
+        ("2020-09-13", " 12:00:00", "rows"),
+        ("2020-09-13", "12:00:00 ", "rows"),          # the line strip takes it
+        ("2020-09-13", "12:00:00\x00", "rows"),
+        ("2020-09-13", "12:00:00,1", "whole"),
+        ("2020-09-13", "12:00:00,extra", "rows"),
+        ("2020-09-13", "", "rows"),
+        ("2020/09/13", "12:00:00", "rows"),
+        ("2020-09-13", "12.00.00", "rows"),
+    ])
+    def test_plt_fields(self, tmp_path, monkeypatch, date, clock, path_taken):
+        rows = ["39.9,116.4,0,100,40000.0,2020-09-12,23:59:59",
+                f"39.91,116.41,0,100,40000.0,{date},{clock}",
+                "39.92,116.42,0,100,40000.0,2020-09-14,00:00:00"]
+        path = tmp_path / "t.plt"
+        path.write_text(PLT_HEADER + "\n".join(rows) + "\n", encoding="utf-8", newline="")
+        assert parse_and_path(monkeypatch, path)[1] == path_taken
+
+    def test_plt_dates_out_of_order(self, tmp_path, monkeypatch):
+        # distinct dates in no sorted order, each on several rows, plus skipped rows
+        days = ["2008-10-23", "1969-12-31", "2008-10-23", "9999-12-31", "0001-01-01",
+                "2020-02-29", "1970-01-01", "2008-10-24"]
+        rng = np.random.default_rng(7)
+        rows = [f"{rng.uniform(-95, 95):.6f},{rng.uniform(-185, 185):.6f},0,100,1.0,"
+                f"{days[rng.integers(len(days))]},{rng.integers(24):02d}:"
+                f"{rng.integers(60):02d}:{rng.integers(60):02d}" for _ in range(400)]
+        path = tmp_path / "t.plt"
+        path.write_text(PLT_HEADER + "\r\n".join(rows), encoding="utf-8", newline="")
+        ds, path_taken = parse_and_path(monkeypatch, path)
+        assert path_taken == "whole" and 0 < len(ds) < ds.n_skipped
+
+    def test_plt_too_few_fields(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.plt"
+        path.write_text(PLT_HEADER + "39.9,116.4,0,100,40000.0,2020-09-13\n"
+                        "39.9,116.4,0,100,40000.0,2020-09-13,12:00:00\n")
+        assert parse_and_path(monkeypatch, path)[1] == "rows"
+
+    def test_short_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.plt"
+        path.write_text("Geolife trajectory\n\n39.9,116.4,0,100,40000.0,2020-09-13,12:00:00\n")
+        ds, path_taken = parse_and_path(monkeypatch, path)
+        assert path_taken == "whole" and len(ds) == 0
+
+    FIELDS = ["40.5", "-74.25", " 1.5", "1.5 ", "\xa01.5", "1.5\u2009", "+.5", "-0", "1.",
+              "1e500", "-1e500", "1e-400", "nan", "-NaN", "inf", "-Infinity", "iNF", "4E1",
+              "1_0", "0x1p3", "1d5", ".", "-", "", " ", "1,5", "\u0661", "1\xa02", "\x0b2",
+              "2\x0c", "1.5e", "e5", "1e+5", "00012", "1" * 30, "0." + "3" * 40, "\t7\t"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_fields(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        taken = set()
+        for k in range(150):
+            rows = [",".join(self.FIELDS[i] for i in rng.integers(len(self.FIELDS), size=3))
+                    for _ in range(int(rng.integers(1, 4)))]
+            path = tmp_path / f"t{k}.csv"
+            path.write_text(CSV_HEADER + "\n".join(rows) + "\n", encoding="utf-8", newline="")
+            taken.add(parse_and_path(monkeypatch, path)[1])
+        assert taken == {"rows", "whole"}
 
 
 class TestStationaryFlags:
@@ -717,6 +961,92 @@ class TestScalarOracle:
         p = tmp_path / "t.csv"
         write_csv(p, dwell_rows(0.0, 0.0, 0.0, 3.0))
         assert len(assert_matches_oracle(parse_traces(p), ClusterParams())) == 1
+
+
+def random_walk(seed, n, step_m, jump_p=0.0, box_m=4000.0):
+    """Slow trace of an n-point planar random walk with Gaussian steps and,
+    with probability jump_p per point, a jump anywhere in a box_m square."""
+    rng = np.random.default_rng(seed)
+    xy = np.cumsum(rng.normal(0.0, step_m, size=(n, 2)), axis=0)
+    jumps = rng.random(n) < jump_p
+    xy[jumps] = rng.uniform(-box_m / 2, box_m / 2, size=(int(jumps.sum()), 2))
+    return slow_trace([offset_latlon(40.0, -74.0, x, y) for x, y in xy])
+
+
+class TestMergeScan:
+    """_merge_close merges the same pairs in the same order as the scan that
+    restarts from (0, 1) after every merge (support.restart_merge_close)."""
+
+    @staticmethod
+    def assert_merges_as_restart(monkeypatch, traces, params):
+        pois, assignment = extract_pois(traces, params)
+        monkeypatch.setattr(mobility, "_merge_close", restart_merge_close)
+        ref_pois, ref_assignment = extract_pois(traces, params)
+        monkeypatch.undo()
+        assert pois == ref_pois
+        assert (assignment == ref_assignment).all()
+        return pois
+
+    @staticmethod
+    def merge_calls(monkeypatch, traces, params):
+        """(clusters before the merge, haversine_m calls it makes)."""
+        idxs = np.nonzero(stationary_flags(traces, params))[0]
+        sums, joined = mobility._greedy_clusters(traces, idxs, params.max_radius_m)
+        members = [idxs[joined == c] for c in range(len(sums))]
+        label = np.full(len(traces), -1)
+        label[idxs] = joined
+        k, calls = len(sums), []
+        monkeypatch.setattr(mobility, "haversine_m",
+                            lambda *args: calls.append(args) or haversine_m(*args))
+        mobility._merge_close(sums, members, label, params.min_dist_m)
+        monkeypatch.undo()
+        return k, len(calls)
+
+    def test_random_walk_of_3000_samples(self, monkeypatch):
+        # the restarting scan makes 331 687 haversine_m calls on these 392 clusters
+        traces = random_walk(0, 3000, 60.0)
+        params = ClusterParams(min_stay_h=0.0)
+        assert len(self.assert_merges_as_restart(monkeypatch, traces, params)) == 20
+        k, calls = self.merge_calls(monkeypatch, traces, params)
+        assert k == 392 and calls <= k * k // 4
+
+    # seeds 1, 3 and the scatter of seed 2 each merge a grown centroid into an earlier cluster
+    @pytest.mark.parametrize("seed,n,step_m,jump_p,min_dist", [
+        (1, 1200, 60.0, 0.0, 500.0), (3, 1200, 30.0, 0.0, 300.0), (4, 1200, 10.0, 0.1, 200.0),
+        (5, 1200, 60.0, 0.3, 800.0), (2, 400, 2.0, 1.0, 400.0), (1, 400, 2.0, 1.0, 700.0)])
+    def test_seeded_walks(self, monkeypatch, seed, n, step_m, jump_p, min_dist):
+        traces = random_walk(seed, n, step_m, jump_p, box_m=3000.0)
+        params = ClusterParams(max_radius_m=20.0, min_dist_m=min_dist, min_stay_h=0.0)
+        assert len(self.assert_merges_as_restart(monkeypatch, traces, params)) > 1
+        k, calls = self.merge_calls(monkeypatch, traces, params)
+        assert calls <= k * k
+
+    def test_merge_moves_a_centroid_onto_an_earlier_cluster(self, monkeypatch):
+        # b and c are 480 m apart; each is 510 m from a, their midpoint 450 m.
+        # Merging c into b must re-test (a, b) and merge b into a, skip the far
+        # rows x1 and x2 scanned before, and go on with d and e.
+        a, x1, x2, b, c, d, e = (offset_latlon(40.0, -74.0, x, y) for x, y in [
+            (0, 0), (5000, 0), (-5000, 0), (450, 240), (450, -240), (0, 9000), (0, 9400)])
+        traces = slow_trace([a, a, x1, x2, b, c, d, e])
+        params = ClusterParams(max_radius_m=20.0, min_dist_m=500.0, min_stay_h=0.0)
+        pois = self.assert_merges_as_restart(monkeypatch, traces, params)
+        assert [poi.members for poi in pois] == [(1, 4, 5), (2,), (3,), (6, 7)]
+        # 16 tests scan rows a, x1, x2 and b up to c; (a, b) merges; row a
+        # again; no test of rows x1, x2; (d, e) merges; (a, d), (x1, d), (x2, d)
+        assert self.merge_calls(monkeypatch, traces, params) == (7, 16 + 1 + 4 + 1 + 3)
+
+    def test_grown_cluster_takes_a_row_it_skips(self, monkeypatch):
+        # five samples each at b and c: their merge lands on (450, 0), 450 m
+        # from a; a then moves to (409, 0), 491 m from x1, and takes x1 out of
+        # the rows it skips, so the scan must still reach d and e
+        a, x1, x2, b, c, d, e = (offset_latlon(40.0, -74.0, x, y) for x, y in [
+            (0, 0), (900, 0), (-5000, 0), (450, 240), (450, -240), (0, 9000), (0, 9400)])
+        traces = slow_trace([a, a, x1, x2] + [b] * 5 + [c] * 5 + [d, e])
+        params = ClusterParams(max_radius_m=20.0, min_dist_m=500.0, min_stay_h=0.0)
+        pois = self.assert_merges_as_restart(monkeypatch, traces, params)
+        assert [poi.members for poi in pois] == [(1, *range(4, 14), 2), (3,), (14, 15)]
+        # 16 tests up to (b, c); (a, b); (a, x1); row a again; (d, e); (a, d), (x2, d)
+        assert self.merge_calls(monkeypatch, traces, params) == (7, 16 + 1 + 1 + 3 + 1 + 2)
 
 
 class TestParameterErrors:

@@ -6,14 +6,18 @@ import math
 import numpy as np
 
 EARTH_RADIUS_M = 6371000.0
-# Width of the band around a threshold inside which a haversine_many_m screen
-# is settled with haversine_m. The two differ by a few ulps of the distance
-# (numpy squares by x * x where a float's ** 2 calls libm pow, which differs
-# in the last bit on about 0.1 % of inputs, and np.arcsin may differ from
-# math.asin by one ulp): at most 1.2e-8 m over 3e5 random pairs up to
-# 19 000 km apart, far below the band. Near-antipodal distances amplify the
-# gap, so the screen is exact while the thresholds compared (radii, join and
-# merge distances) stay below ~19 000 km.
+# Width of the band around a threshold inside which a chord screen (chord2 of
+# unit_vectors, compared with chord2_at_m of the threshold) is settled with
+# haversine_m. The distance a squared chord stands for, chord2_to_m, differs
+# from haversine_m's by rounding only: each unit-vector component is off by a
+# few ulps of 1, so the chord is off by ~5e-16 and the distance by about
+# R * 5e-16 / cos(d / 2R). Measured: at most 3.4e-9 m over 2.4e5 pairs under
+# 1 km (sub-metre pairs included) and 3.7e-8 m over 5e5 random pairs below
+# 19 000 km, far below the band. The 1 / cos(d / 2R) factor grows toward the
+# antipode: 7e-8 m below 19 500 km, 3.2e-7 m below 19 900 km, and past the
+# band within ~100 km of the antipode. So the screen is exact while the
+# thresholds compared (radii, join and merge distances, a few km at most)
+# stay below ~19 000 km.
 SCREEN_TOL_M = 1e-6
 
 
@@ -32,9 +36,8 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 def haversine_many_m(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Vectorized great-circle distance; the arguments broadcast against each other.
 
-    Agrees with haversine_m to a few ulps, not bit for bit: screen with it and
-    settle every decision within SCREEN_TOL_M of its threshold with
-    haversine_m.
+    Agrees with haversine_m to a few ulps, not bit for bit. It defines the
+    step distances (step_distances_m); pair screens use the chord kernel below.
     """
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
@@ -43,22 +46,65 @@ def haversine_many_m(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
+def unit_vectors(lat, lon) -> np.ndarray:
+    """(3, ...) unit vectors (cos phi cos lambda, cos phi sin lambda, sin phi)
+    of points given in degrees."""
+    phi, lam = np.radians(lat), np.radians(lon)
+    cos_phi = np.cos(phi)
+    return np.array([cos_phi * np.cos(lam), cos_phi * np.sin(lam), np.sin(phi)])
+
+
+def chord2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Squared chord lengths |u - v|^2 between unit vectors; the (3, ...)
+    arguments broadcast against each other past their first axis.
+
+    No trigonometry: 3 subtractions, 3 squares and 2 additions per pair.
+    Compare the result with chord2_at_m of a threshold, never with a
+    distance; chord2_to_m gives the distance where one is needed.
+    """
+    diff = np.subtract(u[0], v[0])
+    c2 = np.multiply(diff, diff)
+    for axis in (1, 2):
+        np.subtract(u[axis], v[axis], out=diff)
+        c2 += np.multiply(diff, diff, out=diff)
+    return c2
+
+
+def chord2_at_m(dist_m):
+    """Squared chord 4 sin^2(d / 2R) of a great-circle distance d in meters.
+
+    Non-decreasing in d: -inf below 0 m, where no pair lies, and inf from
+    half the circumference on, where every pair lies.
+    """
+    d = np.asarray(dist_m, dtype=float)
+    c2 = 4.0 * np.sin(np.clip(d, 0.0, math.pi * EARTH_RADIUS_M) / (2.0 * EARTH_RADIUS_M)) ** 2
+    return np.where(d < 0.0, -np.inf, np.where(d >= math.pi * EARTH_RADIUS_M, np.inf, c2))
+
+
+def chord2_to_m(c2) -> np.ndarray:
+    """Great-circle distance in meters of a squared chord, 2R asin(sqrt(c2) / 2)."""
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(c2) / 2.0))
+
+
 def max_haversine_m(lat: np.ndarray, lon: np.ndarray, lat0: float, lon0: float) -> float:
     """max(haversine_m(lat[i], lon[i], lat0, lon0)) bit for bit; 0.0 for no points.
 
-    One vectorized screen keeps the points within two bands of the largest
+    One chord screen keeps the points within two bands of the largest
     screened distance; haversine_m settles those, once per distinct point.
     """
     if lat.size == 0:
         return 0.0
-    d = haversine_many_m(lat, lon, lat0, lon0)
-    near = d >= d.max() - 2.0 * SCREEN_TOL_M
+    c2 = chord2(unit_vectors(lat, lon), unit_vectors(lat0, lon0)[:, None])
+    near = c2 >= chord2_at_m(chord2_to_m(c2.max()) - 2.0 * SCREEN_TOL_M)
     return max(haversine_m(la, lo, lat0, lon0)
                for la, lo in set(zip(lat[near].tolist(), lon[near].tolist())))
 
 
 def step_distances_m(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """Distances between consecutive samples of a trace; length len(lat) - 1."""
+    """Distances between consecutive samples of a trace; length len(lat) - 1.
+
+    haversine_many_m's values define the stationarity speeds, bit for bit.
+    """
     return haversine_many_m(lat[:-1], lon[:-1], lat[1:], lon[1:])
 
 

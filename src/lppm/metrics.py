@@ -7,11 +7,12 @@ probability mass the adversary assigns to a designated secret set.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import haversine_m
+from .geo import EARTH_RADIUS_M
 
 # the fast max_dp_ratio path takes step pairs whose entries lie in (RATIO_FLOOR, 1]:
 # every product and quotient of two of them is then a normal number
@@ -147,14 +148,27 @@ def validate_distance_matrix(distance: np.ndarray, atol: float = 1e-9) -> np.nda
 
 
 def distance_matrix_from_meta(state_meta) -> np.ndarray:
-    """Pairwise haversine distances in meters between state centroids."""
+    """Pairwise haversine distances in meters between state centroids.
+
+    Bit for bit geo.haversine_m(a.lat, a.lon, b.lat, b.lon) for i < j: its
+    expression in its order, with each state's radians(lat) and cos(phi)
+    taken once instead of once per pair.
+    """
     n = len(state_meta)
+    phi = [math.radians(m.lat) for m in state_meta]
+    cos_phi = [math.cos(p) for p in phi]
+    lon = [m.lon for m in state_meta]
+    sin, asin, sqrt, radians = math.sin, math.asin, math.sqrt, math.radians
     d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = state_meta[i], state_meta[j]
-            d[i, j] = d[j, i] = haversine_m(a.lat, a.lon, b.lat, b.lon)
-    return d
+    for i in range(n - 1):
+        phi1, cos1, lon1 = phi[i], cos_phi[i], lon[i]
+        d[i, i + 1:] = [
+            2.0 * EARTH_RADIUS_M * asin(min(1.0, sqrt(
+                sin((phi2 - phi1) / 2.0) ** 2
+                + cos1 * cos2 * sin(radians(lon2 - lon1) / 2.0) ** 2)))
+            for phi2, cos2, lon2 in zip(phi[i + 1:], cos_phi[i + 1:], lon[i + 1:])]
+    # the lower triangle holds zeros, so the sum copies the upper one exactly
+    return d + d.T
 
 
 def _entropy_series(beliefs: np.ndarray) -> list[float]:

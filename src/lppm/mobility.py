@@ -13,14 +13,14 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .geo import (SCREEN_TOL_M, haversine_m, haversine_many_m, max_haversine_m,
-                  step_distances_m)
+from .geo import (SCREEN_TOL_M, chord2, chord2_at_m, chord2_to_m, haversine_m,
+                  max_haversine_m, step_distances_m, unit_vectors)
 from .mdp import ActionMeta, Mdp, StateMeta, make_mdp
 
 MIN_STATE_RADIUS_M = 10.0   # floor for POI areas so loss ratios stay bounded
@@ -63,9 +63,32 @@ class TraceDataset:
     t: np.ndarray           # epoch seconds, strictly increasing
     user: str = "user0"
     n_skipped: int = 0
+    # (sample indices, their unit vectors) last asked of screen_units
+    _units: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __len__(self):
         return self.lat.size
+
+    @functools.cached_property
+    def speeds(self) -> np.ndarray:
+        """Arrival speed in m/s of every sample but the first (inf after a
+        step of no time): step_distances_m over the time steps."""
+        dist = step_distances_m(self.lat, self.lon)
+        dt = np.diff(self.t)
+        return np.divide(dist, dt, out=np.full_like(dist, np.inf), where=dt > 0)
+
+    def screen_units(self, idxs: np.ndarray) -> np.ndarray:
+        """(3, idxs.size) unit vectors of the samples idxs.
+
+        The vectors of the last index set are kept, so the stages that screen
+        the same stationary samples (clustering, then the visit sequence)
+        compute them once per trace.
+        """
+        kept, units = self._units
+        if kept is None or not np.array_equal(kept, idxs):
+            units = unit_vectors(self.lat[idxs], self.lon[idxs])
+            self._units = (idxs, units)
+        return units
 
 
 @dataclass
@@ -285,10 +308,7 @@ def stationary_flags(traces: TraceDataset, params: ClusterParams) -> np.ndarray:
     flags = np.zeros(len(traces), dtype=bool)
     if len(traces) < 2:
         return flags
-    dist = step_distances_m(traces.lat, traces.lon)
-    dt = np.diff(traces.t)
-    speed = np.divide(dist, dt, out=np.full_like(dist, np.inf), where=dt > 0)
-    flags[1:] = speed <= params.min_speed_mps
+    flags[1:] = traces.speeds <= params.min_speed_mps
     return flags
 
 
@@ -384,8 +404,8 @@ def _greedy_clusters(traces: TraceDataset, idxs: np.ndarray, max_radius_m: float
     within max_radius_m, or open a new cluster.
 
     Returns ([lat_sum, lon_sum, count] per cluster, cluster index per sample).
-    Each block of samples is screened in one call against the centroids as
-    they stood at the block's start. A sample then tests, in cluster order,
+    Each block of samples is screened in one chord2 call against the centroids
+    as they stood at the block's start. A sample then tests, in cluster order,
     only its screened candidates and the clusters that changed or opened
     during the block; haversine_m decides every test the screen leaves open.
     After each such decision, _sure_run joins in one step the samples that
@@ -393,19 +413,22 @@ def _greedy_clusters(traces: TraceDataset, idxs: np.ndarray, max_radius_m: float
     """
     sums: list[list[float]] = []
     joined = np.empty(idxs.size, dtype=int)
+    units = traces.screen_units(idxs)
+    # squared chords of the band's edges: surely within at or below the first,
+    # surely beyond above the second
+    inside, outside = chord2_at_m([max_radius_m - SCREEN_TOL_M, max_radius_m + SCREEN_TOL_M])
     for start in range(0, idxs.size, CLUSTER_BLOCK):
         block = idxs[start:start + CLUSTER_BLOCK]
         lat_b, lon_b = traces.lat[block], traces.lon[block]
+        units_b = units[:, start:start + CLUSTER_BLOCK]
         rows = cols = np.empty(0, dtype=int)
         bounds = [0] * (block.size + 1)
         unsure: set[tuple[int, int]] = set()   # (row, cluster) inside the band
         if sums:
-            cent = np.array(sums)
-            d = haversine_many_m(lat_b[:, None], lon_b[:, None],
-                                 cent[:, 0] / cent[:, 2], cent[:, 1] / cent[:, 2])
-            rows, cols = np.nonzero(d <= max_radius_m + SCREEN_TOL_M)
+            c2 = chord2(units_b[:, :, None], _centroid_units(sums)[:, None, :])
+            rows, cols = np.nonzero(c2 <= outside)
             bounds = np.searchsorted(rows, np.arange(block.size + 1)).tolist()
-            band = d[rows, cols] > max_radius_m - SCREEN_TOL_M
+            band = c2[rows, cols] > inside
             unsure = set(zip(rows[band].tolist(), cols[band].tolist()))
         cands = cols.tolist()
         moved = np.zeros(len(sums), dtype=bool)   # screened ones changed in the block
@@ -441,23 +464,30 @@ def _greedy_clusters(traces: TraceDataset, idxs: np.ndarray, max_radius_m: float
                 rest = slice(bounds[r + 1], None)
                 held = rows[rest][(cols[rest] < target) & ~moved[cols[rest]]]
                 end = held[0] if held.size else block.size
-                run += _sure_run(lat_b[r + 1:end], lon_b[r + 1:end], sums, target,
-                                 [c for c in changed if c < target], max_radius_m)
+                run += _sure_run(lat_b[r + 1:end], lon_b[r + 1:end], units_b[:, r + 1:end], sums,
+                                 target, [c for c in changed if c < target], inside, outside)
             joined[start + r:start + r + run] = target
             r += run
     return sums, joined
 
 
-def _sure_run(lat: np.ndarray, lon: np.ndarray, sums: list[list[float]], t: int,
-              lower: list[int], max_radius_m: float) -> int:
-    """Join to cluster t, in place, the leading samples (lat, lon) that surely
-    join it one after another; return how many.
+def _centroid_units(sums: list[list[float]]) -> np.ndarray:
+    """(3, k) unit vectors of the centroids of clusters given as [lat_sum, lon_sum, count]."""
+    cent = np.array(sums)
+    return unit_vectors(cent[:, 0] / cent[:, 2], cent[:, 1] / cent[:, 2])
 
-    Sample i is taken while t's centroid after the i samples before it is
-    surely within max_radius_m and the centroid of every cluster in lower
-    surely beyond it. np.add.accumulate makes the same sequential additions as
-    joining one sample at a time, so the sums, and every centroid, are bit for
-    bit those of the per-sample path.
+
+def _sure_run(lat: np.ndarray, lon: np.ndarray, units: np.ndarray, sums: list[list[float]],
+              t: int, lower: list[int], inside: float, outside: float) -> int:
+    """Join to cluster t, in place, the leading samples (lat, lon), with unit
+    vectors units, that surely join it one after another; return how many.
+
+    Sample i is taken while its squared chord to t's centroid after the i
+    samples before it is at most inside and its squared chord to the centroid
+    of every cluster in lower is above outside (the band's edges, see
+    _greedy_clusters). np.add.accumulate makes the same sequential additions
+    as joining one sample at a time, so the sums, and every centroid, are bit
+    for bit those of the per-sample path.
     """
     if lat.size == 0:
         return 0
@@ -465,13 +495,11 @@ def _sure_run(lat: np.ndarray, lon: np.ndarray, sums: list[list[float]], t: int,
     lat_acc = np.add.accumulate(np.concatenate(([sla], lat)))
     lon_acc = np.add.accumulate(np.concatenate(([slo], lon)))
     cnts = cnt + np.arange(lat.size)
-    run = _leading_true(haversine_many_m(lat, lon, lat_acc[:-1] / cnts, lon_acc[:-1] / cnts)
-                        <= max_radius_m - SCREEN_TOL_M)
+    run = _leading_true(chord2(units, unit_vectors(lat_acc[:-1] / cnts, lon_acc[:-1] / cnts))
+                        <= inside)
     if lower and run:
-        cent = np.array([sums[c] for c in lower])
-        d = haversine_many_m(lat[:run, None], lon[:run, None],
-                             cent[:, 0] / cent[:, 2], cent[:, 1] / cent[:, 2])
-        run = _leading_true((d > max_radius_m + SCREEN_TOL_M).all(axis=1))
+        c2 = chord2(units[:, :run, None], _centroid_units([sums[c] for c in lower])[:, None, :])
+        run = _leading_true((c2 > outside).all(axis=1))
     sums[t] = [float(lat_acc[run]), float(lon_acc[run]), cnt + run]
     return run
 
@@ -540,7 +568,7 @@ def _nearest_disk(traces: TraceDataset, idxs: np.ndarray, pois: list[PoiCluster]
     """Index of the nearest POI whose disk holds sample idxs[k] (ties to the
     lower index), or -1.
 
-    Distances are screened in blocks of BLOCK_ROWS samples, so the full
+    Squared chords are screened in blocks of BLOCK_ROWS samples, so the full
     sample x POI matrix never exists; haversine_m settles each row whose
     nearest candidate is not surely inside its disk or is within the
     screening band of another candidate.
@@ -551,20 +579,25 @@ def _nearest_disk(traces: TraceDataset, idxs: np.ndarray, pois: list[PoiCluster]
     plat = np.array([poi.lat for poi in pois])
     plon = np.array([poi.lon for poi in pois])
     reach = np.array([poi.radius_m for poi in pois]) + COVER_TOL_M
+    poi_units = unit_vectors(plat, plon)[:, None, :]
+    # squared chords of each disk's band edges: surely inside, surely outside
+    inside, outside = chord2_at_m(reach - SCREEN_TOL_M), chord2_at_m(reach + SCREEN_TOL_M)
+    units = traces.screen_units(idxs)
     for start in range(0, idxs.size, BLOCK_ROWS):
         block = idxs[start:start + BLOCK_ROWS]
-        d = haversine_many_m(traces.lat[block, None], traces.lon[block, None], plat, plon)
-        d[d > reach + SCREEN_TOL_M] = np.inf
-        best = d.argmin(axis=1)
-        d_best = d[np.arange(block.size), best]
-        found = np.isfinite(d_best)
-        unsure = found & ((d_best > reach[best] - SCREEN_TOL_M)
-                          | ((d <= d_best[:, None] + 2.0 * SCREEN_TOL_M).sum(axis=1) > 1))
+        c2 = chord2(units[:, start:start + BLOCK_ROWS, None], poi_units)
+        c2[c2 > outside] = np.inf
+        best = c2.argmin(axis=1)
+        c2_best = c2[np.arange(block.size), best]
+        found = np.isfinite(c2_best)
+        # within two bands of the best distance: one arcsin per row, not per pair
+        tie = chord2_at_m(chord2_to_m(c2_best) + 2.0 * SCREEN_TOL_M)
+        unsure = found & ((c2_best > inside[best]) | ((c2 <= tie[:, None]).sum(axis=1) > 1))
         out = np.where(found, best, -1)
         for r in np.nonzero(unsure)[0]:
             la, lo = traces.lat[block[r]], traces.lon[block[r]]
             nearest = None
-            for j in np.nonzero(np.isfinite(d[r]))[0]:
+            for j in np.nonzero(np.isfinite(c2[r]))[0]:
                 dist = haversine_m(la, lo, plat[j], plon[j])
                 if dist <= reach[j] and (nearest is None or dist < nearest[0]):
                     nearest = (dist, j)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lppm.geo import (SCREEN_TOL_M, haversine_m, haversine_many_m, max_haversine_m,
-                      offset_latlon, step_distances_m)
+from lppm.geo import (EARTH_RADIUS_M, SCREEN_TOL_M, chord2, chord2_at_m, chord2_to_m,
+                      haversine_m, haversine_many_m, max_haversine_m, offset_latlon,
+                      step_distances_m, unit_vectors)
 from support import local_xy_m
 
 
@@ -76,6 +77,67 @@ class TestScreen:
         lon = np.full(50, -74.0003)
         assert max_haversine_m(lat, lon, 40.0, -74.0) == haversine_m(40.0005, -74.0003, 40.0, -74.0)
         assert max_haversine_m(lat[:0], lon[:0], 40.0, -74.0) == 0.0
+
+
+def exact_distances(lat1, lon1, lat2, lon2):
+    return np.array([haversine_m(*pair) for pair in
+                     zip(lat1.tolist(), lon1.tolist(), lat2.tolist(), lon2.tolist())])
+
+
+class TestChordScreen:
+    def test_within_band_and_settled_max_exact(self, rng):
+        lat1, lon1, lat2, lon2 = random_pairs(rng, 100_000)
+        exact = exact_distances(lat1, lon1, lat2, lon2)
+        c2 = chord2(unit_vectors(lat1, lon1), unit_vectors(lat2, lon2))
+        below = exact < 1.9e7
+        assert np.abs(chord2_to_m(c2) - exact)[below].max() < SCREEN_TOL_M / 10.0
+        # the band's edges around each exact distance hold its squared chord
+        assert (chord2_at_m(exact - SCREEN_TOL_M) < c2)[below].all()
+        assert (c2 < chord2_at_m(exact + SCREEN_TOL_M))[below].all()
+        # the settled distance is haversine_m's bit for bit where the screen differs
+        differs = np.nonzero((c2 != chord2_at_m(exact)) & below)[0]
+        assert differs.size > 1000
+        for i in differs[:500].tolist():
+            one = slice(i, i + 1)
+            assert max_haversine_m(lat1[one], lon1[one], lat2[i], lon2[i]) == exact[i]
+
+    def test_sub_metre_pairs(self, rng):
+        lat1 = rng.uniform(-85.0, 85.0, 20_000)
+        lon1 = rng.uniform(-180.0, 180.0, 20_000)
+        lat2 = lat1 + rng.normal(0.0, 3e-6, 20_000)     # ~0.3 m
+        lon2 = lon1 + rng.normal(0.0, 3e-6, 20_000)
+        lat2[:100], lon2[:100] = lat1[:100], lon1[:100]
+        exact = exact_distances(lat1, lon1, lat2, lon2)
+        assert np.median(exact) < 1.0
+        c2 = chord2(unit_vectors(lat1, lon1), unit_vectors(lat2, lon2))
+        assert (c2[:100] == 0.0).all()
+        assert np.abs(chord2_to_m(c2) - exact).max() < SCREEN_TOL_M / 10.0
+
+    def test_threshold_monotone(self, rng):
+        half = np.pi * EARTH_RADIUS_M
+        d = np.concatenate([rng.uniform(-10.0, 2.1e7, 10_000), rng.uniform(0.0, 1e-3, 1000),
+                            [0.0, -0.0, -1e-300, 5e-324, SCREEN_TOL_M, half, -half, np.inf]])
+        # runs of consecutive floats, where rounding could step backwards
+        for start in (1e-6, 1.0, 100.0, 1.9e7):
+            run = [start]
+            for _ in range(200):
+                run.append(np.nextafter(run[-1], np.inf))
+            d = np.concatenate([d, run])
+        d.sort()
+        c2 = chord2_at_m(d)
+        assert (c2[1:] >= c2[:-1]).all()
+        assert (c2[d < 0] == -np.inf).all() and (c2[d >= half] == np.inf).all()
+        assert (c2[(d >= 0) & (d < half)] <= 4.0).all()
+        ok = (d >= 0) & (d < 1.9e7)
+        assert np.abs(chord2_to_m(c2[ok]) - d[ok]).max() < SCREEN_TOL_M / 10.0
+
+    def test_broadcast_matches_elementwise(self, rng):
+        lat1, lon1, lat2, lon2 = random_pairs(rng, 12)
+        u, v = unit_vectors(lat1, lon1), unit_vectors(lat2, lon2)
+        grid = chord2(u[:, :, None], v[:, None, :])
+        for i in range(12):
+            np.testing.assert_array_equal(grid[i], chord2(u[:, i, None], v))
+        np.testing.assert_array_equal(unit_vectors(lat1[3], lon1[3]), u[:, 3])
 
 
 class TestOffsetRoundTrip:

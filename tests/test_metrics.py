@@ -185,6 +185,21 @@ class TestDistanceMatrices:
         assert d[1, 0] == d[0, 1]
         assert d[0, 0] == 0.0
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 60])
+    def test_bit_for_bit_haversine_m(self, n):
+        rng = np.random.default_rng(n)
+        lat = np.concatenate([rng.uniform(-90.0, 90.0, n - n // 2),
+                              40.0 + rng.normal(0.0, 0.01, n // 2)])
+        lon = np.concatenate([rng.uniform(-180.0, 180.0, n - n // 2),
+                              -74.0 + rng.normal(0.0, 0.01, n // 2)])
+        meta = [StateMeta(f"s{i + 1}", la, lo, 50.0)
+                for i, (la, lo) in enumerate(zip(lat.tolist(), lon.tolist()))]
+        ref = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                ref[i, j] = ref[j, i] = haversine_m(lat[i], lon[i], lat[j], lon[j])
+        assert distance_matrix_from_meta(meta).tobytes() == ref.tobytes()
+
 
 
 class TestWriteMetricSeries:

@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import importlib.util
 import os
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from lppm import mobility
-from lppm.geo import haversine_m, haversine_many_m, offset_latlon
+from lppm import geo
+from lppm.geo import chord2, chord2_at_m, haversine_m, offset_latlon, unit_vectors
 from lppm.mdp import check_unichain_exhaustive
 from lppm.mobility import (BLOCK_ROWS, CLUSTER_BLOCK, COVER_TOL_M, ClusterParams,
                            CloakRegion, EmptyPoiError, ParameterError,
@@ -895,23 +897,25 @@ class TestScalarOracle:
 
     @staticmethod
     def screen_disagrees(center, east_deg, above):
-        """A point near (40, -74 + east_deg) whose screened distance to center
-        lies above (else below) its haversine_m distance, and that distance.
+        """A point near (40, -74 + east_deg) whose squared chord to center, as
+        the screens compute it, lies above (else below) chord2_at_m of its
+        haversine_m distance, and that distance.
 
-        The two differ in the last bits on a few points in 10 000.
+        The two differ in the last bits on most points.
         """
         rng = np.random.default_rng(3)
         for _ in range(50):
             lat = 40.0 + rng.uniform(-1e-4, 1e-4, 4096)
             lon = -74.0 + east_deg + rng.uniform(-5e-5, 5e-5, 4096)
-            screen = haversine_many_m(lat, lon, *center)
+            screen = chord2(unit_vectors(lat, lon), unit_vectors(*center)[:, None])
             exact = np.array([haversine_m(la, lo, *center)
                               for la, lo in zip(lat.tolist(), lon.tolist())])
-            hits = np.flatnonzero(screen > exact if above else screen < exact)
+            hits = np.flatnonzero(screen > chord2_at_m(exact) if above
+                                  else screen < chord2_at_m(exact))
             if hits.size:
                 k = hits[0]
                 return (float(lat[k]), float(lon[k])), float(exact[k])
-        pytest.skip("haversine_many_m agrees with haversine_m on every point tried")
+        pytest.skip("the chord screen agrees with haversine_m on every point tried")
 
     def test_screen_below_exact_distance_to_running_centroid(self):
         home = (40.0, -74.0)
@@ -961,6 +965,45 @@ class TestScalarOracle:
         p = tmp_path / "t.csv"
         write_csv(p, dwell_rows(0.0, 0.0, 0.0, 3.0))
         assert len(assert_matches_oracle(parse_traces(p), ClusterParams())) == 1
+
+
+class TestOncePerTrace:
+    """The pair screens run on unit vectors taken once per trace; the step
+    distances, which define the stationarity speeds, are taken once per trace."""
+
+    def test_haversine_many_only_for_step_distances(self, trace_path, monkeypatch):
+        callers, many = [], geo.haversine_many_m
+
+        def counted(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return many(*args)
+
+        monkeypatch.setattr(geo, "haversine_many_m", counted)
+        assert not hasattr(mobility, "haversine_many_m")
+        build_model_from_traces(trace_path, ClusterParams())
+        assert callers == ["step_distances_m"]
+
+    def test_sample_vectors_once(self, trace_path, monkeypatch):
+        sizes, units = [], mobility.unit_vectors
+        monkeypatch.setattr(mobility, "unit_vectors",
+                            lambda lat, lon: sizes.append(np.size(lat)) or units(lat, lon))
+        traces = parse_traces(trace_path)
+        n_stationary = int(stationary_flags(traces, ClusterParams()).sum())
+        assert n_stationary > max(BLOCK_ROWS, CLUSTER_BLOCK)
+        pois, _ = extract_pois(traces, ClusterParams())
+        estimate_transitions(traces, pois, ClusterParams())
+        # the rest are centroids: of the clusters, of a run, of the POIs
+        assert [n for n in sizes if n > CLUSTER_BLOCK] == [n_stationary]
+
+    def test_speeds_are_step_distances_over_time(self, trace_path):
+        traces = parse_traces(trace_path)
+        traces.t[5] = traces.t[4]      # a step of no time
+        dist = geo.step_distances_m(traces.lat, traces.lon)
+        speeds = traces.speeds
+        assert speeds[4] == np.inf
+        keep = np.arange(speeds.size) != 4
+        assert speeds[keep].tobytes() == (dist[keep] / np.diff(traces.t)[keep]).tobytes()
+        assert traces.speeds is speeds
 
 
 def random_walk(seed, n, step_m, jump_p=0.0, box_m=4000.0):

@@ -23,6 +23,15 @@ class MechanismInfeasibleError(RuntimeError):
     """No per-step mechanism satisfies the requested constraints."""
 
 
+class LpStalledError(RuntimeError):
+    """A mechanism's LP stopped without an answer: feasibility is unknown."""
+
+
+def _stalled(what: str, sol) -> LpStalledError:
+    return LpStalledError(f"the {what} LP stalled after {sol.iterations} pivots; "
+                          "feasibility unknown")
+
+
 def step_user(mdp: Mdp, p: np.ndarray, f: np.ndarray):
     """Advance the true state distribution one step under mechanism f.
 
@@ -95,7 +104,8 @@ def max_inference_error_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarr
     """Mechanism maximizing the adversary's next-step expected inference error.
 
     The inner minimum over estimates makes the objective piecewise linear and
-    concave; solved exactly as an epigraph LP over (mechanism, tau).
+    concave; solved exactly as an epigraph LP over (mechanism, tau). Raises
+    LpStalledError when the LP stops without an answer.
     """
     distance = validate_distance_matrix(distance)
     phi = _posterior_map(mdp, belief, np.asarray(p_user, dtype=float))
@@ -109,6 +119,8 @@ def max_inference_error_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarr
     c[-1] = -1.0
     sol = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=np.zeros(n),
                                  a_eq=a_eq_full, b_eq=b_eq))
+    if sol.status == "stalled":
+        raise _stalled("inference-error", sol)
     if sol.status != "optimal":
         raise RuntimeError(f"inference-error LP unexpectedly {sol.status}")
     return _mechanism(mdp, sol.x), float(sol.x[-1])
@@ -119,7 +131,8 @@ def dp_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray, eps_dp: float
 
     Minimizes the expected quality loss subject to
     post(i) b(j) <= e^eps post(j) b(i) for every ordered state pair; raises
-    MechanismInfeasibleError when no mechanism satisfies the constraints.
+    MechanismInfeasibleError when no mechanism satisfies the constraints and
+    LpStalledError when the LP stops without an answer.
     """
     if eps_dp <= 0.0:
         raise ValueError("eps_dp must be positive")
@@ -135,6 +148,8 @@ def dp_mechanism(mdp: Mdp, belief: np.ndarray, p_user: np.ndarray, eps_dp: float
     c = p_user[states] * mdp.utility[states, actions]
     sol = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=np.zeros(len(i)),
                                  a_eq=a_eq, b_eq=b_eq))
+    if sol.status == "stalled":
+        raise _stalled("dp", sol)
     if sol.status != "optimal":
         raise MechanismInfeasibleError(
             f"no mechanism keeps belief ratios within e^{eps_dp:g} ({sol.status})")

@@ -6,9 +6,10 @@ simulate (belief and quality rollout for a synthesized policy), verify
 (per-step obfuscation mechanisms on a model).
 
 Exit codes: 0 success, 1 missing or invalid input, 2 empty POI set,
-3 infeasible synthesis, 4 internal disagreement between verification
-routes. Flags override values from --config (a flat JSON object keyed
-by the long flag names with dashes as underscores).
+3 infeasible synthesis or mechanism, or an LP that stalled (feasibility
+unknown), 4 internal disagreement between verification routes. Flags
+override values from --config (a flat JSON object keyed by the long flag
+names with dashes as underscores).
 """
 from __future__ import annotations
 
@@ -434,6 +435,8 @@ def cmd_baselines(args):
         except bl.MechanismInfeasibleError as exc:
             print(f"{kind}: infeasible ({exc})", file=sys.stderr)
             return EXIT_INFEASIBLE
+        except bl.LpStalledError as exc:
+            raise CliError(f"{kind}: {exc}", EXIT_INFEASIBLE)
         unconverged = [g for g in rollout.diagnostics.get("fw_gaps", []) if g > FW_GAP_TOL]
         if unconverged:
             print(f"warning: {kind}: Frank-Wolfe stopped above its gap tolerance "

@@ -26,7 +26,8 @@ from .mdp import ActionMeta, Mdp, StateMeta, make_mdp
 MIN_STATE_RADIUS_M = 10.0   # floor for POI areas so loss ratios stay bounded
 COVER_TOL_M = 1e-6
 BLOCK_ROWS = 2048      # samples per block when screening against the POIs
-CLUSTER_BLOCK = 256    # samples per block when screening against the running centroids
+RUN_CHUNK = 32         # samples in the first sure-run test after a clustering decision
+RUN_GROWTH = 16        # each further chunk of the same run is this many times longer
 
 
 class EmptyPoiError(RuntimeError):
@@ -399,17 +400,28 @@ def _merge_close(sums: list[list[float]], members: list[np.ndarray], label: np.n
         resume = i + 1
 
 
+def _stays(idxs: np.ndarray) -> np.ndarray:
+    """Positions in idxs where its stays start, then idxs.size.
+
+    A stay is a maximal run of consecutive sample indices in idxs: for the
+    stationary samples, a run of consecutive stationary samples.
+    """
+    return np.append(np.flatnonzero(np.diff(idxs, prepend=-2) != 1), idxs.size)
+
+
 def _greedy_clusters(traces: TraceDataset, idxs: np.ndarray, max_radius_m: float):
     """Join each sample idxs[k] to the first cluster whose running centroid lies
     within max_radius_m, or open a new cluster.
 
     Returns ([lat_sum, lon_sum, count] per cluster, cluster index per sample).
-    Each block of samples is screened in one chord2 call against the centroids
-    as they stood at the block's start. A sample then tests, in cluster order,
-    only its screened candidates and the clusters that changed or opened
-    during the block; haversine_m decides every test the screen leaves open.
-    After each such decision, _sure_run joins in one step the samples that
-    follow it in the block and surely join the same cluster.
+    The work goes stay by stay (_stays). _first_cluster decides the first
+    undecided sample of a stay exactly; then _sure_run joins to the same
+    cluster, in one step per chunk, the samples after it in the stay that
+    surely join it one after another. The first chunk holds RUN_CHUNK
+    samples and each next one RUN_GROWTH times more, so a run that breaks
+    early costs about its own length. The sample that breaks a run is
+    decided next. The centroids' unit vectors are updated once per decision
+    and its run.
     """
     sums: list[list[float]] = []
     joined = np.empty(idxs.size, dtype=int)
@@ -417,88 +429,81 @@ def _greedy_clusters(traces: TraceDataset, idxs: np.ndarray, max_radius_m: float
     # squared chords of the band's edges: surely within at or below the first,
     # surely beyond above the second
     inside, outside = chord2_at_m([max_radius_m - SCREEN_TOL_M, max_radius_m + SCREEN_TOL_M])
-    for start in range(0, idxs.size, CLUSTER_BLOCK):
-        block = idxs[start:start + CLUSTER_BLOCK]
-        lat_b, lon_b = traces.lat[block], traces.lon[block]
-        units_b = units[:, start:start + CLUSTER_BLOCK]
-        rows = cols = np.empty(0, dtype=int)
-        bounds = [0] * (block.size + 1)
-        unsure: set[tuple[int, int]] = set()   # (row, cluster) inside the band
-        if sums:
-            c2 = chord2(units_b[:, :, None], _centroid_units(sums)[:, None, :])
-            rows, cols = np.nonzero(c2 <= outside)
-            bounds = np.searchsorted(rows, np.arange(block.size + 1)).tolist()
-            band = c2[rows, cols] > inside
-            unsure = set(zip(rows[band].tolist(), cols[band].tolist()))
-        cands = cols.tolist()
-        moved = np.zeros(len(sums), dtype=bool)   # screened ones changed in the block
-        changed: set[int] = set()
-        lat_l, lon_l = lat_b.tolist(), lon_b.tolist()
-        r = 0
-        while r < block.size:
-            la, lo = lat_l[r], lon_l[r]
-            target = -1
-            for c in sorted(changed.union(cands[bounds[r]:bounds[r + 1]])):
-                if c in changed or (r, c) in unsure:
-                    sla, slo, cnt = sums[c]
-                    if haversine_m(la, lo, sla / cnt, slo / cnt) > max_radius_m:
-                        continue
-                target = c
-                break
-            if target < 0:
+    cent = np.empty((3, 16))   # centroid unit vectors of the clusters, in the first len(sums)
+    bounds = _stays(idxs).tolist()
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        # a stay's samples are consecutive: its coordinates are slices, not gathers
+        off = int(idxs[start]) - start
+        lat, lon = traces.lat[off:off + end], traces.lon[off:off + end]
+        r = start
+        while r < end:
+            la, lo = float(lat[r]), float(lon[r])
+            target = _first_cluster(la, lo, units[:, r], sums, cent, max_radius_m,
+                                    inside, outside)
+            if target == len(sums):
                 sums.append([la, lo, 1.0])
-                target = len(sums) - 1
+                if target == cent.shape[1]:
+                    cent = np.concatenate([cent, np.empty_like(cent)], axis=1)
             else:
                 sums[target][0] += la
                 sums[target][1] += lo
                 sums[target][2] += 1.0
-            changed.add(target)
-            if target < moved.size:
-                moved[target] = True
-            run = 1
+            first, r, chunk = r, r + 1, RUN_CHUNK
+            while r < end:
+                stop = min(r + chunk, end)
+                run = _sure_run(lat[r:stop], lon[r:stop], units[:, r:stop], sums, target,
+                                cent[:, :target], inside, outside)
+                r += run
+                if r < stop:
+                    break
+                chunk *= RUN_GROWTH
+            joined[first:r] = target
             sla, slo, cnt = sums[target]
-            # a run pays for its numpy calls only if the next row surely joins too
-            if r + 1 < block.size and haversine_m(lat_l[r + 1], lon_l[r + 1], sla / cnt,
-                                                  slo / cnt) <= max_radius_m - SCREEN_TOL_M:
-                # it ends before the first row an unchanged lower cluster may take
-                rest = slice(bounds[r + 1], None)
-                held = rows[rest][(cols[rest] < target) & ~moved[cols[rest]]]
-                end = held[0] if held.size else block.size
-                run += _sure_run(lat_b[r + 1:end], lon_b[r + 1:end], units_b[:, r + 1:end], sums,
-                                 target, [c for c in changed if c < target], inside, outside)
-            joined[start + r:start + r + run] = target
-            r += run
+            cent[:, target] = unit_vectors(sla / cnt, slo / cnt)
     return sums, joined
 
 
-def _centroid_units(sums: list[list[float]]) -> np.ndarray:
-    """(3, k) unit vectors of the centroids of clusters given as [lat_sum, lon_sum, count]."""
-    cent = np.array(sums)
-    return unit_vectors(cent[:, 0] / cent[:, 2], cent[:, 1] / cent[:, 2])
+def _first_cluster(la: float, lo: float, unit: np.ndarray, sums: list[list[float]],
+                   cent: np.ndarray, max_radius_m: float, inside: float, outside: float) -> int:
+    """Index of the first cluster whose centroid lies within max_radius_m of
+    the sample (la, lo), with unit vector unit, or len(sums) when none does.
+
+    One chord2 call screens the sample against the centroid unit vectors cent;
+    in cluster order, a candidate surely within (squared chord at most
+    inside) is taken and one in the band is settled with haversine_m.
+    """
+    if sums:
+        c2 = chord2(unit, cent[:, :len(sums)])
+        for c in np.flatnonzero(c2 <= outside).tolist():
+            if c2[c] <= inside:
+                return c
+            sla, slo, cnt = sums[c]
+            if haversine_m(la, lo, sla / cnt, slo / cnt) <= max_radius_m:
+                return c
+    return len(sums)
 
 
 def _sure_run(lat: np.ndarray, lon: np.ndarray, units: np.ndarray, sums: list[list[float]],
-              t: int, lower: list[int], inside: float, outside: float) -> int:
+              t: int, lower: np.ndarray, inside: float, outside: float) -> int:
     """Join to cluster t, in place, the leading samples (lat, lon), with unit
     vectors units, that surely join it one after another; return how many.
 
     Sample i is taken while its squared chord to t's centroid after the i
-    samples before it is at most inside and its squared chord to the centroid
-    of every cluster in lower is above outside (the band's edges, see
-    _greedy_clusters). np.add.accumulate makes the same sequential additions
-    as joining one sample at a time, so the sums, and every centroid, are bit
-    for bit those of the per-sample path.
+    samples before it is at most inside and its squared chord to every
+    centroid unit vector in lower, those of clusters 0 .. t-1, is above
+    outside (the band's edges, see _greedy_clusters). np.add.accumulate
+    makes the same sequential additions as joining one sample at a time, so
+    the sums, and every centroid, are bit for bit those of the per-sample
+    path.
     """
-    if lat.size == 0:
-        return 0
     sla, slo, cnt = sums[t]
     lat_acc = np.add.accumulate(np.concatenate(([sla], lat)))
     lon_acc = np.add.accumulate(np.concatenate(([slo], lon)))
     cnts = cnt + np.arange(lat.size)
     run = _leading_true(chord2(units, unit_vectors(lat_acc[:-1] / cnts, lon_acc[:-1] / cnts))
                         <= inside)
-    if lower and run:
-        c2 = chord2(units[:, :run, None], _centroid_units([sums[c] for c in lower])[:, None, :])
+    if t and run:
+        c2 = chord2(units[:, :run, None], lower[:, None, :])
         run = _leading_true((c2 > outside).all(axis=1))
     sums[t] = [float(lat_acc[run]), float(lon_acc[run]), cnt + run]
     return run
@@ -568,10 +573,18 @@ def _nearest_disk(traces: TraceDataset, idxs: np.ndarray, pois: list[PoiCluster]
     """Index of the nearest POI whose disk holds sample idxs[k] (ties to the
     lower index), or -1.
 
-    Squared chords are screened in blocks of BLOCK_ROWS samples, so the full
-    sample x POI matrix never exists; haversine_m settles each row whose
-    nearest candidate is not surely inside its disk or is within the
-    screening band of another candidate.
+    The samples go in blocks of BLOCK_ROWS, so the temporaries do not grow
+    with the trace. In a block, its pieces of stays (_stays, cut at the
+    block's edges) are screened first. A piece's candidate is the POI
+    nearest its first sample; the piece is clear when, for every other POI
+    q, |p_cand - p_q| - far > chord(reach_q + SCREEN_TOL_M), far being the
+    largest chord from a sample of the piece to p_cand (chord lengths, not
+    squared). By the triangle inequality no sample of a clear piece then
+    lies in q's disk or its band, so each one surely inside the candidate's
+    disk takes the candidate. Every other sample of the block is screened
+    against all POIs; haversine_m settles each one whose nearest candidate
+    is not surely inside its disk or is within the screening band of
+    another candidate.
     """
     seq = np.full(idxs.size, -1, dtype=int)
     if not pois:
@@ -579,30 +592,50 @@ def _nearest_disk(traces: TraceDataset, idxs: np.ndarray, pois: list[PoiCluster]
     plat = np.array([poi.lat for poi in pois])
     plon = np.array([poi.lon for poi in pois])
     reach = np.array([poi.radius_m for poi in pois]) + COVER_TOL_M
-    poi_units = unit_vectors(plat, plon)[:, None, :]
+    poi_units = unit_vectors(plat, plon)
     # squared chords of each disk's band edges: surely inside, surely outside
     inside, outside = chord2_at_m(reach - SCREEN_TOL_M), chord2_at_m(reach + SCREEN_TOL_M)
+    # per candidate c, a clear piece's largest chord must lie below
+    # min over q != c of |p_c - p_q| - chord(reach_q + SCREEN_TOL_M)
+    clearance = np.sqrt(chord2(poi_units[:, :, None], poi_units[:, None, :])) - np.sqrt(outside)
+    np.fill_diagonal(clearance, np.inf)
+    clearance = clearance.min(axis=1)
     units = traces.screen_units(idxs)
+    stays = _stays(idxs)
     for start in range(0, idxs.size, BLOCK_ROWS):
-        block = idxs[start:start + BLOCK_ROWS]
-        c2 = chord2(units[:, start:start + BLOCK_ROWS, None], poi_units)
+        units_b = units[:, start:start + BLOCK_ROWS]
+        size = units_b.shape[1]
+        inner = stays[np.searchsorted(stays, start, "right"):np.searchsorted(stays, start + size)]
+        cuts = np.concatenate(([0], inner - start))
+        lens = np.diff(cuts, append=size)
+        cand = chord2(units_b[:, cuts, None], poi_units[:, None, :]).argmin(axis=1)
+        own = np.repeat(cand, lens)
+        c2 = chord2(units_b, poi_units[:, own])
+        clear = np.sqrt(np.maximum.reduceat(c2, cuts)) < clearance[cand]
+        sure = np.repeat(clear, lens) & (c2 <= inside[own])
+        out = seq[start:start + size]   # a view, written in place
+        out[sure] = own[sure]
+        rest = np.flatnonzero(~sure)
+        if not rest.size:
+            continue
+        c2 = chord2(units_b[:, rest, None], poi_units[:, None, :])
         c2[c2 > outside] = np.inf
         best = c2.argmin(axis=1)
-        c2_best = c2[np.arange(block.size), best]
+        c2_best = c2[np.arange(rest.size), best]
         found = np.isfinite(c2_best)
         # within two bands of the best distance: one arcsin per row, not per pair
         tie = chord2_at_m(chord2_to_m(c2_best) + 2.0 * SCREEN_TOL_M)
         unsure = found & ((c2_best > inside[best]) | ((c2 <= tie[:, None]).sum(axis=1) > 1))
-        out = np.where(found, best, -1)
+        out[rest] = np.where(found, best, -1)
         for r in np.nonzero(unsure)[0]:
-            la, lo = traces.lat[block[r]], traces.lon[block[r]]
+            k = idxs[start + rest[r]]
+            la, lo = traces.lat[k], traces.lon[k]
             nearest = None
             for j in np.nonzero(np.isfinite(c2[r]))[0]:
                 dist = haversine_m(la, lo, plat[j], plon[j])
                 if dist <= reach[j] and (nearest is None or dist < nearest[0]):
                     nearest = (dist, j)
-            out[r] = -1 if nearest is None else nearest[1]
-        seq[start:start + block.size] = out
+            out[rest[r]] = -1 if nearest is None else nearest[1]
     return seq
 
 

@@ -137,7 +137,8 @@ def _simplex_phase(a, b, c, basis, max_iter, tol):
     REFACTOR_EVERY pivots. An optimal or unbounded verdict is confirmed by
     dense solves on the final basis, and x_basic comes from those solves.
     Returns (status, x_basic, iterations, basis_inverse) with status in
-    {"optimal", "unbounded", "stalled"}.
+    {"optimal", "unbounded", "stalled"}; a basis found singular by the
+    refactorization or a confirming solve ends the phase as "stalled".
     """
     m = a.shape[0]
     it = 0
@@ -145,15 +146,21 @@ def _simplex_phase(a, b, c, basis, max_iter, tol):
     while it < max_iter:
         it += 1
         if age >= REFACTOR_EVERY:
-            binv = np.linalg.inv(a[:, basis])
+            try:
+                binv = np.linalg.inv(a[:, basis])
+            except np.linalg.LinAlgError:   # the pivots reached a singular basis
+                return "stalled", None, it, None
             age = 0
         xb, entering, d = _bland_prices(a, b, c, basis, tol,
                                         lambda v: binv @ v, lambda v: v @ binv)
         if entering < 0 or not np.any(d > tol):
             bmat = a[:, basis]
-            xb, entering, d = _bland_prices(a, b, c, basis, tol,
-                                            lambda v: np.linalg.solve(bmat, v),
-                                            lambda v: np.linalg.solve(bmat.T, v))
+            try:
+                xb, entering, d = _bland_prices(a, b, c, basis, tol,
+                                                lambda v: np.linalg.solve(bmat, v),
+                                                lambda v: np.linalg.solve(bmat.T, v))
+            except np.linalg.LinAlgError:
+                return "stalled", None, it, None
             if entering < 0:
                 return "optimal", xb, it, binv
             if not np.any(d > tol):
@@ -177,7 +184,8 @@ def solve_lp(lp: LinearProgram, tol: float = OPT_TOL, max_iter: int | None = Non
     """Two-phase dense simplex. Deterministic for identical input.
 
     The iteration budget defaults to 50 * (n_vars + 2 n_rows + 2); exceeding
-    it yields status "stalled" rather than a wrong answer.
+    it, or pivoting onto a singular basis, yields status "stalled" rather
+    than a wrong answer or an exception.
     """
     c, a, b = _to_standard_form(lp)
     m, n = a.shape

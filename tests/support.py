@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 
+from lppm.baselines import _posterior_map, _row_constraints
 from lppm.geo import EARTH_RADIUS_M, haversine_m
 from lppm.mdp import ActionMeta, NonErgodicError, StateMeta, UnichainReport, make_mdp
 from lppm.metrics import entropy, expected_inference_error, max_dp_ratio, secret_mass
 from lppm.mobility import COVER_TOL_M, PoiCluster, TraceDataset, stationary_flags
-from lppm.optim import (FW_GAP_TOL, OPT_TOL, FwResult, LpSolution, argmax_vertex,
-                        constraint_violation)
+from lppm.optim import (FW_GAP_TOL, OPT_TOL, FwResult, LinearProgram, LpSolution,
+                        argmax_vertex, constraint_violation)
 from lppm.serialize import dumps_canonical
 
 
@@ -825,3 +826,25 @@ def loop_nested(array):
     """Reference for serialize._nested: one float() per entry."""
     return ([float(v) for v in array] if array.ndim == 1
             else [loop_nested(row) for row in array])
+
+
+def ratio_dp_lp(mdp, belief, p_user, eps_dp):
+    """The dp baseline's LP in ratio form, over (mechanism pairs, U, L).
+
+    For a belief with no zero entry, r_i = (Phi^T f)_i / b_i; rows
+    r_i - U <= 0, L - r_i <= 0 and U - e^eps L <= 0 (2n + 1 rows), the
+    mechanism's row sums as equalities, and the dp baseline's cost with 0, 0
+    for U and L.
+    """
+    states, actions = mdp.pair_index()
+    phi = _posterior_map(mdp, belief, p_user)
+    ratio = (phi / belief).T
+    n, k = ratio.shape
+    one, zero = np.ones((n, 1)), np.zeros((n, 1))
+    bound_row = np.concatenate([np.zeros(k), [1.0, -math.exp(eps_dp)]])
+    a_ub = np.vstack([np.hstack([ratio, -one, zero]), np.hstack([-ratio, zero, one]),
+                      bound_row[None, :]])
+    a_eq, b_eq = _row_constraints(mdp)
+    c = np.concatenate([p_user[states] * mdp.utility[states, actions], [0.0, 0.0]])
+    return LinearProgram(c, a_ub=a_ub, b_ub=np.zeros(2 * n + 1),
+                         a_eq=np.hstack([a_eq, np.zeros((n, 2))]), b_eq=b_eq)

@@ -7,6 +7,7 @@ import pytest
 from lppm import baselines as bl, serialize
 from lppm.cli import main
 from lppm.mdp import make_mdp
+from lppm.optim import LpSolution
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
 from lppm.synthesis import SynthesisResult
 from support import (action_independent_mdp, binding_spec, csv_write_belief_csv,
@@ -375,6 +376,17 @@ class TestBaselines:
         rc, _, err = run(capsys, "baselines", "--model", str(tmp_path / "mdp.json"),
                          "--horizon", "3", "--kind", "max_entropy", "--out", str(tmp_path))
         assert (rc, err) == (0, "")
+
+    @pytest.mark.parametrize("kind,lp", [("dp", "dp"),
+                                         ("max_inference_error", "inference-error")])
+    def test_stalled_lp_is_one_error_line_exit_3(self, tmp_path, capsys, monkeypatch, kind, lp):
+        monkeypatch.setattr(bl, "solve_lp", lambda _lp: LpSolution("stalled", None, None, 17))
+        rc, out, err = run(capsys, "baselines", "--fixture", "campus", "--horizon", "2",
+                           "--kind", kind, "--out", str(tmp_path))
+        assert rc == 3
+        assert err == f"error: {kind}: the {lp} LP stalled after 17 pivots; feasibility unknown\n"
+        assert "infeasible" not in err and out == ""
+        assert not (tmp_path / f"baseline_{kind}.csv").exists()
 
     @staticmethod
     def explicit_config(tmp_path):

@@ -14,12 +14,13 @@ from lppm import mobility
 from lppm import geo
 from lppm.geo import chord2, chord2_at_m, haversine_m, offset_latlon, unit_vectors
 from lppm.mdp import check_unichain_exhaustive
-from lppm.mobility import (BLOCK_ROWS, CLUSTER_BLOCK, COVER_TOL_M, ClusterParams,
+from lppm.mobility import (BLOCK_ROWS, COVER_TOL_M, RUN_CHUNK, RUN_GROWTH, ClusterParams,
                            CloakRegion, EmptyPoiError, ParameterError,
                            PoiCluster, TraceDataset, assemble_mdp,
                            build_cloaks, build_model_from_traces,
                            estimate_transitions, extract_pois, parse_traces,
                            stationary_flags, write_poi_summary)
+from lppm.serialize import save_mdp
 from support import (restart_merge_close, scalar_estimate_transitions, scalar_extract_pois,
                      scalar_nearest_disk, strptime_parse_traces)
 
@@ -738,6 +739,21 @@ def slow_trace(points):
     return TraceDataset(lat, lon, np.arange(lat.size) * 1e5)
 
 
+def stays_trace(*stays):
+    """Dataset of the given stays, lists of points (lat, lon): each stay's
+    samples 1e5 s apart, so stationary at the default 1 m/s, after a sample
+    10 km north of the reference that arrives at 10 km/s, so not stationary.
+    Each stay is one run of consecutive stationary samples."""
+    moving = offset_latlon(REF[0], REF[1], 0.0, 10000.0)
+    lat, lon, t = [], [], []
+    for stay in stays:
+        for k, (la, lo) in enumerate([moving] + list(stay)):
+            t.append(t[-1] + (1e5 if k else 1.0) if t else 0.0)
+            lat.append(la)
+            lon.append(lo)
+    return TraceDataset(np.array(lat), np.array(lon), np.array(t))
+
+
 def mean_of(points):
     """Centroid of points as the clustering forms it: sums in order over the count."""
     sla = slo = 0.0
@@ -768,8 +784,11 @@ class TestScalarOracle:
         load_trace_script().write_traces(path, seed)
         traces = parse_traces(path)
         params = ClusterParams()
-        # longer than a block of either screen
-        assert stationary_flags(traces, params).sum() > max(BLOCK_ROWS, CLUSTER_BLOCK)
+        # longer than a block of the visit-sequence screen, with stays whose
+        # runs go on past the first two chunks
+        idxs = np.flatnonzero(stationary_flags(traces, params))
+        assert idxs.size > BLOCK_ROWS
+        assert np.diff(mobility._stays(idxs)).max() > RUN_CHUNK * (1 + RUN_GROWTH)
         assert_matches_oracle(traces, params)
         # small join radius: many clusters, many merges, samples on cluster fringes
         assert len(assert_matches_oracle(traces, ClusterParams(max_radius_m=2.0,
@@ -799,13 +818,11 @@ class TestScalarOracle:
 
     def test_sample_on_cluster_boundary(self):
         a, b = (40.0, -74.0), (40.0005, -74.0003)
-        # the first block fills cluster 0 at a; b opens the next block, so
-        # the block-start screen decides it up to the band
-        traces = slow_trace([a] * (CLUSTER_BLOCK + 1) + [b])
-        sla = slo = 0.0
-        for _ in range(CLUSTER_BLOCK):
-            sla, slo = sla + a[0], slo + a[1]
-        d = haversine_m(b[0], b[1], sla / CLUSTER_BLOCK, slo / CLUSTER_BLOCK)
+        # a stay fills cluster 0 at a; b opens the next stay, so the screen
+        # against the centroid unit vectors decides it up to the band
+        n = RUN_CHUNK * (1 + RUN_GROWTH) + 10
+        traces = stays_trace([a] * n, [b])
+        d = haversine_m(b[0], b[1], *mean_of([a] * n))
         for radius, n_clusters in ((d, 1), (np.nextafter(d, 0.0), 2)):
             params = ClusterParams(max_radius_m=radius, min_dist_m=0.0, min_stay_h=0.0)
             assert len(assert_matches_oracle(traces, params)) == n_clusters
@@ -827,16 +844,15 @@ class TestScalarOracle:
             assert (counts == ref_counts).all() and (p == ref_p).all()
             assert counts[0, 2] == 1.0
 
-    def test_join_to_centroid_moved_within_block(self):
+    def test_join_to_centroid_moved_by_a_run(self):
         home = (40.0, -74.0)
         away = offset_latlon(40.0, -74.0, 10000.0, 0.0)
         east60 = offset_latlon(40.0, -74.0, 60.0, 0.0)
         east140 = offset_latlon(40.0, -74.0, 140.0, 0.0)
-        # first block: one sample at home, the rest far away; second block:
-        # samples 60 m east drag the home centroid east, then a sample 140 m
-        # east is out of reach of the block-start centroid but within reach
-        # of the moved one
-        points = [home, home] + [away] * (CLUSTER_BLOCK - 1) + [east60] * 100 + [east140]
+        # a run of samples 60 m east drags the home centroid east; after a run
+        # far away, a sample 140 m east is out of reach of home but within
+        # reach of the moved centroid, which the decision must screen against
+        points = [home, home] + [east60] * 100 + [away] * 10 + [east140]
         traces = slow_trace(points)
         params = ClusterParams(min_dist_m=0.0, min_stay_h=0.0)
         pois = assert_matches_oracle(traces, params)
@@ -850,36 +866,45 @@ class TestScalarOracle:
 
     def test_run_drifts_out_of_radius(self):
         # each sample 3 m east of the last: the running centroid lags behind
-        # and a sample leaves its radius every ~65 samples, mid-block
-        traces = slow_trace(self.planar(3.0 * np.arange(2 * CLUSTER_BLOCK + 50)))
+        # and a sample leaves its radius every ~65 samples, inside a chunk
+        traces = slow_trace(self.planar(3.0 * np.arange(RUN_CHUNK * (1 + RUN_GROWTH) + 50)))
         params = ClusterParams(min_dist_m=0.0, min_stay_h=0.0)
         assert len(assert_matches_oracle(traces, params)) > 6
 
-    def test_run_crosses_block_boundary(self, monkeypatch):
+    def test_run_crosses_chunk_boundaries(self, monkeypatch):
         rng = np.random.default_rng(7)
-        xy = rng.uniform(-20.0, 20.0, size=(3 * CLUSTER_BLOCK, 2))
+        xy = rng.uniform(-20.0, 20.0, size=(RUN_CHUNK * (1 + RUN_GROWTH) + 200, 2))
         traces = slow_trace([offset_latlon(40.0, -74.0, x, y) for x, y in xy])
         params = ClusterParams(min_dist_m=0.0, min_stay_h=0.0)
-        calls = []
+        calls, decisions, chunks = [], [], []
         monkeypatch.setattr(mobility, "haversine_m",
                             lambda *args: calls.append(args) or haversine_m(*args))
+        first_cluster, sure_run = mobility._first_cluster, mobility._sure_run
+        monkeypatch.setattr(mobility, "_first_cluster",
+                            lambda *args: decisions.append(1) or first_cluster(*args))
+        monkeypatch.setattr(mobility, "_sure_run",
+                            lambda *args: chunks.append(args[0].size) or sure_run(*args))
         pois, _ = extract_pois(traces, params)
-        # one decided sample per block, the rest joined in runs
-        assert len(pois) == 1 and len(calls) < 10
+        # one decided sample, the rest joined in one run of growing chunks
+        # that ends at the end of the stay (the first sample is not stationary)
+        assert len(pois) == 1 and len(calls) < 10 and len(decisions) == 1
+        assert chunks == [RUN_CHUNK, RUN_CHUNK * RUN_GROWTH, 200 - 2]
         monkeypatch.undo()
         assert assert_matches_oracle(traces, params) == pois
 
-    @pytest.mark.parametrize("same_block", [False, True])
-    def test_lower_cluster_reachable_mid_run(self, same_block):
+    @pytest.mark.parametrize("same_stay", [False, True])
+    def test_lower_cluster_reachable_mid_run(self, same_stay):
         home, work, between = self.planar([0.0, 150.0, 75.0])
         # a run joins samples at work to cluster 1 until a sample within reach
-        # of both centroids, which goes to cluster 0; home's cluster is either
-        # unchanged since the block start or changed within the block
-        if same_block:
+        # of both centroids, which goes to cluster 0; home's cluster formed
+        # either in an earlier stay or earlier in the same stay
+        if same_stay:
             points = [home] * 10 + [work] * 100 + [between] + [work] * 20
+            traces = slow_trace(points)
         else:
-            points = [home] * 2 + [work] * CLUSTER_BLOCK + [between] + [work] * 20
-        traces = slow_trace(points)
+            points = [home] * 2 + [work] * 300 + [between] + [work] * 20
+            traces = stays_trace(points[:2], points[2:])
+            points = [None] + points[:2] + [None] + points[2:]   # as the samples lie
         params = ClusterParams(min_dist_m=0.0, min_stay_h=0.0)
         pois = assert_matches_oracle(traces, params)
         _, assignment = extract_pois(traces, params)
@@ -932,7 +957,7 @@ class TestScalarOracle:
         center = mean_of([home] * 10)
         edge, d = self.screen_disagrees(center, 1.17e-3, above=True)  # ~100 m east
         # during a run at work, `edge` lies on the radius of home's cluster,
-        # which changed in the same block; the screen puts it just beyond
+        # a lower cluster; the screen puts it just beyond
         points = [home] * 11 + [work] * 20 + [edge] + [work] * 5
         traces = slow_trace(points)
         params = ClusterParams(max_radius_m=d, min_dist_m=0.0, min_stay_h=0.0)
@@ -984,16 +1009,22 @@ class TestOncePerTrace:
         assert callers == ["step_distances_m"]
 
     def test_sample_vectors_once(self, trace_path, monkeypatch):
-        sizes, units = [], mobility.unit_vectors
-        monkeypatch.setattr(mobility, "unit_vectors",
-                            lambda lat, lon: sizes.append(np.size(lat)) or units(lat, lon))
+        callers, units = [], mobility.unit_vectors
+
+        def counted(lat, lon):
+            callers.append((sys._getframe(1).f_code.co_name, np.size(lat)))
+            return units(lat, lon)
+
+        monkeypatch.setattr(mobility, "unit_vectors", counted)
         traces = parse_traces(trace_path)
         n_stationary = int(stationary_flags(traces, ClusterParams()).sum())
-        assert n_stationary > max(BLOCK_ROWS, CLUSTER_BLOCK)
+        assert n_stationary > BLOCK_ROWS
         pois, _ = extract_pois(traces, ClusterParams())
         estimate_transitions(traces, pois, ClusterParams())
-        # the rest are centroids: of the clusters, of a run, of the POIs
-        assert [n for n in sizes if n > CLUSTER_BLOCK] == [n_stationary]
+        assert [c for c in callers if c[0] == "screen_units"] == [("screen_units", n_stationary)]
+        # the rest are centroids: of a cluster, of a run, of the POIs
+        assert {name for name, _ in callers} == {"screen_units", "_greedy_clusters",
+                                                 "_sure_run", "_nearest_disk"}
 
     def test_speeds_are_step_distances_over_time(self, trace_path):
         traces = parse_traces(trace_path)
@@ -1004,6 +1035,123 @@ class TestOncePerTrace:
         keep = np.arange(speeds.size) != 4
         assert speeds[keep].tobytes() == (dist[keep] / np.diff(traces.t)[keep]).tobytes()
         assert traces.speeds is speeds
+
+
+class TestStays:
+    """Both trace screens work a stay, a run of consecutive stationary
+    samples, at a time; every answer equals the scalar oracles' exactly."""
+
+    @staticmethod
+    def assert_nearest_disk_matches(traces, pois, params=ClusterParams()):
+        idxs = np.flatnonzero(stationary_flags(traces, params))
+        seq = mobility._nearest_disk(traces, idxs, pois)
+        np.testing.assert_array_equal(seq, scalar_nearest_disk(traces, pois, params))
+        return seq.tolist()
+
+    @staticmethod
+    def planar(*xs_m):
+        return [offset_latlon(REF[0], REF[1], x, 0.0) for x in xs_m]
+
+    def test_first_sample_nearer_another_poi(self):
+        pois = [poi_at(0.0, 0.0, 60.0), poi_at(100.0, 0.0, 60.0)]
+        # each stay's first sample makes one POI its candidate (inside its
+        # disk or outside both); later samples lie where the disks overlap
+        # and are nearer the other POI
+        traces = stays_trace(self.planar(95.0, 45.0, 0.0, 42.0),
+                             self.planar(170.0, 45.0, 55.0),
+                             self.planar(5.0, 58.0, 95.0))
+        assert self.assert_nearest_disk_matches(traces, pois) == [
+            1, 0, 0, 0, -1, 0, 1, 0, 1, 1]
+
+    @pytest.mark.parametrize("overlap_m", [0.0, 0.5])
+    def test_disks_nearly_touch(self, overlap_m):
+        a, b = poi_at(0.0, 0.0, 50.0), poi_at(100.0, 0.0, 50.0)
+        # the disks touch to a hair's width, or overlap by half a metre: no
+        # stay near one is clear of the other, so its samples are settled one
+        # by one
+        b.lon = np.nextafter(b.lon, np.inf)
+        edge = haversine_m(a.lat, a.lon, b.lat, b.lon) / 2.0
+        a.radius_m = b.radius_m = edge + overlap_m
+        stays = [self.planar(0.0, 20.0, edge - 0.2, edge, edge + 0.2, 49.0),
+                 self.planar(100.0, 60.0, edge, 51.0, 50.0, edge - 0.2),
+                 self.planar(edge, edge + 1e-7, edge - 1e-7)]
+        seq = self.assert_nearest_disk_matches(stays_trace(*stays), [a, b])
+        assert seq[:2] == [0, 0] and seq[6] == 1
+        assert self.assert_nearest_disk_matches(stays_trace(*stays), [b, a])[6] == 0
+
+    def test_sample_in_the_band_of_another_disk(self):
+        a, b = poi_at(0.0, 0.0, 70.0), poi_at(100.0, 0.0, 40.0)
+        (x,) = self.planar(60.0 - 5e-7)
+        # x lies surely inside a's disk and inside b's by less than the band,
+        # nearer b: no stay holding it is clear of b
+        b.radius_m = haversine_m(*x, b.lat, b.lon) - 5e-7
+        traces = stays_trace([(a.lat, a.lon), x], [x, (a.lat, a.lon)])
+        assert self.assert_nearest_disk_matches(traces, [a, b]) == [0, 1, 1, 0]
+
+    def test_stay_half_inside_a_disk(self):
+        pois = [poi_at(0.0, 0.0, 40.0), poi_at(5000.0, 0.0, 40.0)]
+        xs = np.arange(0.0, 81.0, 4.0)
+        # clear of the far POI: the samples surely inside take the candidate,
+        # the rest (the one on the edge too) are settled one by one
+        seq = self.assert_nearest_disk_matches(stays_trace(self.planar(*xs)), pois)
+        dist = [haversine_m(la, lo, pois[0].lat, pois[0].lon) for la, lo in self.planar(*xs)]
+        assert seq == [0 if d <= 40.0 + COVER_TOL_M else -1 for d in dist]
+        assert seq.count(0) == 11
+
+    def test_stay_of_a_dropped_cluster(self):
+        home, work, shop = self.planar(0.0, 3000.0, 150.0)
+        # the stay at the shop makes a cluster too short to keep; its samples
+        # lie near home's disk but outside it
+        traces = stays_trace([home] * 10, [work] * 10, [shop] * 2, [home] * 3)
+        params = ClusterParams(min_dist_m=100.0, min_stay_h=100.0)
+        pois = assert_matches_oracle(traces, params)
+        assert len(pois) == 2
+        assert self.assert_nearest_disk_matches(traces, pois, params) == \
+            [0] * 10 + [1] * 10 + [-1] * 2 + [0] * 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_stays_near_pois(self, seed):
+        rng = np.random.default_rng(seed)
+        pois = [poi_at(x, y, r) for (x, y), r in zip(rng.uniform(-150.0, 150.0, (6, 2)),
+                                                    rng.uniform(5.0, 60.0, 6))]
+        stays = []
+        for _ in range(40):
+            cx, cy = rng.uniform(-200.0, 200.0, 2)
+            xy = rng.normal((cx, cy), rng.uniform(0.0, 30.0), (int(rng.integers(1, 60)), 2))
+            stays.append([offset_latlon(REF[0], REF[1], x, y) for x, y in xy])
+        self.assert_nearest_disk_matches(stays_trace(*stays), pois)
+
+    def test_one_decision_per_stay_on_a_benchmark_trace(self, monkeypatch):
+        gen = load_module("perfbench_gen", ROOT / "perfbench" / "gen.py")
+        trace = gen.make_trace(5, 0, 10, 50_000)
+        traces = TraceDataset(trace.lat, trace.lon, trace.t)
+        params = ClusterParams()
+        idxs = np.flatnonzero(stationary_flags(traces, params))
+        decisions, first_cluster = [], mobility._first_cluster
+        monkeypatch.setattr(mobility, "_first_cluster",
+                            lambda *args: decisions.append(1) or first_cluster(*args))
+        extract_pois(traces, params)
+        n_stays = mobility._stays(idxs).size - 1
+        assert n_stays > 100 and len(decisions) <= 2 * n_stays
+
+    @pytest.mark.parametrize("seed", [5, 77, 1501])
+    def test_benchmark_shapes_match_scalar_pipeline(self, tmp_path, seed):
+        gen = load_module("perfbench_gen", ROOT / "perfbench" / "gen.py")
+        params = ClusterParams()
+        for user, (places, samples, fmt) in enumerate([(3, 4_000, "csv"), (4, 4_000, "plt")]):
+            path = tmp_path / f"user{user}.{fmt}"
+            (gen.write_plt if fmt == "plt" else gen.write_csv)(
+                gen.make_trace(seed, user, places, samples), path)
+            mdp, pois, cloaks, diag = build_model_from_traces(path, params)
+            traces = strptime_parse_traces(path)
+            ref_pois, _ = scalar_extract_pois(traces, params)
+            ref_cloaks = build_cloaks(ref_pois, params)
+            counts, p = scalar_estimate_transitions(traces, ref_pois, params)
+            assert pois == ref_pois and cloaks == ref_cloaks
+            assert diag["visit_transitions"] == int(counts.sum()) > 0
+            save_mdp(mdp, tmp_path / "mdp.json")
+            save_mdp(assemble_mdp(ref_pois, ref_cloaks, p), tmp_path / "ref.json")
+            assert (tmp_path / "mdp.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def random_walk(seed, n, step_m, jump_p=0.0, box_m=4000.0):

@@ -10,10 +10,36 @@ from lppm.synthesis import synthesize_eps_private
 from support import (action_independent_mdp, binding_spec, bisection_frank_wolfe,
                      brute_force_lp, loop_to_standard_form, random_bounded_lp,
                      random_entropy_problem, random_simplex_lp, random_sparse_mdp,
-                     record_synthesis_lps, refactorizing_solve_lp)
+                     ratio_dp_lp, record_synthesis_lps, refactorizing_solve_lp)
+from test_mobility import ROOT, load_module
 
 
 class TestSolveLp:
+    def test_singular_basis_returns_a_status(self):
+        # the ratio-form dp LP of the uniform prior on a generated n=48 model:
+        # the pivots reach a basis the refactorization finds singular
+        gen = load_module("perfbench_gen", ROOT / "perfbench" / "gen.py")
+        mdp = gen.make_model(501, 0, 48)
+        uniform = np.full(mdp.n_states, 1.0 / mdp.n_states)
+        lp = ratio_dp_lp(mdp, uniform, uniform, 3.0)
+        sol = solve_lp(lp)
+        assert sol.status in ("optimal", "stalled")
+        if sol.status == "optimal":
+            assert sol.objective == pytest.approx(1159.869, rel=1e-6)
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        highs = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                        method="highs")
+        assert highs.status == 0 and highs.fun == pytest.approx(1159.869, abs=1e-3)
+
+    def test_singular_confirming_solve_returns_stalled(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        lp = LinearProgram(c=np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([-3.0]))
+        assert solve_lp(lp).status == "optimal"
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert solve_lp(lp).status == "stalled"
+
     def test_min_x_above_three(self):
         # min x s.t. x >= 3, via -x <= -3
         lp = LinearProgram(c=np.array([1.0]), a_ub=np.array([[-1.0]]),

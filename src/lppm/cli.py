@@ -2,8 +2,9 @@
 
 Subcommands: build (traces to model), synthesize (policy synthesis),
 simulate (belief and quality rollout for a synthesized policy), verify
-(invariance check plus certificate on a stored result), baselines
-(per-step obfuscation mechanisms on a model).
+(re-checks the claim of a stored result: invariance plus certificate, or
+an asymptotic result's limit belief), baselines (per-step obfuscation
+mechanisms on a model).
 
 Exit codes: 0 success, 1 missing or invalid input, 2 empty POI set,
 3 infeasible synthesis or mechanism, or an LP that stalled (feasibility
@@ -23,13 +24,15 @@ import numpy as np
 
 from . import baselines as bl
 from . import fixtures, mobility, serialize
-from .adversary import adversary_matrix, belief_trajectory, write_belief_csv
+from .adversary import (adversary_matrix, belief_trajectory, stationary_belief,
+                        write_belief_csv)
 from .mdp import (UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, induce_chain,
                   occupancy_from_policy, validate_policy)
 from .metrics import (PrivacySpec, distance_matrix_from_meta, mass_bound_check,
                       secret_mass_series, write_metric_series)
 from .optim import FW_GAP_TOL
-from .synthesis import (ASYMPTOTIC_MARGIN, InfeasibleSynthesisError, synthesize_asymptotic,
+from .synthesis import (ASYMPTOTIC_MARGIN, VERIFY_SLACK, ActionDependentModelError,
+                        InfeasibleSynthesisError, synthesize_asymptotic,
                         synthesize_eps_private, synthesize_unconstrained,
                         theorem1_certificate, verify_invariance)
 
@@ -293,7 +296,7 @@ def cmd_synthesize(args):
         elif mode == "eps_private":
             result = synthesize_eps_private(mdp, spec)
         else:
-            result = synthesize_asymptotic(mdp, spec, seed=_number(args, config, "seed", 0, int))
+            result = synthesize_asymptotic(mdp, spec)
     except InfeasibleSynthesisError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         for key, value in exc.diagnosis.items():
@@ -301,16 +304,12 @@ def cmd_synthesize(args):
         return EXIT_INFEASIBLE
     except NotUnichainError as exc:
         raise CliError(f"model is not unichain: {exc}")
+    except ActionDependentModelError as exc:
+        raise CliError(str(exc))
     if result.diagnostics.get("unichain") == "budget_exceeded":
         print(f"warning: unichain check skipped: the model has more than {UNICHAIN_BUDGET} "
               f"distinct deterministic policy chains, so a policy with a reducible chain "
               f"was not ruled out", file=sys.stderr)
-    starts = result.diagnostics.get("starts", [])
-    unconverged = sum(start["status"] != "converged" for start in starts)
-    if unconverged:
-        print(f"warning: {unconverged} of {len(starts)} asymptotic starts ended without "
-              f"converging, so the cost is that of the best safe start, not a proven "
-              f"optimum", file=sys.stderr)
     serialize.save_result(result, out / "result.json")
     line = f"mode={result.mode} average_cost={result.average_cost:.6f}"
     if result.certificate is not None:
@@ -390,6 +389,19 @@ def cmd_verify(args):
               f"(max abs difference {drift:.3g} > {THETA_TOL:g})", file=sys.stderr)
         return EXIT_INTERNAL
     chain = adversary_matrix(mdp, result.theta)
+    if result.mode == "asymptotic":  # the claim: an ergodic chain whose limit is b_inf, safe
+        try:
+            b_inf = stationary_belief(chain)
+        except NonErgodicError:
+            raise CliError("the result's belief chain is not ergodic, so it has no limit belief")
+        mass = float(spec.selector(mdp.n_states) @ b_inf)
+        gap = (float(np.max(np.abs(b_inf - result.b_inf)))
+               if np.shape(result.b_inf) == b_inf.shape else np.inf)
+        holds = mass <= spec.epsilon + VERIFY_SLACK and gap <= VERIFY_SLACK
+        print(f"limit check: secret mass of the limit belief = {mass:.9f} "
+              f"(epsilon {spec.epsilon})\nstored b_inf: max abs difference {gap:.3e}\n"
+              f"holds in the limit: {holds}")
+        return EXIT_OK if holds else EXIT_INPUT
     verdict = verify_invariance(chain, spec)
     cert = theorem1_certificate(chain, spec)
     print(f"direct check: worst one-step secret mass from the safe set "
@@ -481,7 +493,6 @@ def build_parser():
     p.add_argument("--mode", choices=["unconstrained", "eps_private", "asymptotic"])
     p.add_argument("--epsilon", type=float)
     p.add_argument("--secret", help="secret states, labels or indices")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("simulate", help="roll out beliefs and quality for a result")

@@ -335,6 +335,16 @@ def check_unichain_exhaustive(mdp: Mdp, budget: int = UNICHAIN_BUDGET) -> Unicha
     return UnichainReport("unichain", None, checked)
 
 
+def action_independent_rows(mdp: Mdp) -> np.ndarray | None:
+    """The user chain p, p[s] = T(s, a, .) for every a in A(s), when each state's
+    available rows equal its first bit for bit (as the unichain check compares
+    them); None when moving depends on the action."""
+    states, _ = mdp.pair_index()
+    first = np.searchsorted(states, np.arange(mdp.n_states))
+    bits = np.ascontiguousarray(mdp.rows).view(np.uint64)
+    return mdp.rows[first] if np.array_equal(bits, bits[first[states]]) else None
+
+
 def average_cost(mdp: Mdp, theta: np.ndarray) -> float:
     """Expected quality loss per step under an occupancy measure."""
     return float(np.sum(np.asarray(theta) * mdp.utility))

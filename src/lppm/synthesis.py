@@ -5,9 +5,10 @@ most epsilon) is invariant under the adversary's belief chain. That check
 and the equivalent one-row linear certificate are closed forms in the
 chain's largest secret and non-secret inflows, and the certificate rows are
 linear in the occupancy measure, so optimal all-time private policies come
-out of a single LP. The asymptotic variant only pins the limit belief and is
-bilinear, so it runs a seeded multi-start alternation between the policy LP
-and the exact stationary belief.
+out of a single LP. The asymptotic variant only pins the limit belief. When
+moving ignores the reported action, as in every model the package builds,
+that limit has a closed form whose constraint splits into convex and concave
+terms, and a deterministic convex-concave descent over a few LPs solves it.
 """
 from __future__ import annotations
 
@@ -16,14 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversary import adversary_matrix, stationary_belief
-from .mdp import (Mdp, NonErgodicError, NotUnichainError, average_cost,
-                  check_unichain_exhaustive, occupancy_from_policy, policy_from_theta,
-                  pushforward, scatter_pairs)
+from .mdp import (Mdp, NonErgodicError, NotUnichainError, action_independent_rows,
+                  average_cost, check_unichain_exhaustive, occupancy_from_policy,
+                  policy_from_theta, scatter_pairs, stationary_distribution, uniform_policy)
 from .metrics import PrivacySpec
 from .optim import LinearProgram, LpSolution, solve_lp
 
 VERIFY_SLACK = 1e-9
 ASYMPTOTIC_MARGIN = 1e-3  # the asymptotic mode keeps limit beliefs this far inside epsilon
+CUT_TOL = 1e-8  # relative fit of the asymptotic secret cuts; above solve_lp's FEAS_TOL
+DESCENT_TOL = 1e-12  # an asymptotic descent step must gain more than this share
 
 
 class InfeasibleSynthesisError(RuntimeError):
@@ -32,6 +35,10 @@ class InfeasibleSynthesisError(RuntimeError):
     def __init__(self, message: str, diagnosis: dict | None = None):
         super().__init__(message)
         self.diagnosis = diagnosis or {}
+
+
+class ActionDependentModelError(ValueError):
+    """The model's moves depend on the reported action; the asymptotic mode needs them not to."""
 
 
 @dataclass
@@ -279,115 +286,136 @@ def _diagnose_infeasible(a_eq, b_eq, a_ub, b_ub) -> dict:
             "violations": v.copy(), "elastic_status": "optimal"}
 
 
-def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec, n_starts: int = 16, seed: int = 0,
-                          max_rounds: int = 200,
-                          margin: float = ASYMPTOTIC_MARGIN) -> SynthesisResult:
+def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
     """Minimum-loss policy whose limit belief keeps the secret mass below epsilon.
 
-    The limit-belief constraint couples the policy and its stationary belief
-    bilinearly, so each start alternates (i) an LP in the occupancy measure
-    and a safe belief variable, with the belief chain applied to the previous
-    belief iterate and an L1 penalty tying the two, and (ii) the exact
-    stationary belief of the freshly synthesized chain. The small margin
-    keeps successful limits strictly inside the safe region.
+    Needs moves that ignore the action, T(s, a, .) = p(s, .). Then theta(s, .)
+    sums to pi(s), the stationary law of p, and the limit belief is
+    proportional to pi / F, where F_s >= pi(s), the frequency of the actions
+    usable at s, is linear in theta. _LimitDescent runs from two fixed starts,
+    the uniform policy and the all-time private policy at epsilon minus the
+    margin, and the cheaper end point is kept, the first on a tie.
     """
-    diagnostics: dict = {"starts": [], "margin": margin}
+    p = action_independent_rows(mdp)
+    if p is None:
+        states, _ = mdp.pair_index()
+        first = np.searchsorted(states, states)
+        bad = next(s for k, s in enumerate(states)
+                   if mdp.rows[k].tobytes() != mdp.rows[first[k]].tobytes())
+        raise ActionDependentModelError(f"asymptotic mode needs moves that ignore the reported "
+                                        f"action, but the rows of state {bad} differ")
+    diagnostics: dict = {"margin": ASYMPTOTIC_MARGIN}
     _require_unichain(mdp, diagnostics)
-    n = mdp.n_states
-    sel = spec.selector(n)
-    eps_eff = spec.epsilon - margin
+    eps_eff = spec.epsilon - ASYMPTOTIC_MARGIN
     if eps_eff <= 0.0:
         raise ValueError("margin leaves no feasible belief region")
-    _, actions = mdp.pair_index()
-    np_ = len(actions)
-    nv = np_ + 2 * n  # theta pairs, belief b, residual slack r
-    a_eq_base, b_eq_base = _base_constraints(mdp, 2 * n)
-    # belief simplex and safety rows
-    b_simplex = np.zeros((1, nv))
-    b_simplex[0, np_:np_ + n] = 1.0
-    a_eq = np.vstack([a_eq_base, b_simplex])
-    b_eq = np.concatenate([b_eq_base, [1.0]])
-    safety = np.zeros((1, nv))
-    safety[0, np_:np_ + n] = sel
-    u_pairs = mdp.utility[mdp.pair_index()]
-    lam = 100.0 * (1.0 + float(np.abs(u_pairs).max()))
-    c = np.concatenate([u_pairs, np.zeros(n), lam * np.ones(n)])
-    rng = np.random.default_rng(seed)
-    best: SynthesisResult | None = None
-    for start in range(n_starts):
-        if start == 0:
-            b_hat = np.full(n, 1.0 / n)
-        else:
-            b_hat = rng.dirichlet(np.ones(n))
-        b_hat = _project_safe(b_hat, sel, eps_eff)
-        info = {"rounds": 0, "status": "running"}
-        theta = None
-        for rounds in range(1, max_rounds + 1):
-            info["rounds"] = rounds
-            # (T[a]^T b_hat)(j): coefficient of theta(s, a) on belief row j
-            w = pushforward(mdp, b_hat)  # w[a, j]
-            fix = w[actions].T
-            resid_up = np.hstack([fix, -np.eye(n), -np.eye(n)])
-            resid_dn = np.hstack([-fix, np.eye(n), -np.eye(n)])
-            a_ub = np.vstack([safety, resid_up, resid_dn])
-            b_ub = np.concatenate([[eps_eff], np.zeros(2 * n)])
-            sol = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
-            if sol.status != "optimal":
-                info["status"] = f"lp_{sol.status}"
-                break
-            theta = _theta(mdp, sol.x)
-            try:
-                b_next = stationary_belief(adversary_matrix(mdp, theta))
-            except NonErgodicError:
-                info["status"] = "non_ergodic"
-                break
-            delta = float(np.abs(b_next - b_hat).sum())
-            b_hat = b_next
-            if delta <= 1e-9:
-                info["status"] = "converged"
-                break
-        else:
-            info["status"] = "round_cap"
-        if theta is None:
-            diagnostics["starts"].append(info)
-            continue
-        chain = adversary_matrix(mdp, theta)
-        b_inf = _try_stationary(chain)
-        if b_inf is None:
-            diagnostics["starts"].append(info)
-            continue
-        residual = float(np.abs(chain.T @ b_inf - b_inf).sum())
-        mass = float(sel @ b_inf)
-        v = average_cost(mdp, theta)
-        info.update(residual=residual, secret_mass=mass, cost=v)
-        diagnostics["starts"].append(info)
-        feasible = residual <= 1e-7 and mass <= eps_eff + 1e-6
-        if feasible and (best is None or v < best.average_cost):
-            best = _finish(mdp, "asymptotic", theta, dict(diagnostics),
-                           epsilon=spec.epsilon, secret_states=spec.secret_states,
-                           b_inf=b_inf)
-            best.diagnostics["residual"] = residual
-            best.diagnostics["secret_mass_inf"] = mass
-    if best is None:
+    sel, pi = spec.selector(mdp.n_states), stationary_distribution(p)
+    starts = {"uniform": pi[:, None] * uniform_policy(mdp)}
+    try:
+        starts["eps_private"] = synthesize_eps_private(
+            mdp, PrivacySpec(spec.secret_states, eps_eff)).theta
+    except InfeasibleSynthesisError:
+        pass
+    descent = _LimitDescent(mdp, sel, eps_eff, pi)
+    ends = {name: descent.run(theta) for name, theta in starts.items()}
+    ends = {name: theta for name, theta in ends.items() if theta is not None}
+    if not ends:
         raise InfeasibleSynthesisError(
-            f"no start reached a safe limit belief at epsilon={spec.epsilon:g} "
-            "(asymptotic feasibility unknown)", {"starts": diagnostics["starts"]})
-    best.diagnostics["starts"] = diagnostics["starts"]
-    return best
+            f"no start reached a safe limit belief at epsilon={spec.epsilon:g}; the smallest "
+            f"limit secret mass reached was {descent.lowest_mass:.6f} (asymptotic feasibility "
+            f"unknown)", {"lowest_secret_mass_inf": descent.lowest_mass,
+                          "lp_solves": descent.lp_solves, "feasibility": "unknown"})
+    start = min(ends, key=lambda name: average_cost(mdp, ends[name]))
+    chain = adversary_matrix(mdp, ends[start])
+    b_inf = stationary_belief(chain)
+    diagnostics.update(residual=float(np.abs(chain.T @ b_inf - b_inf).sum()),
+                       secret_mass_inf=float(sel @ b_inf), lp_solves=descent.lp_solves,
+                       start=start)
+    return _finish(mdp, "asymptotic", ends[start], diagnostics, epsilon=spec.epsilon,
+                   secret_states=spec.secret_states, b_inf=b_inf)
 
 
-def _project_safe(b: np.ndarray, sel: np.ndarray, eps_eff: float) -> np.ndarray:
-    """Scale secret mass down to half the budget when a draw starts unsafe."""
-    mass = float(sel @ b)
-    if mass <= eps_eff:
-        return b
-    target = 0.5 * eps_eff
-    secret = sel > 0.0
-    out = b.copy()
-    out[secret] *= target / mass
-    rest = out[~secret].sum()
-    if rest > 0.0:
-        out[~secret] *= (1.0 - target) / rest
-    else:
-        out[~secret] = (1.0 - target) / (~secret).sum()
-    return out
+class _LimitDescent:
+    """Convex-concave descent on the limit constraint sum_s (sel_s - eps') pi_s/F_s <= 0.
+
+    An LP's variables are the pair occupancies theta, whose balance rows
+    sum_a theta(s, a) = pi(s) make theta stationary, and one t_j per secret
+    state above tangent cuts of its convex term pi/F. The constraint row
+    takes each concave public term at its tangent at the last iterate and
+    each secret term as t (1 + CUT_TOL). Both under-estimate, so an iterate
+    whose secret terms the cuts fit that closely is exactly safe.
+    """
+
+    def __init__(self, mdp: Mdp, sel: np.ndarray, eps_eff: float, pi: np.ndarray):
+        states, actions = mdp.pair_index()
+        self.mdp, self.sel, self.eps_eff, self.pi = mdp, sel, eps_eff, pi
+        self.secret, self.k, n = np.flatnonzero(sel), len(states), len(pi)
+        self.mask = mdp.availability_mask().astype(float)
+        self.cover = self.mask[:, actions]  # F = cover @ theta pairs
+        self.a_eq = np.hstack([np.eye(n)[:, states], np.zeros((n, len(self.secret)))])
+        self.cost = np.append(mdp.utility[states, actions], np.zeros(len(self.secret)))
+        self.unit, self.t_unit = np.eye(n)[self.secret], -np.eye(len(self.secret))
+        self.lp_solves, self.lowest_mass = 0, np.inf
+
+    def freq(self, theta: np.ndarray) -> np.ndarray:
+        return self.mask @ theta.sum(axis=0)
+
+    def excess(self, theta: np.ndarray) -> float:
+        """The constraint's exact left side; tracks the lowest limit secret mass."""
+        terms = self.pi / self.freq(theta)
+        self.lowest_mass = min(self.lowest_mass, float(self.sel @ terms / terms.sum()))
+        return float((self.sel - self.eps_eff) @ terms)
+
+    def tangent(self, theta: np.ndarray, weight: np.ndarray, t_coef: np.ndarray):
+        """(row, rhs) over [theta pairs | t] of sum_s weight_s tan_s + t_coef . t <= 0,
+        with tan_s the tangent of pi_s/F_s at theta's F."""
+        f = self.freq(theta)
+        w = weight * self.pi / f
+        return np.append(-(w / f) @ self.cover, t_coef), -2.0 * float(w.sum())
+
+    def add_cuts(self, theta: np.ndarray, t: np.ndarray) -> bool:
+        """Cut at theta's F below each secret term above t (1 + CUT_TOL); True
+        when a cut is new (the same cut again cannot help)."""
+        f = self.freq(theta)[self.secret]
+        loose = self.pi[self.secret] / f > t * (1.0 + CUT_TOL)
+        new = [j for j in np.flatnonzero(loose) if (j, f[j]) not in self.points]
+        for j in new:
+            self.points.add((j, f[j]))
+            self.cuts.append(self.tangent(theta, self.unit[j], self.t_unit[j]))
+        return bool(new)
+
+    def solve(self, c: np.ndarray, main=()) -> np.ndarray | None:
+        """theta of the LP min c.x under the cuts and main rows, solved again
+        while that adds cuts; None when an LP ends other than optimal."""
+        while True:
+            rows, rhs = zip(*self.cuts, *main)
+            sol = solve_lp(LinearProgram(c, np.array(rows), np.array(rhs), self.a_eq, self.pi))
+            self.lp_solves += 1
+            if sol.status != "optimal":
+                return None
+            theta = _theta(self.mdp, sol.x)
+            if not self.add_cuts(theta, sol.x[self.k:]):
+                return theta
+
+    def run(self, theta: np.ndarray) -> np.ndarray | None:
+        """End point of the descent from the occupancy theta, or None when it
+        never gets safe. Phase 1 lowers the constraint row's left side until
+        the exact excess is gone, then phase 2 lowers the cost."""
+        self.cuts, self.points = [], set()
+        self.add_cuts(theta, np.zeros(len(self.secret)))
+        excess, cost = self.excess(theta), average_cost(self.mdp, theta)
+        while True:
+            main = self.tangent(theta, -self.eps_eff * (1.0 - self.sel), np.full(
+                len(self.secret), (1.0 - self.eps_eff) * (1.0 + CUT_TOL)))
+            nxt = self.solve(self.cost, [main]) if excess <= 0.0 else self.solve(main[0])
+            if nxt is None:
+                break
+            nxt_excess, nxt_cost = self.excess(nxt), average_cost(self.mdp, nxt)
+            if excess > 0.0:
+                gain = nxt_excess < excess - DESCENT_TOL * abs(excess)
+            else:  # from a safe point the cost only falls
+                gain = nxt_excess <= 0.0 and nxt_cost < cost - DESCENT_TOL * abs(cost)
+            if not gain:
+                break
+            theta, excess, cost = nxt, nxt_excess, nxt_cost
+        return theta if excess <= 0.0 else None

@@ -123,7 +123,7 @@ def dense_step_user(mdp, p, f):
 
 
 def dense_pushforward(mdp, belief):
-    """w[a] = T[a]^T belief; synthesize_asymptotic's belief rows."""
+    """w[a] = T[a]^T belief; the per-step baselines' posterior rows."""
     return np.einsum("aqr,q->ar", mdp.transition, belief)
 
 

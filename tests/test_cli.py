@@ -6,7 +6,8 @@ import pytest
 
 from lppm import baselines as bl, serialize
 from lppm.cli import main
-from lppm.mdp import make_mdp
+from lppm.fixtures import campus as campus_fixture
+from lppm.mdp import Mdp, make_mdp
 from lppm.optim import LpSolution
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
 from lppm.synthesis import SynthesisResult
@@ -115,13 +116,31 @@ class TestSynthesize:
         res = load_result(tmp_path / "result.json")
         assert res.mode == "asymptotic"
         assert res.b_inf[3] <= 0.16
-        # 15 of the 16 starts stop at the round cap
-        unconverged = sum(s["status"] != "converged" for s in res.diagnostics["starts"])
-        assert unconverged == 15
-        assert err.splitlines() == [
-            "warning: 15 of 16 asymptotic starts ended without converging, so the cost is "
-            "that of the best safe start, not a proven optimum"]
+        assert err == ""
         assert "warning" not in out
+
+    def test_action_dependent_model_exit_1(self, tmp_path, capsys):
+        mdp = campus_fixture()
+        rows = mdp.rows.copy()
+        rows[4, 1] = np.nextafter(rows[4, 1], 1.0)  # the last pair of state 1
+        save_mdp(Mdp(rows, mdp.available, mdp.utility, mdp.p0), tmp_path / "mdp.json")
+        rc, out, err = run(capsys, "synthesize", "--model", str(tmp_path / "mdp.json"),
+                           "--mode", "asymptotic", "--epsilon", "0.16", "--secret", "3",
+                           "--out", str(tmp_path))
+        assert rc == 1 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "state 1" in lines[0]
+
+    def test_unreachable_asymptotic_budget_exit_3(self, tmp_path, capsys):
+        rc, out, err = run(capsys, "synthesize", "--fixture", "campus",
+                           "--mode", "asymptotic", "--epsilon", "0.08",
+                           "--secret", "s4", "--out", str(tmp_path))
+        assert rc == 3 and out == ""
+        first = err.splitlines()[0]
+        assert first.startswith("infeasible: ") and "feasibility unknown" in first
+        assert "smallest limit secret mass reached was 0.087824" in first
+        assert not (tmp_path / "result.json").exists()
 
     def test_unichain_budget_exceeded_warns(self, tmp_path, capsys):
         # two distinct rows at each of 15 states: 2**15 deterministic chains
@@ -243,6 +262,54 @@ class TestVerify:
                          "--out", str(tmp_path))
         assert rc == 1
         assert "witness belief: [0 0 0 0.16 0 0.84]\n" in out
+
+    def test_all_time_output_unchanged(self, tmp_path, capsys):
+        self.private_result(tmp_path, capsys)
+        rc, out, err = run(capsys, "verify", "--fixture", "campus",
+                           "--result", str(tmp_path / "result.json"))
+        assert rc == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "direct check: worst one-step secret mass from the safe set = 0.200000000 "
+            "(epsilon 0.2)",
+            "invariant: True"]
+        assert len(lines) == 3 and lines[2].startswith("certificate: z=0.444444444, margin=")
+
+    def asymptotic_result(self, tmp_path, capsys, epsilon="0.16"):
+        rc, _, _ = run(capsys, "synthesize", "--fixture", "campus",
+                       "--mode", "asymptotic", "--epsilon", epsilon,
+                       "--secret", "s4", "--out", str(tmp_path))
+        assert rc == 0
+        return load_result(tmp_path / "result.json")
+
+    def test_asymptotic_result_verifies(self, tmp_path, capsys):
+        self.asymptotic_result(tmp_path, capsys)
+        rc, out, err = run(capsys, "verify", "--fixture", "campus",
+                           "--result", str(tmp_path / "result.json"))
+        assert rc == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("limit check: secret mass of the limit belief = 0.158")
+        assert lines[0].endswith(" (epsilon 0.16)")
+        assert lines[1].startswith("stored b_inf: max abs difference ")
+        assert float(lines[1].rsplit(" ", 1)[1]) <= 1e-9
+        assert lines[2] == "holds in the limit: True"
+
+    def test_edited_limit_belief_fails(self, tmp_path, capsys):
+        result = self.asymptotic_result(tmp_path, capsys)
+        result.b_inf[0] += 1e-6
+        result.b_inf[1] -= 1e-6
+        rc, out, _ = self.verify_altered(tmp_path, capsys, result)
+        assert rc == 1
+        assert out.splitlines()[-1] == "holds in the limit: False"
+
+    def test_limit_above_epsilon_fails(self, tmp_path, capsys):
+        self.asymptotic_result(tmp_path, capsys, epsilon="0.3")
+        rc, out, _ = run(capsys, "verify", "--fixture", "campus",
+                         "--result", str(tmp_path / "result.json"), "--epsilon", "0.16")
+        assert rc == 1
+        assert "limit belief = 0.298" in out
+        assert out.splitlines()[-1] == "holds in the limit: False"
 
     def test_verify_solves_no_lp(self, tmp_path, capsys, monkeypatch):
         solved = record_synthesis_lps(monkeypatch)
@@ -652,12 +719,11 @@ class TestResultModelMismatch:
 class TestConfigMerge:
     @pytest.mark.parametrize("argv,config", [
         (["synthesize", "--fixture", "campus", "--secret", "s4"], {"epsilon": "abc"}),
-        (["synthesize", "--fixture", "campus", "--secret", "s4", "--mode", "asymptotic"],
-         {"epsilon": 0.16, "seed": 1.5}),
+        (["build", "--traces", "{traces}"], {"k": 1.5}),
         (["baselines", "--fixture", "campus"], {"eps_dp": "high"}),
         (["baselines", "--fixture", "campus"], {"horizon": "ten"}),
         (["build", "--traces", "{traces}"], {"min_stay": [1]}),
-    ], ids=["epsilon", "seed", "eps_dp", "horizon", "min_stay"])
+    ], ids=["epsilon", "k", "eps_dp", "horizon", "min_stay"])
     def test_config_value_not_a_number_exit_1(self, tmp_path, capsys, trace_path, argv, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

@@ -4,8 +4,8 @@ import pytest
 from lppm.adversary import adversary_matrix, belief_update
 from lppm.baselines import _posterior_map, step_user
 from lppm.fixtures import campus as campus_fixture
-from lppm.mdp import (Mdp, NonErgodicError, average_cost, check_ergodic,
-                      check_unichain_exhaustive, induce_chain, make_mdp,
+from lppm.mdp import (Mdp, NonErgodicError, action_independent_rows, average_cost,
+                      check_ergodic, check_unichain_exhaustive, induce_chain, make_mdp,
                       occupancy_from_policy, policy_from_theta, pushforward, simulate,
                       stationary_distribution, uniform_policy, validate_policy)
 from lppm.synthesis import _certificate_inflow
@@ -14,6 +14,7 @@ from support import (action_independent_mdp, bfs_check_ergodic, dense_adversary_
                      dense_posterior_map, dense_pushforward, dense_simulate, dense_step_user,
                      enumerate_unichain, power_iteration_stationary, random_dense_mdp,
                      random_shared_row_mdp, random_sparse_mdp)
+from test_mobility import ROOT, load_module
 
 # campus stationary distribution under any policy (shared successor rows)
 CAMPUS_P_INF = np.array([3, 8, 15, 21, 18, 9]) / 74.0
@@ -267,6 +268,43 @@ class TestCheckUnichain:
             assert report.n_checked <= full.n_checked
             statuses.add(report.status)
         assert statuses == {"unichain", "not_unichain"}
+
+
+class TestActionIndependentRows:
+    def assert_rows_ignore_the_action(self, mdp):
+        p = action_independent_rows(mdp)
+        assert p is not None and p.shape == (mdp.n_states, mdp.n_states)
+        for s, acts in enumerate(mdp.available):
+            for a in acts:
+                assert mdp.action_matrix(a)[s].tobytes() == p[s].tobytes()
+
+    def test_campus(self, campus):
+        self.assert_rows_ignore_the_action(campus)
+
+    def test_trace_models(self, tmp_path, trace_path):
+        from lppm.mobility import ClusterParams, build_model_from_traces
+
+        gen = load_module("perfbench_gen", ROOT / "perfbench" / "gen.py")
+        gen.write_csv(gen.make_trace(5, 0, 4, 4_000), tmp_path / "user0.csv")
+        for path in (trace_path, tmp_path / "user0.csv"):
+            mdp, _, _, _ = build_model_from_traces(path, ClusterParams())
+            self.assert_rows_ignore_the_action(mdp)
+        assert max(len(acts) for acts in mdp.available) == 2
+
+    def test_generated_model(self):
+        self.assert_rows_ignore_the_action(action_independent_mdp(3, 40))
+
+    def test_random_sparse_model(self, rng):
+        mdp, _ = random_sparse_mdp(rng)
+        assert action_independent_rows(mdp) is None
+
+    def test_one_bit_breaks_it(self, campus):
+        rows = campus.rows.copy()
+        k = 4  # the last of state 1's three pairs
+        assert campus.pair_index()[0][k - 2:k + 1].tolist() == [1, 1, 1]
+        rows[k, 1] = np.nextafter(rows[k, 1], 1.0)
+        mdp = Mdp(rows, campus.available, campus.utility, campus.p0)
+        assert action_independent_rows(mdp) is None
 
 
 class TestAverageCost:

@@ -218,8 +218,7 @@ class TestResultRoundTrip:
                                       res.certificate.beta)
 
     def test_asymptotic_limit_belief_survives(self, campus, tmp_path):
-        res = synthesize_asymptotic(campus, PrivacySpec((3,), 0.16),
-                                    n_starts=4)
+        res = synthesize_asymptotic(campus, PrivacySpec((3,), 0.16))
         back = self.check(res, tmp_path)
         assert back.b_inf is not None
         np.testing.assert_array_equal(back.b_inf, res.b_inf)

@@ -3,13 +3,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lppm.adversary import adversary_matrix, belief_trajectory
-from lppm.mdp import (NotUnichainError, average_cost, induce_chain, make_mdp,
-                      occupancy_from_policy, stationary_distribution,
+from lppm.adversary import adversary_matrix, belief_trajectory, stationary_belief
+from lppm.cli import main as cli_main
+from lppm.mdp import (Mdp, NotUnichainError, action_independent_rows, average_cost,
+                      induce_chain, make_mdp, occupancy_from_policy, stationary_distribution,
                       uniform_policy)
 from lppm.metrics import PrivacySpec, eps_privacy_check, secret_mass
 from lppm.optim import LpSolution
-from lppm.synthesis import (InfeasibleSynthesisError, _base_constraints,
+from lppm.serialize import save_result
+from lppm.synthesis import (ASYMPTOTIC_MARGIN, ActionDependentModelError,
+                            InfeasibleSynthesisError, _base_constraints,
                             certificate_margin, secret_inflow, synthesize_asymptotic,
                             synthesize_eps_private, synthesize_unconstrained,
                             theorem1_certificate, verify_invariance)
@@ -20,6 +23,11 @@ from support import (action_independent_mdp, binding_spec, lp_theorem1_certifica
 CAMPUS_SECRET = (3,)
 CAMPUS_V_UNCONSTRAINED = 3.526652
 CAMPUS_V_017 = 5.597767
+# campus asymptotic costs of the seeded 16-start alternation the descent replaced
+ALTERNATION_COST = {0.1: 6.059685, 0.12: 6.356982, 0.16: 4.706679, 0.2: 4.195560,
+                    0.3: 3.934413}
+# branch-and-bound optima of the same problems, rounded up
+GLOBAL_OPTIMUM = {0.1: 5.732389, 0.12: 5.187497}
 
 
 def pumping_chain():
@@ -390,16 +398,92 @@ class TestSynthesizeAsymptotic:
         assert "residual" in res.diagnostics
         assert res.diagnostics["residual"] <= 1e-7
 
-    def test_deterministic_given_seed(self, campus):
+    def test_deterministic_without_a_seed(self, campus):
         spec = PrivacySpec(CAMPUS_SECRET, 0.16)
-        r1 = synthesize_asymptotic(campus, spec, seed=7)
-        r2 = synthesize_asymptotic(campus, spec, seed=7)
+        r1 = synthesize_asymptotic(campus, spec)
+        r2 = synthesize_asymptotic(campus, spec)
         np.testing.assert_array_equal(r1.theta, r2.theta)
         assert r1.average_cost == r2.average_cost
+
+    def assert_exactly_safe(self, mdp, spec, res):
+        """The limit of the policy's belief chain keeps the margin, by the
+        stationary solve and by 10 000 steps from the uniform prior, and a
+        second call returns the same bits."""
+        bound = spec.epsilon - ASYMPTOTIC_MARGIN + 1e-9
+        chain = adversary_matrix(mdp, res.theta)
+        assert secret_mass(stationary_belief(chain), spec) <= bound
+        uniform = np.full(mdp.n_states, 1.0 / mdp.n_states)
+        assert secret_mass(belief_trajectory(chain, uniform, 10_000)[-1], spec) <= bound
+        assert res.diagnostics["residual"] <= 1e-12
+        assert synthesize_asymptotic(mdp, spec).theta.tobytes() == res.theta.tobytes()
+
+    @pytest.mark.parametrize("eps", sorted(ALTERNATION_COST))
+    def test_campus_costs_and_limits(self, campus, eps):
+        spec = PrivacySpec(CAMPUS_SECRET, eps)
+        res = synthesize_asymptotic(campus, spec)
+        assert res.average_cost <= ALTERNATION_COST[eps] + 1e-6
+        assert res.average_cost <= GLOBAL_OPTIMUM.get(eps, np.inf)
+        assert res.diagnostics["start"] in ("uniform", "eps_private")
+        self.assert_exactly_safe(campus, spec, res)
+
+    @pytest.mark.parametrize("seed,n", [(seed, n) for seed in range(3) for n in (8, 12)])
+    def test_random_limits_are_exactly_safe(self, seed, n):
+        mdp = action_independent_mdp(seed, n)
+        pi = stationary_distribution(action_independent_rows(mdp))
+        top = int(np.argmax(pi))
+        for share in (0.5, 0.7, 0.9):
+            spec = PrivacySpec((top,), share * pi[top])
+            try:
+                res = synthesize_asymptotic(mdp, spec)
+            except InfeasibleSynthesisError as exc:
+                assert (seed, n, share) == (1, 8, 0.5)  # the one budget no start reaches
+                lowest = exc.diagnosis["lowest_secret_mass_inf"]
+                assert lowest > spec.epsilon - ASYMPTOTIC_MARGIN
+                assert f"{lowest:.6f}" in str(exc) and "feasibility unknown" in str(exc)
+                continue
+            self.assert_exactly_safe(mdp, spec, res)
+
+    def test_campus_takes_few_lps(self, campus, monkeypatch):
+        solved = record_synthesis_lps(monkeypatch)
+        res = synthesize_asymptotic(campus, PrivacySpec(CAMPUS_SECRET, 0.16))
+        assert len(solved) <= 100
+        assert res.diagnostics["lp_solves"] <= len(solved)
+
+    def test_action_dependent_model_rejected(self, campus):
+        rows = campus.rows.copy()
+        rows[4, 1] = np.nextafter(rows[4, 1], 1.0)  # the last pair of state 1
+        mdp = Mdp(rows, campus.available, campus.utility, campus.p0)
+        with pytest.raises(ActionDependentModelError, match="rows of state 1 differ"):
+            synthesize_asymptotic(mdp, PrivacySpec(CAMPUS_SECRET, 0.16))
 
     def test_unreachable_budget_raises(self, campus):
         # below the all-time threshold and below any stationary belief the
         # campus chains can realize
         with pytest.raises(InfeasibleSynthesisError):
-            synthesize_asymptotic(campus, PrivacySpec(CAMPUS_SECRET, 0.01),
-                                  n_starts=4)
+            synthesize_asymptotic(campus, PrivacySpec(CAMPUS_SECRET, 0.01))
+
+
+class TestCampusTradeoff:
+    """The relations the privacy-utility trade-off implies, on campus."""
+
+    def test_relations(self, campus, tmp_path):
+        floor = synthesize_unconstrained(campus).average_cost
+        costs, all_time_feasible = [], []
+        for eps in sorted(ALTERNATION_COST):
+            res = synthesize_asymptotic(campus, PrivacySpec(CAMPUS_SECRET, eps))
+            assert floor <= res.average_cost
+            costs.append(res.average_cost)
+            try:
+                # the all-time private policy at eps - margin is a feasible start
+                all_time = synthesize_eps_private(
+                    campus, PrivacySpec(CAMPUS_SECRET, eps - ASYMPTOTIC_MARGIN))
+            except InfeasibleSynthesisError:
+                pass
+            else:
+                all_time_feasible.append(eps)
+                assert res.average_cost <= all_time.average_cost
+            save_result(res, tmp_path / "result.json")
+            assert cli_main(["verify", "--fixture", "campus",
+                             "--result", str(tmp_path / "result.json")]) == 0
+        assert costs == sorted(costs, reverse=True)  # non-increasing in epsilon
+        assert all_time_feasible == [0.16, 0.2, 0.3]

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Compare `lppm build` between two source trees, output by output.
+"""Compare `lppm build` and the synthesis chain between two source trees.
 
     python3 scripts/compare_builds.py PARENT_TREE CHANGE_TREE [--seeds 1501 4242 9090]
+                                      [--model MDP_JSON ...]
 
-A tree is a checkout of this repository; its `build` runs in a subprocess
+A tree is a checkout of this repository; its commands run in subprocesses
 with PYTHONPATH=<tree>/src. Both trees build the same inputs, written once
 under a temporary directory from this script's own repository:
 
@@ -15,16 +16,31 @@ under a temporary directory from this script's own repository:
 * the bundled trace, and the first seed's user0 csv, at two non-default
   parameter sets.
 
-Each run compares every file written (mdp.json, poi_summary.csv), stdout,
-stderr and the exit code, after replacing each side's output directory and
-tree path in stdout and stderr with <out> and <tree>. The script prints one
-line per difference and exits 1 if there is any; otherwise it prints how
-many runs matched and exits 0.
+Each side then runs the synthesis chain on the model it built, on the campus
+fixture and on every --model file: `synthesize` unconstrained, then
+eps_private, `verify` of both results and `simulate` of both (200 steps).
+The secret state and budget of a model come from the parent's model through
+perfbench's `private_spec` (imported from this script's repository): the
+state most visited under the uniform policy, at a budget where the
+certificate rows bind. The unconstrained result is verified and simulated
+against that same budget.
+
+Each command compares every file written, stdout, stderr and the exit code,
+after replacing each side's output directory and tree path in stdout and
+stderr with <out> and <tree>. The script prints one line per difference, and
+for a JSON or CSV file also the largest relative and absolute differences
+among the numbers both sides hold at the same place, with their places,
+and the places only one side has, and exits 1 if there is any; otherwise it prints how many runs
+matched and exits 0.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -37,18 +53,20 @@ BUNDLED = ROOT / "tests" / "data" / "synthetic_traces.csv"
 USERS = [(10, 50_000, ("csv", "plt")), (20, 50_000, ("plt",)), (30, 60_000, ("csv",))]
 PARAM_SETS = {"small": ["--max-radius", "20", "--min-dist", "30", "--min-stay", "0.2"],
               "wide": ["--max-radius", "300", "--min-dist", "200", "--min-speed", "3"]}
+HORIZON = "200"
 
 
-def _gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def write_inputs(work: Path, seeds: list[int]) -> list[tuple[str, Path, list[str]]]:
-    """The runs to compare: (name, trace file, extra build arguments)."""
-    gen = _gen()
+    """The builds to compare: (name, trace file, extra build arguments)."""
+    gen = _perfbench("gen")
     runs = [("bundled", BUNDLED, [])]
     for seed in seeds:
         for user, (places, samples, formats) in enumerate(USERS):
@@ -69,10 +87,43 @@ def write_inputs(work: Path, seeds: list[int]) -> list[tuple[str, Path, list[str
     return runs
 
 
-def start_build(tree: Path, trace: Path, args: list[str], out: Path) -> subprocess.Popen:
+def private_spec(model_args: list[str]) -> tuple[int, float]:
+    """(secret state, epsilon) for a model given as CLI arguments, read with
+    this script's own lppm."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from lppm import fixtures, serialize
+    from lppm.mdp import occupancy_from_policy, uniform_policy
+
+    kind, where = model_args
+    mdp = fixtures.campus() if kind == "--fixture" else serialize.load_mdp(where)
+    visits = occupancy_from_policy(mdp, uniform_policy(mdp)).sum(axis=1)
+    candidates = [int(s) for s in sorted(range(mdp.n_states), key=lambda s: -visits[s])[:5]]
+    return _perfbench("checks").private_spec(mdp, candidates)
+
+
+def chain(model_args: list[str], secret: int, eps: float) -> list[tuple[str, list[str]]]:
+    """(step, CLI arguments) of the synthesis chain, run from the directory
+    that holds every step's output directory, named after the step."""
+    private = ["--epsilon", repr(eps), "--secret", str(secret)]
+    steps = [("synthesize_unconstrained",
+              ["synthesize", *model_args, "--mode", "unconstrained"]),
+             ("synthesize_eps_private",
+              ["synthesize", *model_args, "--mode", "eps_private", *private])]
+    for mode in ("unconstrained", "eps_private"):
+        given = private if mode == "unconstrained" else []
+        result = ["--result", f"synthesize_{mode}/result.json"]
+        steps += [(f"verify_{mode}", ["verify", *model_args, *result, *given]),
+                  (f"simulate_{mode}",
+                   ["simulate", *model_args, *result, "--horizon", HORIZON, *given])]
+    return steps
+
+
+def start(tree: Path, args: list[str], out: Path) -> subprocess.Popen:
+    """One lppm command of `tree`, run in out's parent with --out out."""
+    out.parent.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return subprocess.Popen([sys.executable, "-m", "lppm.cli", "build", "--traces", str(trace),
-                             "--out", str(out), *args],
+    return subprocess.Popen([sys.executable, "-m", "lppm.cli", *args, "--out", str(out)],
                             env=env, cwd=out.parent, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
@@ -89,23 +140,112 @@ def outcome(proc: subprocess.Popen, tree: Path, out: Path) -> dict:
             "stderr": normalize(stderr), **files}
 
 
-def compare(parent: Path, change: Path, seeds: list[int]) -> list[str]:
-    """One line per differing output of each run."""
-    problems = []
+def _values(name: str, data: bytes) -> dict | None:
+    """Every value of a JSON or CSV file by its place (a JSON path, or row and
+    column), numbers as floats; None for other files or unreadable ones."""
+    try:
+        text = data.decode("utf-8")
+        if name.endswith(".json"):
+            found = {}
+
+            def walk(obj, path):
+                items = obj.items() if isinstance(obj, dict) else \
+                    enumerate(obj) if isinstance(obj, list) else None
+                if items is None:
+                    number = isinstance(obj, (int, float)) and not isinstance(obj, bool)
+                    found[path] = float(obj) if number else repr(obj)
+                for key, value in items or ():
+                    walk(value, f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]")
+
+            walk(json.loads(text), "")
+            return found
+        if name.endswith(".csv"):
+            found = {}
+            for r, row in enumerate(csv.reader(io.StringIO(text))):
+                for col, field in enumerate(row):
+                    try:
+                        found[f"row {r} column {col}"] = float(field)
+                    except ValueError:
+                        found[f"row {r} column {col}"] = field
+            return found
+    except (UnicodeDecodeError, ValueError, csv.Error):
+        return None
+    return None
+
+
+def number_difference(name: str, a: bytes, b: bytes) -> dict | None:
+    """The largest |x - y| / max(|x|, |y|) ("relative") and |x - y|
+    ("absolute") over the numbers both files hold at the same place, each
+    as (difference, place), and the places only one file has ("only"); None
+    when they are not JSON or CSV files or differ in a value that is not a
+    number. Near zero the relative difference says little, hence both."""
+    xs, ys = _values(name, a), _values(name, b)
+    if xs is None or ys is None:
+        return None
+    rel = gap = (0.0, None)
+    for place in sorted(xs.keys() & ys.keys()):
+        x, y = xs[place], ys[place]
+        if isinstance(x, str) or isinstance(y, str):
+            if x != y:
+                return None
+        elif x != y and not (math.isnan(x) and math.isnan(y)):
+            scale = max(abs(x), abs(y))
+            rel = max(rel, (abs(x - y) / scale if math.isfinite(scale) else math.inf, place),
+                      key=lambda t: t[0])
+            gap = max(gap, (abs(x - y), place), key=lambda t: t[0])
+    return {"relative": rel, "absolute": gap, "only": sorted(xs.keys() ^ ys.keys())}
+
+
+def _differences(name: str, got: list[dict]) -> list[str]:
+    lines = []
+    for key in sorted(set(got[0]) | set(got[1])):
+        a, b = got[0].get(key), got[1].get(key)
+        if a == b:
+            continue
+        line = f"{name}: {key} differs"
+        diff = number_difference(key, a, b) if isinstance(a, bytes) and isinstance(b, bytes) \
+            else None
+        if diff is not None:
+            parts = [f"largest {kind} difference {value:.3g}" + (f" at {place}" if place else "")
+                     for kind in ("relative", "absolute") for value, place in [diff[kind]]]
+            if diff["only"]:
+                parts.append(f"on one side only: {', '.join(diff['only'])}")
+            line += f" ({'; '.join(parts)})"
+        lines.append(line)
+    return lines
+
+
+def _run_both(trees, args: list[str], out: Path) -> list[dict]:
+    """Outcomes of one command run on both trees at once, with the output
+    directories <side>/<out> under the temporary directory."""
+    procs = [(start(tree, args, side / out), tree, side / out) for side, tree in trees]
+    return [outcome(*proc) for proc in procs]
+
+
+def compare(parent: Path, change: Path, seeds: list[int], models: list[Path] = ()) -> list[str]:
+    """One line per differing output of each command."""
+    problems, runs = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        runs = write_inputs(work, seeds)
-        for name, trace, args in runs:
-            sides = []
-            for side, tree in (("parent", parent), ("change", change)):
-                out = work / side / name
-                out.parent.mkdir(exist_ok=True)
-                sides.append((start_build(tree, trace, args, out), tree, out))
-            got = [outcome(*side) for side in sides]
-            for key in sorted(set(got[0]) | set(got[1])):
-                if got[0].get(key) != got[1].get(key):
-                    problems.append(f"{name}: {key} differs")
-        print(f"{len(runs)} runs compared", file=sys.stderr)
+        trees = [(work / "parent", parent), (work / "change", change)]
+        # (name, the model as CLI arguments from the run's directory, the parent's model)
+        chains = [("campus", ["--fixture", "campus"], ["--fixture", "campus"])]
+        for name, trace, args in write_inputs(work, seeds):
+            got = _run_both(trees, ["build", "--traces", str(trace), *args],
+                            Path(name) / "build")
+            problems += _differences(name, got)
+            runs += 1
+            if all("mdp.json" in side for side in got):
+                chains.append((name, ["--model", "build/mdp.json"],
+                               ["--model", str(work / "parent" / name / "build" / "mdp.json")]))
+        chains += [(f"model{k}_{path.stem}", ["--model", str(path)], ["--model", str(path)])
+                   for k, path in enumerate(models)]
+        for name, model_args, parent_model in chains:
+            for step, args in chain(model_args, *private_spec(parent_model)):
+                problems += _differences(f"{name} {step}",
+                                         _run_both(trees, args, Path(name) / step))
+                runs += 1
+        print(f"{runs} runs compared", file=sys.stderr)
     return problems
 
 
@@ -115,12 +255,15 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--seeds", type=int, nargs="*", default=[1501, 4242, 9090],
                         help="perfbench trace seeds (default: 1501 4242 9090)")
+    parser.add_argument("--model", type=Path, nargs="*", default=[],
+                        help="saved model files to run the synthesis chain on as well")
     args = parser.parse_args(argv)
-    problems = compare(args.parent.resolve(), args.change.resolve(), args.seeds)
+    problems = compare(args.parent.resolve(), args.change.resolve(), args.seeds,
+                       [path.resolve() for path in args.model])
     for line in problems:
         print(line)
     if not problems:
-        print("byte-identical: mdp.json, poi_summary.csv, stdout, stderr and exit code")
+        print("byte-identical: every file written, stdout, stderr and exit code")
     return 1 if problems else 0
 
 

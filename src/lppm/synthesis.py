@@ -199,31 +199,26 @@ def synthesize_unconstrained(mdp: Mdp, check_unichain: bool = True) -> Synthesis
 def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
     """Minimum-loss policy whose safe belief set is invariant at all times.
 
-    One LP over the occupancy measure, the certificate multiplier z and the
-    row slacks; the belief chain is linear in the occupancy action marginals,
-    so the certificate rows stay linear. Infeasibility is reported with the
+    One LP over the occupancy measure and the certificate multiplier z; the
+    belief chain is linear in the occupancy action marginals, so the
+    certificate rows stay linear. Infeasibility is reported with the
     tightest violated row to guide relaxing epsilon.
     """
     diagnostics: dict = {}
     _require_unichain(mdp, diagnostics)
-    n = mdp.n_states
-    sel = spec.selector(n)
+    sel = spec.selector(mdp.n_states)
     eps = spec.epsilon
-    a_eq, b_eq = _base_constraints(mdp, 1)  # theta pairs then z
-    _, actions = mdp.pair_index()
-    a_ub = np.column_stack([_certificate_inflow(mdp, sel)[actions].T, eps - sel])
-    b_ub = np.full(n, eps)
-    c = np.append(mdp.utility[mdp.pair_index()], 0.0)
-    sol = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
+    lp, group, sol = _solve_private_lp(mdp, sel, eps)
     if sol.status == "infeasible":
-        diagnosis = _diagnose_infeasible(a_eq, b_eq, a_ub, b_ub)
+        diagnosis = _diagnose_infeasible(lp, group)
         raise InfeasibleSynthesisError(
             f"no policy makes the safe belief set invariant at epsilon={eps:g} "
             f"(tightest row: state {diagnosis['worst_row']}, "
             f"violation {diagnosis['worst_violation']:.3g})", diagnosis)
     if sol.status != "optimal":
         raise _unproven(sol, f"eps_private LP at epsilon={eps:g}")
-    diagnostics.update(lp_status=sol.status, lp_iterations=sol.iterations)
+    diagnostics.update(lp_status=sol.status, lp_iterations=sol.iterations,
+                       certificate_rows=len(lp.b_ub))
     theta = _theta(mdp, sol.x)
     z = float(sol.x[-1])
     chain = adversary_matrix(mdp, theta)
@@ -234,6 +229,25 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
                      b_inf=_try_stationary(chain))
     _post_verify(mdp, result, spec, diagnostics)
     return result
+
+
+def _solve_private_lp(mdp: Mdp, sel: np.ndarray, eps: float):
+    """(lp, group, solution) of the eps_private LP over [theta pairs | z].
+
+    State j's certificate row is sum_(s, a) T[a](j, secret) theta(s, a) +
+    (eps - sel_j) z <= eps. Every state with no edge into the secret set
+    gives the same row, eps z <= eps, so the LP keeps each distinct row once,
+    at its lowest state, in state order; group[j] is the LP row of state j.
+    """
+    states, actions = mdp.pair_index()
+    a_ub = np.column_stack([_certificate_inflow(mdp, sel)[actions].T, eps - sel])
+    first: dict = {}
+    group = np.array([first.setdefault(row.tobytes(), len(first)) for row in a_ub])
+    keep = np.unique(group, return_index=True)[1]
+    a_eq, b_eq = _base_constraints(mdp, 1)
+    lp = LinearProgram(np.append(mdp.utility[states, actions], 0.0), a_ub=a_ub[keep],
+                       b_ub=np.full(keep.size, eps), a_eq=a_eq, b_eq=b_eq)
+    return lp, group, solve_lp(lp)
 
 
 def _certificate_inflow(mdp: Mdp, sel: np.ndarray) -> np.ndarray:
@@ -271,19 +285,25 @@ def _unproven(sol: LpSolution, what: str) -> InfeasibleSynthesisError:
         {"lp_status": sol.status, "lp_iterations": sol.iterations, "feasibility": "unknown"})
 
 
-def _diagnose_infeasible(a_eq, b_eq, a_ub, b_ub) -> dict:
-    """Re-solve with elastic certificate rows to find the tightest violation."""
-    n, nv = a_ub.shape
-    a_ub_el = np.hstack([a_ub, -np.eye(n)])
-    a_eq_el = np.hstack([a_eq, np.zeros((a_eq.shape[0], n))])
-    c = np.concatenate([np.zeros(nv), np.ones(n)])
-    sol = solve_lp(LinearProgram(c, a_ub=a_ub_el, b_ub=b_ub, a_eq=a_eq_el, b_eq=b_eq))
+def _diagnose_infeasible(lp: LinearProgram, group: np.ndarray) -> dict:
+    """Re-solve with elastic certificate rows to find the tightest violation.
+
+    Each row's elastic variable costs the number of states the row stands
+    for, so this is the elastic LP of all n state rows with the copies
+    merged. worst_row is a state, the lowest of its row's states, and
+    violations has one entry per state.
+    """
+    r, nv = lp.a_ub.shape
+    a_ub_el = np.hstack([lp.a_ub, -np.eye(r)])
+    a_eq_el = np.hstack([lp.a_eq, np.zeros((lp.a_eq.shape[0], r))])
+    c = np.concatenate([np.zeros(nv), np.bincount(group, minlength=r).astype(float)])
+    sol = solve_lp(LinearProgram(c, a_ub=a_ub_el, b_ub=lp.b_ub, a_eq=a_eq_el, b_eq=lp.b_eq))
     if sol.status != "optimal":
         return {"worst_row": -1, "worst_violation": float("nan"), "elastic_status": sol.status}
-    v = sol.x[nv:]
+    v = sol.x[nv:][group]
     worst = int(np.argmax(v))
     return {"worst_row": worst, "worst_violation": float(v[worst]),
-            "violations": v.copy(), "elastic_status": "optimal"}
+            "violations": v, "elastic_status": "optimal"}
 
 
 def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
@@ -311,11 +331,9 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
         raise ValueError("margin leaves no feasible belief region")
     sel, pi = spec.selector(mdp.n_states), stationary_distribution(p)
     starts = {"uniform": pi[:, None] * uniform_policy(mdp)}
-    try:
-        starts["eps_private"] = synthesize_eps_private(
-            mdp, PrivacySpec(spec.secret_states, eps_eff)).theta
-    except InfeasibleSynthesisError:
-        pass
+    sol = _solve_private_lp(mdp, sel, eps_eff)[2]
+    if sol.status == "optimal":
+        starts["eps_private"] = _theta(mdp, sol.x)
     descent = _LimitDescent(mdp, sel, eps_eff, pi)
     ends = {name: descent.run(theta) for name, theta in starts.items()}
     ends = {name: theta for name, theta in ends.items() if theta is not None}

@@ -748,6 +748,33 @@ def lp_theorem1_certificate(chain, spec):
     return Certificate(z, beta, t)
 
 
+def full_eps_private_lp(mdp, spec):
+    """synthesize_eps_private's LP with all n certificate rows, one per state
+    in state order, over [theta pairs | z]: row j is
+    sum_(s, a) T[a](j, secret) theta(s, a) + (eps - sel_j) z <= eps."""
+    from lppm.synthesis import _base_constraints
+
+    sel, eps = spec.selector(mdp.n_states), spec.epsilon
+    states, actions = mdp.pair_index()
+    a_eq, b_eq = _base_constraints(mdp, 1)
+    a_ub = np.column_stack([dense_certificate_inflow(mdp, sel)[actions].T, eps - sel])
+    return LinearProgram(np.append(mdp.utility[states, actions], 0.0), a_ub=a_ub,
+                         b_ub=np.full(mdp.n_states, eps), a_eq=a_eq, b_eq=b_eq)
+
+
+def elastic_violations(lp):
+    """Row violations at the optimum of lp's elastic LP: min sum_j v_j over
+    a_ub x - v <= b_ub, a_eq x = b_eq, x, v >= 0 (None unless optimal)."""
+    from lppm.optim import solve_lp
+
+    r, nv = lp.a_ub.shape
+    sol = solve_lp(LinearProgram(np.concatenate([np.zeros(nv), np.ones(r)]),
+                                 a_ub=np.hstack([lp.a_ub, -np.eye(r)]), b_ub=lp.b_ub,
+                                 a_eq=np.hstack([lp.a_eq, np.zeros((len(lp.b_eq), r))]),
+                                 b_eq=lp.b_eq))
+    return sol.x[nv:] if sol.status == "optimal" else None
+
+
 def binding_spec(mdp):
     """PrivacySpec on one of the five most visited states, with a budget
     halfway between what the uniform policy and the unconstrained optimum

@@ -1,4 +1,7 @@
+import json
 import shutil
+
+import numpy as np
 
 from test_mobility import ROOT, load_module
 
@@ -13,7 +16,8 @@ class TestCompareBuilds:
     def test_tree_against_itself_is_identical(self, capsys):
         assert compare_builds().main([str(ROOT), str(ROOT), "--seeds"]) == 0
         out, err = capsys.readouterr()
-        assert out.startswith("byte-identical") and err == "4 runs compared\n"
+        # 4 builds, then 6 chain commands on each of the 4 built models and campus
+        assert out.startswith("byte-identical") and err == "34 runs compared\n"
 
     def test_changed_cover_tolerance_differs(self, tmp_path, capsys):
         shutil.copytree(ROOT / "src", tmp_path / "src",
@@ -25,5 +29,55 @@ class TestCompareBuilds:
         mobility.write_text(text.replace("\nCOVER_TOL_M = 1e-6\n", "\nCOVER_TOL_M = 1e4\n"))
         assert compare_builds().main([str(ROOT), str(tmp_path), "--seeds"]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert "bundled: mdp.json differs" in lines and "bundled: stdout differs" in lines
-        assert all(line.endswith(" differs") for line in lines)
+        assert "bundled: stdout differs" in lines
+        assert any(line.startswith("bundled: mdp.json differs") for line in lines)
+        assert all(line.endswith(" differs") or " differs (largest relative difference " in line
+                   for line in lines)
+        assert not any(line.startswith("campus ") for line in lines)
+
+
+class TestLargestRelativeDifference:
+    def test_one_ulp_in_a_json_file(self):
+        x = 0.30000000000000004
+        a = json.dumps({"theta": [[x, 1.0]], "mode": "eps_private"}).encode()
+        b = json.dumps({"theta": [[np.nextafter(x, 1.0), 1.0]], "mode": "eps_private"}).encode()
+        script = compare_builds()
+        diff = script.number_difference("result.json", a, b)
+        gap = np.nextafter(x, 1.0) - x
+        assert diff == {"relative": (gap / np.nextafter(x, 1.0), ".theta[0][0]"),
+                        "absolute": (gap, ".theta[0][0]"), "only": []}
+        assert 0.0 < diff["relative"][0] < 2.3e-16
+        lines = script._differences("campus synthesize_eps_private",
+                                    [{"result.json": a}, {"result.json": b}])
+        assert lines == ["campus synthesize_eps_private: result.json differs (largest relative "
+                         f"difference {diff['relative'][0]:.3g} at .theta[0][0]; largest "
+                         f"absolute difference {gap:.3g} at .theta[0][0])"]
+
+    def test_one_ulp_in_a_csv_file(self):
+        # belief.csv's last secret_mass one ulp lower
+        a = b"t,b1,secret_mass\n0,0.25,0.5\n1,0.125,0.75\n"
+        b = f"t,b1,secret_mass\n0,0.25,0.5\n1,0.125,{float(np.nextafter(0.75, 0.0))!r}\n".encode()
+        gap = 0.75 - np.nextafter(0.75, 0.0)
+        assert compare_builds().number_difference("belief.csv", a, b) == {
+            "relative": (gap / 0.75, "row 2 column 2"), "absolute": (gap, "row 2 column 2"),
+            "only": []}
+
+    def test_a_key_on_one_side(self):
+        a = b'{"diagnostics": {"lp_iterations": 25}, "theta": [0.5, 0.25]}'
+        b = b'{"diagnostics": {"certificate_rows": 5, "lp_iterations": 24}, "theta": [0.5, 0.25]}'
+        script = compare_builds()
+        assert script._differences("x", [{"result.json": a}, {"result.json": b}]) == [
+            "x: result.json differs (largest relative difference 0.04 at "
+            ".diagnostics.lp_iterations; largest absolute difference 1 at "
+            ".diagnostics.lp_iterations; on one side only: .diagnostics.certificate_rows)"]
+
+    def test_no_number_difference_for_other_changes(self):
+        script = compare_builds()
+        a = b'{"mode": "eps_private", "theta": [1.0]}'
+        assert script.number_difference("result.json", a, a) == \
+            {"relative": (0.0, None), "absolute": (0.0, None), "only": []}
+        other = b'{"mode": "asymptotic", "theta": [1.0]}'
+        assert script.number_difference("result.json", a, other) is None
+        assert script.number_difference("result.json", a, b'[1.0') is None
+        assert script.number_difference("stdout", b"1.0", b"2.0") is None
+        assert script.number_difference("a.csv", b"x,1\n", b"y,1\n") is None

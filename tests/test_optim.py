@@ -163,7 +163,7 @@ class TestRevisedSimplex:
         assert sol.objective == pytest.approx(-0.05, abs=1e-12)
 
     def test_long_lp_crosses_several_refactorizations(self, monkeypatch):
-        mdp = action_independent_mdp(3, 120)
+        mdp = action_independent_mdp(3, 160)
         spec = binding_spec(mdp)
         solved = record_synthesis_lps(monkeypatch)
         synthesize_eps_private(mdp, spec)

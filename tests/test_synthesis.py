@@ -6,19 +6,20 @@ import pytest
 from lppm.adversary import adversary_matrix, belief_trajectory, stationary_belief
 from lppm.cli import main as cli_main
 from lppm.mdp import (Mdp, NotUnichainError, action_independent_rows, average_cost,
-                      induce_chain, make_mdp, occupancy_from_policy, stationary_distribution,
-                      uniform_policy)
+                      check_unichain_exhaustive, induce_chain, make_mdp, occupancy_from_policy,
+                      stationary_distribution, uniform_policy)
 from lppm.metrics import PrivacySpec, eps_privacy_check, secret_mass
-from lppm.optim import LpSolution
+from lppm.optim import LpSolution, solve_lp
 from lppm.serialize import save_result
 from lppm.synthesis import (ASYMPTOTIC_MARGIN, ActionDependentModelError,
-                            InfeasibleSynthesisError, _base_constraints,
+                            InfeasibleSynthesisError, _base_constraints, _solve_private_lp,
                             certificate_margin, secret_inflow, synthesize_asymptotic,
                             synthesize_eps_private, synthesize_unconstrained,
                             theorem1_certificate, verify_invariance)
-from support import (action_independent_mdp, binding_spec, lp_theorem1_certificate,
-                     lp_verify_invariance, random_chain, random_sparse_mdp,
-                     record_synthesis_lps, sample_safe_beliefs)
+from support import (action_independent_mdp, binding_spec, elastic_violations,
+                     full_eps_private_lp, lp_theorem1_certificate, lp_verify_invariance,
+                     random_chain, random_dense_mdp, random_sparse_mdp, record_synthesis_lps,
+                     sample_safe_beliefs)
 
 CAMPUS_SECRET = (3,)
 CAMPUS_V_UNCONSTRAINED = 3.526652
@@ -324,6 +325,9 @@ class TestSynthesizeEpsPrivate:
     def test_campus_cost_at_017(self, campus):
         res = synthesize_eps_private(campus, PrivacySpec(CAMPUS_SECRET, 0.17))
         assert res.mode == "eps_private"
+        assert set(res.diagnostics) == {"unichain", "lp_status", "lp_iterations",
+                                        "certificate_rows", "post_verify_optimum"}
+        assert res.diagnostics["certificate_rows"] == 5
         assert res.average_cost == pytest.approx(CAMPUS_V_017, abs=1e-5)
         assert res.certificate is not None
         assert res.certificate.z >= 0.0
@@ -372,6 +376,116 @@ class TestSynthesizeEpsPrivate:
         mdp = make_mdp(t, np.ones((4, 2)), ((0, 1),) * 4, np.full(4, 0.25))
         with pytest.raises(NotUnichainError):
             synthesize_eps_private(mdp, PrivacySpec((2,), 0.5))
+
+
+def private_lp_models():
+    """(name, mdp) pairs: random sparse, dense and action-independent models."""
+    rng = np.random.default_rng(1717)
+    models = [(f"sparse{k}", random_sparse_mdp(rng, n, m)[0])
+              for k, (n, m) in enumerate([(5, 3), (7, 5), (9, 4)])]
+    models += [(f"dense{k}", random_dense_mdp(rng, n, m))
+               for k, (n, m) in enumerate([(4, 3), (6, 2)])]
+    models += [(f"independent{seed}_{n}", action_independent_mdp(seed, n))
+               for seed, n in [(0, 12), (1, 20), (4, 40)]]
+    return models
+
+
+def private_lp_specs(mdp, several):
+    """Budgets for one secret state (the most likely under the uniform policy)
+    or for the two most likely, from loose to infeasible; one secret state
+    also gets binding_spec's budget."""
+    visits = occupancy_from_policy(mdp, uniform_policy(mdp)).sum(axis=1)
+    secret = tuple(int(s) for s in np.argsort(-visits, kind="stable")[:2 if several else 1])
+    specs = [PrivacySpec(secret, share * min(1.0, 2.0 * visits[list(secret)].sum()))
+             for share in (0.6, 0.8, 1.0)]
+    return specs if several else specs + [binding_spec(mdp)]
+
+
+class TestCollapsedCertificateRows:
+    """The eps_private LP keeps one certificate row per distinct state row."""
+
+    @pytest.mark.parametrize("several", [False, True], ids=["one_secret", "two_secrets"])
+    def test_objective_matches_the_full_lp(self, several):
+        statuses = Counter()
+        for name, mdp in private_lp_models():
+            for spec in private_lp_specs(mdp, several):
+                full = solve_lp(full_eps_private_lp(mdp, spec))
+                sol = _solve_private_lp(mdp, spec.selector(mdp.n_states), spec.epsilon)[2]
+                assert sol.status == full.status, (name, spec)
+                statuses[sol.status] += 1
+                if sol.status == "optimal":
+                    assert sol.objective == pytest.approx(full.objective, rel=1e-12, abs=0.0)
+        assert statuses["optimal"] >= 10
+
+    def test_rows_are_the_distinct_rows_in_first_occurrence_order(self, campus):
+        models = private_lp_models() + [("campus", campus)]
+        shrunk = 0
+        for name, mdp in models:
+            for spec in private_lp_specs(mdp, False) + private_lp_specs(mdp, True):
+                full = full_eps_private_lp(mdp, spec)
+                rows = np.column_stack([full.a_ub, full.b_ub])
+                first, group = [], []
+                for row in rows:
+                    match = [k for k, j in enumerate(first) if np.array_equal(rows[j], row)]
+                    if not match:
+                        first.append(len(group))
+                    group.append(match[0] if match else len(first) - 1)
+                lp, got, _ = _solve_private_lp(mdp, spec.selector(mdp.n_states), spec.epsilon)
+                assert lp.a_ub.tobytes() == full.a_ub[first].tobytes(), name
+                assert lp.b_ub.tobytes() == full.b_ub[first].tobytes(), name
+                assert got.tolist() == group, name
+                assert (lp.a_eq.tobytes(), lp.b_eq.tobytes(), lp.c.tobytes()) == \
+                    (full.a_eq.tobytes(), full.b_eq.tobytes(), full.c.tobytes())
+                shrunk += len(first) < mdp.n_states
+        assert shrunk >= 6
+        lp, _, _ = _solve_private_lp(campus, PrivacySpec(CAMPUS_SECRET, 0.17).selector(6), 0.17)
+        assert lp.a_ub.shape[0] == 5
+
+    def test_diagnosis_matches_the_full_elastic_lp(self, campus):
+        spec = PrivacySpec(CAMPUS_SECRET, 0.05)
+        with pytest.raises(InfeasibleSynthesisError) as exc:
+            synthesize_eps_private(campus, spec)
+        diag = exc.value.diagnosis
+        full = elastic_violations(full_eps_private_lp(campus, spec))
+        assert diag["elastic_status"] == "optimal"
+        assert diag["worst_row"] in range(campus.n_states)
+        assert diag["violations"].shape == (campus.n_states,)
+        assert diag["violations"][diag["worst_row"]] == diag["worst_violation"]
+        assert diag["worst_violation"] == pytest.approx(full.max(), abs=1e-9)
+        np.testing.assert_allclose(diag["violations"], full, rtol=0.0, atol=1e-9)
+
+    def test_merged_rows_are_named_by_their_lowest_state(self):
+        # states 0 and 1 feed the secret state 2 alike, harder than the budget allows
+        t = np.array([[[0.05, 0.05, 0.9], [0.05, 0.05, 0.9], [0.5, 0.5, 0.0]]])
+        mdp = make_mdp(t, np.ones((3, 1)), ((0,),) * 3, np.full(3, 1.0 / 3.0))
+        spec = PrivacySpec((2,), 0.5)
+        with pytest.raises(InfeasibleSynthesisError) as exc:
+            synthesize_eps_private(mdp, spec)
+        diag = exc.value.diagnosis
+        assert _solve_private_lp(mdp, spec.selector(3), 0.5)[0].a_ub.shape[0] == 2
+        assert diag["worst_row"] == 0
+        assert diag["violations"].shape == (3,)
+        full = elastic_violations(full_eps_private_lp(mdp, spec))
+        np.testing.assert_allclose(diag["violations"], full, rtol=0.0, atol=1e-12)
+
+
+    def test_merged_rows_weigh_by_their_states(self):
+        # three public states share one row. Action 0 raises their secret
+        # inflow by 0.35 per unit of frequency and lowers the secret state's
+        # by 0.65, so one merged row priced once would buy off the secret
+        # state's violation; priced as three states it must not
+        public = [0.1 / 3.0] * 3 + [0.9], [0.15] * 3 + [0.55]
+        secret = [0.7 / 3.0] * 3 + [0.3], [0.05 / 3.0] * 3 + [0.95]
+        t = np.array([[public[a]] * 3 + [secret[a]] for a in range(2)])
+        mdp = make_mdp(t, np.ones((4, 2)), ((0, 1),) * 4, np.full(4, 0.25))
+        spec = PrivacySpec((3,), 0.5)
+        with pytest.raises(InfeasibleSynthesisError) as exc:
+            synthesize_eps_private(mdp, spec)
+        diag = exc.value.diagnosis
+        full = elastic_violations(full_eps_private_lp(mdp, spec))
+        np.testing.assert_allclose(full, [0.05, 0.05, 0.05, 0.45], atol=1e-12)
+        np.testing.assert_allclose(diag["violations"], full, rtol=0.0, atol=1e-12)
+        assert diag["worst_row"] == 3
 
 
 class TestSynthesizeAsymptotic:
@@ -448,6 +562,19 @@ class TestSynthesizeAsymptotic:
         res = synthesize_asymptotic(campus, PrivacySpec(CAMPUS_SECRET, 0.16))
         assert len(solved) <= 100
         assert res.diagnostics["lp_solves"] <= len(solved)
+
+    @pytest.mark.parametrize("eps,cost", [(0.1, "5.732388"), (0.12, "5.187496")])
+    def test_infeasible_eps_private_start_costs_one_lp(self, campus, monkeypatch, eps, cost):
+        # the start's LP is infeasible: no elastic re-solve and one unichain check
+        checks = []
+        monkeypatch.setattr("lppm.synthesis.check_unichain_exhaustive",
+                            lambda mdp: checks.append(mdp) or check_unichain_exhaustive(mdp))
+        solved = record_synthesis_lps(monkeypatch)
+        res = synthesize_asymptotic(campus, PrivacySpec(CAMPUS_SECRET, eps))
+        assert len(solved) == 14 and len(checks) == 1
+        assert solved[0][1].status == "infeasible"
+        assert res.diagnostics["lp_solves"] == 13
+        assert f"{res.average_cost:.6f}" == cost
 
     def test_action_dependent_model_rejected(self, campus):
         rows = campus.rows.copy()

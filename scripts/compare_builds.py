@@ -23,7 +23,8 @@ The secret state and budget of a model come from the parent's model through
 perfbench's `private_spec` (imported from this script's repository): the
 state most visited under the uniform policy, at a budget where the
 certificate rows bind. The unconstrained result is verified and simulated
-against that same budget.
+against that same budget. On campus the chain goes on with `synthesize`
+asymptotic at epsilon 0.16 with secret s4, its `verify` and its `simulate`.
 
 Each command compares every file written, stdout, stderr and the exit code,
 after replacing each side's output directory and tree path in stdout and
@@ -54,6 +55,7 @@ USERS = [(10, 50_000, ("csv", "plt")), (20, 50_000, ("plt",)), (30, 60_000, ("cs
 PARAM_SETS = {"small": ["--max-radius", "20", "--min-dist", "30", "--min-stay", "0.2"],
               "wide": ["--max-radius", "300", "--min-dist", "200", "--min-speed", "3"]}
 HORIZON = "200"
+ASYMPTOTIC = ["--epsilon", "0.16", "--secret", "s4"]  # the campus asymptotic run
 
 
 def _perfbench(name: str):
@@ -106,11 +108,12 @@ def chain(model_args: list[str], secret: int, eps: float) -> list[tuple[str, lis
     """(step, CLI arguments) of the synthesis chain, run from the directory
     that holds every step's output directory, named after the step."""
     private = ["--epsilon", repr(eps), "--secret", str(secret)]
-    steps = [("synthesize_unconstrained",
-              ["synthesize", *model_args, "--mode", "unconstrained"]),
-             ("synthesize_eps_private",
-              ["synthesize", *model_args, "--mode", "eps_private", *private])]
-    for mode in ("unconstrained", "eps_private"):
+    modes = {"unconstrained": [], "eps_private": private}
+    if model_args == ["--fixture", "campus"]:
+        modes["asymptotic"] = ASYMPTOTIC
+    steps = [(f"synthesize_{mode}", ["synthesize", *model_args, "--mode", mode, *given])
+             for mode, given in modes.items()]
+    for mode in modes:
         given = private if mode == "unconstrained" else []
         result = ["--result", f"synthesize_{mode}/result.json"]
         steps += [(f"verify_{mode}", ["verify", *model_args, *result, *given]),

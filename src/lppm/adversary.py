@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import Mdp, mix_actions, stationary_distribution
+from .mdp import COMPUTATION_ATOL, Mdp, mix_actions, stationary_distribution
 from .metrics import secret_mass_series
 
 
-def _check_simplex(v: np.ndarray, what: str, atol: float = 1e-10) -> np.ndarray:
+def _check_simplex(v: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if np.any(v < -atol) or abs(v.sum() - 1.0) > atol:
+    if np.any(v < -COMPUTATION_ATOL) or abs(v.sum() - 1.0) > COMPUTATION_ATOL:
         raise ValueError(f"{what} must be a probability distribution")
     return v
 

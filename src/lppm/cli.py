@@ -8,9 +8,10 @@ mechanisms on a model).
 
 Exit codes: 0 success, 1 missing or invalid input, 2 empty POI set,
 3 infeasible synthesis or mechanism, or an LP that stalled (feasibility
-unknown), 4 internal disagreement between verification routes. Flags
-override values from --config (a flat JSON object keyed by the long flag
-names with dashes as underscores).
+unknown), 4 internal disagreement between verification routes, or a
+synthesized policy that fails its own check. Flags override values from
+--config (a flat JSON object keyed by the long flag names with dashes as
+underscores).
 """
 from __future__ import annotations
 
@@ -24,24 +25,21 @@ import numpy as np
 
 from . import baselines as bl
 from . import fixtures, mobility, serialize
-from .adversary import (adversary_matrix, belief_trajectory, stationary_belief,
-                        write_belief_csv)
-from .mdp import (UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, induce_chain,
-                  occupancy_from_policy, validate_policy)
+from .adversary import adversary_matrix, belief_trajectory, write_belief_csv
+from .mdp import UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, induce_chain, validate_policy
 from .metrics import (PrivacySpec, distance_matrix_from_meta, mass_bound_check,
                       secret_mass_series, write_metric_series)
 from .optim import FW_GAP_TOL
-from .synthesis import (ASYMPTOTIC_MARGIN, VERIFY_SLACK, ActionDependentModelError,
-                        InfeasibleSynthesisError, synthesize_asymptotic,
-                        synthesize_eps_private, synthesize_unconstrained,
-                        theorem1_certificate, verify_invariance)
+from .synthesis import (ASYMPTOTIC_MARGIN, THETA_TOL, ActionDependentModelError,
+                        InfeasibleSynthesisError, SelfCheckError, deployed_chain, limit_check,
+                        synthesize_asymptotic, synthesize_eps_private,
+                        synthesize_unconstrained, theorem1_certificate, verify_invariance)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_EMPTY = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
-THETA_TOL = 1e-9  # largest |theta - occupancy of the policy| verify accepts
 
 
 class CliError(Exception):
@@ -110,13 +108,17 @@ def _read_file(kind, path, load):
         raise CliError(f"{kind} file {path} is malformed: {' '.join(str(exc).split())}")
 
 
+def _fixture(name):
+    if name != "campus":
+        raise CliError(f"unknown fixture {name!r}")
+    return fixtures.campus()
+
+
 def _load_model(args, config):
     fixture = _get(args, config, "fixture")
     model = _get(args, config, "model")
     if fixture is not None:
-        if fixture != "campus":
-            raise CliError(f"unknown fixture {fixture!r}")
-        return fixtures.campus()
+        return _fixture(fixture)
     if model is None:
         raise CliError("no model given: pass --model or --fixture")
     return _read_file("model", model, serialize.load_mdp)
@@ -233,9 +235,7 @@ def cmd_build(args):
     out = _out_dir(args, config)
     fixture = _get(args, config, "fixture")
     if fixture is not None:
-        if fixture != "campus":
-            raise CliError(f"unknown fixture {fixture!r}")
-        mdp = fixtures.campus()
+        mdp = _fixture(fixture)
         serialize.save_mdp(mdp, out / "mdp.json")
         print(f"wrote fixture model: {mdp.n_states} states, {mdp.n_actions} actions "
               f"-> {out / 'mdp.json'}")
@@ -306,6 +306,8 @@ def cmd_synthesize(args):
         raise CliError(f"model is not unichain: {exc}")
     except ActionDependentModelError as exc:
         raise CliError(str(exc))
+    except SelfCheckError as exc:
+        raise CliError(str(exc), EXIT_INTERNAL)
     if result.diagnostics.get("unichain") == "budget_exceeded":
         print(f"warning: unichain check skipped: the model has more than {UNICHAIN_BUDGET} "
               f"distinct deterministic policy chains, so a policy with a reducible chain "
@@ -377,27 +379,19 @@ def cmd_verify(args):
     if not secret:
         raise CliError("result has no secret states; pass --secret")
     spec = PrivacySpec(secret, _epsilon(epsilon))
-    # the policy is what gets deployed: its own occupancy must be the stored theta
     try:
-        drift = float(np.max(np.abs(occupancy_from_policy(mdp, result.policy) - result.theta)))
+        drift, chain = deployed_chain(mdp, result)
     except NonErgodicError:
-        print("error: the result's policy induces a non-ergodic chain, so its occupancy "
-              "cannot be checked against the stored theta", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise CliError("the result's policy induces a non-ergodic chain, so its occupancy "
+                       "cannot be checked against the stored theta", EXIT_INTERNAL)
     if not drift <= THETA_TOL:
-        print(f"error: the result's policy does not induce its stored theta "
-              f"(max abs difference {drift:.3g} > {THETA_TOL:g})", file=sys.stderr)
-        return EXIT_INTERNAL
-    chain = adversary_matrix(mdp, result.theta)
+        raise CliError(f"the result's policy does not induce its stored theta "
+                       f"(max abs difference {drift:.3g} > {THETA_TOL:g})", EXIT_INTERNAL)
     if result.mode == "asymptotic":  # the claim: an ergodic chain whose limit is b_inf, safe
         try:
-            b_inf = stationary_belief(chain)
+            mass, gap, holds = limit_check(chain, spec, result.b_inf)
         except NonErgodicError:
             raise CliError("the result's belief chain is not ergodic, so it has no limit belief")
-        mass = float(spec.selector(mdp.n_states) @ b_inf)
-        gap = (float(np.max(np.abs(b_inf - result.b_inf)))
-               if np.shape(result.b_inf) == b_inf.shape else np.inf)
-        holds = mass <= spec.epsilon + VERIFY_SLACK and gap <= VERIFY_SLACK
         print(f"limit check: secret mass of the limit belief = {mass:.9f} "
               f"(epsilon {spec.epsilon})\nstored b_inf: max abs difference {gap:.3e}\n"
               f"holds in the limit: {holds}")

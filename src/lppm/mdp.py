@@ -246,8 +246,9 @@ def uniform_policy(mdp: Mdp) -> np.ndarray:
     return policy
 
 
-def validate_policy(mdp: Mdp, policy: np.ndarray, atol: float = CONSTRUCTION_ATOL):
+def validate_policy(mdp: Mdp, policy: np.ndarray):
     policy = np.asarray(policy, dtype=float)
+    atol = CONSTRUCTION_ATOL
     if policy.shape != (mdp.n_states, mdp.n_actions):
         raise ValueError("policy must have shape (n_states, n_actions)")
     if np.any(policy < -atol) or not np.allclose(policy.sum(axis=1), 1.0, atol=atol, rtol=0.0):
@@ -262,15 +263,16 @@ def induce_chain(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     return mix_actions(mdp, validate_policy(mdp, policy))
 
 
-def check_ergodic(chain: np.ndarray, tol: float = 1e-12) -> bool:
+def check_ergodic(chain: np.ndarray) -> bool:
     """True when the chain is irreducible and aperiodic.
 
-    That holds exactly when its support matrix (entries above tol) is
-    primitive, and by Wielandt's bound an n x n matrix is primitive exactly
-    when its power (n - 1)^2 + 1, and so every higher power, is positive.
+    That holds exactly when its support matrix (entries above
+    CONSTRUCTION_ATOL) is primitive, and by Wielandt's bound an n x n matrix
+    is primitive exactly when its power (n - 1)^2 + 1, and so every higher
+    power, is positive.
     Repeated boolean squaring reaches such a power.
     """
-    support = (np.asarray(chain, dtype=float) > tol).astype(float)
+    support = (np.asarray(chain, dtype=float) > CONSTRUCTION_ATOL).astype(float)
     power = 1
     while power < (support.shape[0] - 1) ** 2 + 1:
         support = (support @ support > 0.0).astype(float)
@@ -278,12 +280,12 @@ def check_ergodic(chain: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(support.all())
 
 
-def stationary_distribution(chain: np.ndarray, atol: float = COMPUTATION_ATOL) -> np.ndarray:
+def stationary_distribution(chain: np.ndarray) -> np.ndarray:
     """Unique stationary distribution of an ergodic chain via a dense solve.
 
     Solves (P^T - I) p = 0 with one row replaced by the normalization
-    sum(p) = 1 and verifies the residual. Raises NonErgodicError when the
-    chain is reducible or periodic.
+    sum(p) = 1 and verifies the residual to COMPUTATION_ATOL. Raises
+    NonErgodicError when the chain is reducible or periodic.
     """
     chain = np.asarray(chain, dtype=float)
     if not check_ergodic(chain):
@@ -298,7 +300,7 @@ def stationary_distribution(chain: np.ndarray, atol: float = COMPUTATION_ATOL) -
     if np.any(p < 0.0):
         raise NonErgodicError("stationary solve produced negative mass")
     p = p / p.sum()
-    if np.max(np.abs(chain.T @ p - p)) > atol:
+    if np.max(np.abs(chain.T @ p - p)) > COMPUTATION_ATOL:
         raise NonErgodicError("stationary solve residual too large")
     return p
 
@@ -356,18 +358,18 @@ def occupancy_from_policy(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     return p_inf[:, None] * policy
 
 
-def policy_from_theta(theta: np.ndarray, available, tol: float = CONSTRUCTION_ATOL):
+def policy_from_theta(theta: np.ndarray, available):
     """Extract (policy, p_inf) from an occupancy measure.
 
-    States carrying mass at most `tol` get the uniform distribution over
-    their available actions.
+    States carrying mass at most CONSTRUCTION_ATOL get the uniform
+    distribution over their available actions.
     """
     theta = np.asarray(theta, dtype=float)
     n, m = theta.shape
     p_inf = theta.sum(axis=1)
     policy = np.zeros((n, m))
     for s in range(n):
-        if p_inf[s] > tol:
+        if p_inf[s] > CONSTRUCTION_ATOL:
             policy[s] = np.clip(theta[s], 0.0, None) / p_inf[s]
             policy[s] /= policy[s].sum()
         else:
@@ -392,7 +394,7 @@ def simulate(mdp: Mdp, policy: np.ndarray, horizon: int, seed: int) -> np.ndarra
         out[t, 0] = s
         out[t, 1] = a
         k = pair_of[s, a]
-        # an unavailable action is drawn only through policy dust or the clamp
-        cum = cum_rows[k] if k >= 0 else np.cumsum(mdp.action_matrix(a)[s])
-        s = min(int(np.searchsorted(cum, draws[t, 1], side="right")), n - 1)
+        # an unavailable action, drawn only through policy dust or the clamp, keeps s
+        if k >= 0:
+            s = min(int(np.searchsorted(cum_rows[k], draws[t, 1], side="right")), n - 1)
     return out

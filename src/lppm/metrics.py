@@ -21,6 +21,7 @@ RATIO_FLOOR = 1e-150
 # a computed ratio by a few ulps at most, so a row further down cannot hold the max
 SCREEN_ULPS = 16
 SETTLE_CHUNK = 1 << 16    # entries per settle block, so no (T, n, n) array is built
+DISTANCE_ATOL = 1e-9      # asymmetry and diagonal a distance matrix may carry
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,9 @@ def mass_bound_check(masses, epsilon: float, slack: float = 1e-9) -> EpsPrivacyR
     return EpsPrivacyResult(first is None, first, float(masses.max()))
 
 
-def validate_distance_matrix(distance: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+def validate_distance_matrix(distance: np.ndarray) -> np.ndarray:
     d = np.asarray(distance, dtype=float)
+    atol = DISTANCE_ATOL
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
     if np.any(d < 0.0) or np.any(np.abs(np.diag(d)) > atol):

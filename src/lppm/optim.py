@@ -180,17 +180,16 @@ def _simplex_phase(a, b, c, basis, max_iter, tol):
     return "stalled", None, it, None
 
 
-def solve_lp(lp: LinearProgram, tol: float = OPT_TOL, max_iter: int | None = None) -> LpSolution:
-    """Two-phase dense simplex. Deterministic for identical input.
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Two-phase dense simplex at tolerance OPT_TOL. Deterministic for identical input.
 
-    The iteration budget defaults to 50 * (n_vars + 2 n_rows + 2); exceeding
-    it, or pivoting onto a singular basis, yields status "stalled" rather
-    than a wrong answer or an exception.
+    The iteration budget is 50 * (n_vars + 2 n_rows + 2); exceeding it, or
+    pivoting onto a singular basis, yields status "stalled" rather than a
+    wrong answer or an exception.
     """
     c, a, b = _to_standard_form(lp)
     m, n = a.shape
-    if max_iter is None:
-        max_iter = 50 * (lp.n_vars + lp.n_rows + m + 2)
+    tol, max_iter = OPT_TOL, 50 * (lp.n_vars + lp.n_rows + m + 2)
     if m == 0:
         # only nonnegativity left: unbounded exactly when some cost is negative
         if np.any(c < -tol):

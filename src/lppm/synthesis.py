@@ -24,6 +24,7 @@ from .metrics import PrivacySpec
 from .optim import LinearProgram, LpSolution, solve_lp
 
 VERIFY_SLACK = 1e-9
+THETA_TOL = 1e-9  # largest max abs |theta - occupancy of its policy| a result may carry
 ASYMPTOTIC_MARGIN = 1e-3  # the asymptotic mode keeps limit beliefs this far inside epsilon
 CUT_TOL = 1e-8  # relative fit of the asymptotic secret cuts; above solve_lp's FEAS_TOL
 DESCENT_TOL = 1e-12  # an asymptotic descent step must gain more than this share
@@ -35,6 +36,10 @@ class InfeasibleSynthesisError(RuntimeError):
     def __init__(self, message: str, diagnosis: dict | None = None):
         super().__init__(message)
         self.diagnosis = diagnosis or {}
+
+
+class SelfCheckError(RuntimeError):
+    """The policy a private mode is about to return fails the check `verify` makes."""
 
 
 class ActionDependentModelError(ValueError):
@@ -202,7 +207,8 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
     One LP over the occupancy measure and the certificate multiplier z; the
     belief chain is linear in the occupancy action marginals, so the
     certificate rows stay linear. Infeasibility is reported with the
-    tightest violated row to guide relaxing epsilon.
+    tightest violated row to guide relaxing epsilon. The returned policy
+    passes the self-check `verify` makes, or SelfCheckError is raised.
     """
     diagnostics: dict = {}
     _require_unichain(mdp, diagnostics)
@@ -224,11 +230,9 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
     chain = adversary_matrix(mdp, theta)
     beta = np.maximum(eps - eps * z + z * sel - secret_inflow(chain, spec), 0.0)
     cert = Certificate(z, beta, certificate_margin(chain, spec, Certificate(z, beta, 0.0)))
-    result = _finish(mdp, "eps_private", theta, diagnostics, epsilon=eps,
-                     secret_states=spec.secret_states, certificate=cert,
-                     b_inf=_try_stationary(chain))
-    _post_verify(mdp, result, spec, diagnostics)
-    return result
+    return _self_check(mdp, _finish(mdp, "eps_private", theta, diagnostics, epsilon=eps,
+                                    secret_states=spec.secret_states, certificate=cert,
+                                    b_inf=_try_stationary(chain)), spec)
 
 
 def _solve_private_lp(mdp: Mdp, sel: np.ndarray, eps: float):
@@ -265,17 +269,50 @@ def _try_stationary(chain: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _post_verify(mdp: Mdp, result: SynthesisResult, spec: PrivacySpec, diagnostics: dict):
-    """The returned policy's own belief chain must pass the exact check."""
+def deployed_chain(mdp: Mdp, result: SynthesisResult) -> tuple[float, np.ndarray]:
+    """(drift, chain): the max abs difference between the occupancy of the
+    result's policy, the object that gets deployed, and its stored theta, and
+    the observer chain of that occupancy. Raises NonErgodicError when the
+    policy's own chain is not ergodic."""
+    theta = occupancy_from_policy(mdp, result.policy)
+    return float(np.max(np.abs(theta - result.theta))), adversary_matrix(mdp, theta)
+
+
+def limit_check(chain: np.ndarray, spec: PrivacySpec, b_inf: np.ndarray | None):
+    """(mass, gap, holds): the secret mass of the chain's limit belief, its max
+    abs gap to the stored b_inf (inf when that is missing or misshapen), and
+    whether mass - epsilon and gap are both at most VERIFY_SLACK. Raises
+    NonErgodicError when the chain has no limit belief."""
+    limit = stationary_belief(chain)
+    mass = float(spec.selector(limit.size) @ limit)
+    gap = float(np.max(np.abs(limit - b_inf))) if np.shape(b_inf) == limit.shape else np.inf
+    return mass, gap, mass <= spec.epsilon + VERIFY_SLACK and gap <= VERIFY_SLACK
+
+
+def _self_check(mdp: Mdp, result: SynthesisResult, spec: PrivacySpec) -> SynthesisResult:
+    """The result, once `verify` would accept it: the policy's own occupancy
+    lies within THETA_TOL of theta, and its observer chain keeps the safe set
+    invariant (eps_private, whose worst one-step mass goes into
+    post_verify_optimum) or has a safe limit matching b_inf (asymptotic).
+    SelfCheckError otherwise."""
+    what = f"the synthesized {result.mode} policy failed its self-check"
     try:
-        theta = occupancy_from_policy(mdp, result.policy)
+        drift, chain = deployed_chain(mdp, result)
+        if not drift <= THETA_TOL:
+            raise SelfCheckError(f"{what}: its own occupancy differs from theta by "
+                                 f"{drift:.3g} > {THETA_TOL:g} (max abs)")
+        if result.mode == "asymptotic":
+            mass, gap, holds = limit_check(chain, spec, result.b_inf)
+            detail = f"limit secret mass {mass:.12g}, stored b_inf off by {gap:.3g}"
+        else:
+            verdict = verify_invariance(chain, spec)
+            result.diagnostics["post_verify_optimum"] = verdict.optimum
+            holds, detail = verdict.invariant, f"worst one-step secret mass {verdict.optimum:.12g}"
     except NonErgodicError:
-        theta = result.theta
-    verdict = verify_invariance(adversary_matrix(mdp, theta), spec)
-    diagnostics["post_verify_optimum"] = verdict.optimum
-    if verdict.optimum > spec.epsilon + 1e-7:
-        raise RuntimeError("synthesized policy failed the invariance re-check; "
-                           f"worst mass {verdict.optimum:.12g} vs epsilon {spec.epsilon:g}")
+        raise SelfCheckError(f"{what}: its chain is not ergodic") from None
+    if not holds:
+        raise SelfCheckError(f"{what}: {detail} (epsilon {spec.epsilon:g})")
+    return result
 
 
 def _unproven(sol: LpSolution, what: str) -> InfeasibleSynthesisError:
@@ -314,7 +351,9 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
     proportional to pi / F, where F_s >= pi(s), the frequency of the actions
     usable at s, is linear in theta. _LimitDescent runs from two fixed starts,
     the uniform policy and the all-time private policy at epsilon minus the
-    margin, and the cheaper end point is kept, the first on a tie.
+    margin, and the cheaper end point is kept, the first on a tie. The limit
+    belief of the returned policy's own chain is checked as `verify` checks
+    it, and SelfCheckError is raised when it fails.
     """
     p = action_independent_rows(mdp)
     if p is None:
@@ -349,8 +388,9 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
     diagnostics.update(residual=float(np.abs(chain.T @ b_inf - b_inf).sum()),
                        secret_mass_inf=float(sel @ b_inf), lp_solves=descent.lp_solves,
                        start=start)
-    return _finish(mdp, "asymptotic", ends[start], diagnostics, epsilon=spec.epsilon,
-                   secret_states=spec.secret_states, b_inf=b_inf)
+    return _self_check(mdp, _finish(mdp, "asymptotic", ends[start], diagnostics,
+                                    epsilon=spec.epsilon, secret_states=spec.secret_states,
+                                    b_inf=b_inf), spec)
 
 
 class _LimitDescent:

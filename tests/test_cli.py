@@ -7,10 +7,10 @@ import pytest
 from lppm import baselines as bl, serialize
 from lppm.cli import main
 from lppm.fixtures import campus as campus_fixture
-from lppm.mdp import Mdp, make_mdp
+from lppm.mdp import Mdp, NonErgodicError, make_mdp
 from lppm.optim import LpSolution
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
-from lppm.synthesis import SynthesisResult
+from lppm.synthesis import InvarianceVerdict, SynthesisResult
 from support import (action_independent_mdp, binding_spec, csv_write_belief_csv,
                      csv_write_metric_series, loop_nested, random_dense_mdp,
                      record_synthesis_lps, recursive_dumps_canonical, save_mdp_v1)
@@ -162,6 +162,47 @@ class TestSynthesize:
                        "--mode", "eps_private", "--secret", "s4",
                        "--out", str(tmp_path))
         assert rc == 1
+
+    def self_check_fails(self, tmp_path, capsys, mode, epsilon):
+        """synthesize exits 4 with one error line and writes no result; the line."""
+        rc, out, err = run(capsys, "synthesize", "--fixture", "campus", "--mode", mode,
+                           "--epsilon", epsilon, "--secret", "s4", "--out", str(tmp_path))
+        assert rc == 4 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: the synthesized {mode} policy failed its self-check: "), err
+        assert not (tmp_path / "result.json").exists()
+        return lines[0]
+
+    def test_private_policy_above_the_verify_slack_exit_4(self, tmp_path, capsys, monkeypatch):
+        # a worst mass 1e-8 above epsilon: refused by verify, so by synthesize too
+        monkeypatch.setattr("lppm.synthesis.verify_invariance",
+                            lambda chain, spec: InvarianceVerdict(False, 0.20000001, None))
+        line = self.self_check_fails(tmp_path, capsys, "eps_private", "0.2")
+        assert line.endswith("worst one-step secret mass 0.20000001 (epsilon 0.2)")
+
+    def test_asymptotic_limit_that_fails_exit_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("lppm.synthesis.limit_check",
+                            lambda chain, spec, b_inf: (0.17, 0.0, False))
+        line = self.self_check_fails(tmp_path, capsys, "asymptotic", "0.16")
+        assert line.endswith("limit secret mass 0.17, stored b_inf off by 0 (epsilon 0.16)")
+
+    @pytest.mark.parametrize("mode,epsilon", [("eps_private", "0.2"), ("asymptotic", "0.16")])
+    def test_theta_drift_exit_4(self, tmp_path, capsys, monkeypatch, mode, epsilon):
+        monkeypatch.setattr("lppm.synthesis.deployed_chain",
+                            lambda mdp, result: (1e-8, None))
+        line = self.self_check_fails(tmp_path, capsys, mode, epsilon)
+        assert line.endswith("its own occupancy differs from theta by 1e-08 > 1e-09 (max abs)")
+
+    @pytest.mark.parametrize("mode,epsilon", [("eps_private", "0.2"), ("asymptotic", "0.16")])
+    def test_non_ergodic_policy_chain_exit_4(self, tmp_path, capsys, monkeypatch, mode, epsilon):
+        # no silent check of the stored theta instead
+        def non_ergodic(mdp, policy):
+            raise NonErgodicError("chain is not ergodic")
+
+        monkeypatch.setattr("lppm.synthesis.occupancy_from_policy", non_ergodic)
+        line = self.self_check_fails(tmp_path, capsys, mode, epsilon)
+        assert line.endswith("its chain is not ergodic")
 
 
 class TestSimulate:

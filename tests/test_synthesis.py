@@ -11,11 +11,11 @@ from lppm.mdp import (Mdp, NotUnichainError, action_independent_rows, average_co
 from lppm.metrics import PrivacySpec, eps_privacy_check, secret_mass
 from lppm.optim import LpSolution, solve_lp
 from lppm.serialize import save_result
-from lppm.synthesis import (ASYMPTOTIC_MARGIN, ActionDependentModelError,
+from lppm.synthesis import (ASYMPTOTIC_MARGIN, THETA_TOL, ActionDependentModelError,
                             InfeasibleSynthesisError, _base_constraints, _solve_private_lp,
-                            certificate_margin, secret_inflow, synthesize_asymptotic,
-                            synthesize_eps_private, synthesize_unconstrained,
-                            theorem1_certificate, verify_invariance)
+                            certificate_margin, deployed_chain, limit_check, secret_inflow,
+                            synthesize_asymptotic, synthesize_eps_private,
+                            synthesize_unconstrained, theorem1_certificate, verify_invariance)
 from support import (action_independent_mdp, binding_spec, elastic_violations,
                      full_eps_private_lp, lp_theorem1_certificate, lp_verify_invariance,
                      random_chain, random_dense_mdp, random_sparse_mdp, record_synthesis_lps,
@@ -556,6 +556,10 @@ class TestSynthesizeAsymptotic:
                 assert f"{lowest:.6f}" in str(exc) and "feasibility unknown" in str(exc)
                 continue
             self.assert_exactly_safe(mdp, spec, res)
+            # and verify's own check of the deployed policy accepts it
+            drift, chain = deployed_chain(mdp, res)
+            assert drift <= THETA_TOL
+            assert limit_check(chain, spec, res.b_inf)[2]
 
     def test_campus_takes_few_lps(self, campus, monkeypatch):
         solved = record_synthesis_lps(monkeypatch)

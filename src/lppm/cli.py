@@ -9,9 +9,9 @@ mechanisms on a model).
 Exit codes: 0 success, 1 missing or invalid input, 2 empty POI set,
 3 infeasible synthesis or mechanism, or an LP that stalled (feasibility
 unknown), 4 internal disagreement between verification routes, or a
-synthesized policy that fails its own check. Flags override values from
---config (a flat JSON object keyed by the long flag names with dashes as
-underscores).
+synthesized or stored policy that fails the check of its own chain. Flags
+override values from --config (a flat JSON object keyed by the long flag
+names with dashes as underscores).
 """
 from __future__ import annotations
 
@@ -25,12 +25,12 @@ import numpy as np
 
 from . import baselines as bl
 from . import fixtures, mobility, serialize
-from .adversary import adversary_matrix, belief_trajectory, write_belief_csv
-from .mdp import UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, induce_chain, validate_policy
+from .adversary import belief_trajectory, write_belief_csv
+from .mdp import UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, validate_policy
 from .metrics import (PrivacySpec, distance_matrix_from_meta, mass_bound_check,
                       secret_mass_series, write_metric_series)
 from .optim import FW_GAP_TOL
-from .synthesis import (ASYMPTOTIC_MARGIN, THETA_TOL, ActionDependentModelError,
+from .synthesis import (ASYMPTOTIC_MARGIN, ActionDependentModelError,
                         InfeasibleSynthesisError, SelfCheckError, deployed_chain, limit_check,
                         synthesize_asymptotic, synthesize_eps_private,
                         synthesize_unconstrained, theorem1_certificate, verify_invariance)
@@ -147,6 +147,13 @@ def _load_result(args, config, mdp):
     except ValueError as exc:
         raise CliError(f"result {result_path} holds no policy of the model: {exc}")
     return result
+
+
+def _deployed_chain(mdp, result):
+    try:
+        return deployed_chain(mdp, result)
+    except SelfCheckError as exc:
+        raise CliError(f"the result's {result.mode} policy fails its check: {exc}", EXIT_INTERNAL)
 
 
 def _parse_secret(spec_text, mdp):
@@ -335,16 +342,15 @@ def cmd_simulate(args):
     secret_text = _get(args, config, "secret")
     secret = (_parse_secret(secret_text, mdp) if secret_text is not None
               else result.secret_states or (0,))
+    user_chain, chain = _deployed_chain(mdp, result)
     out = _out_dir(args, config)
     b0 = _initial_belief(args, config, mdp, secret)
-    chain = adversary_matrix(mdp, result.theta)
     beliefs = belief_trajectory(chain, b0, horizon)
     if horizon == 0:
         beliefs = beliefs[:0]
     write_belief_csv(out / "belief.csv", beliefs, secret)
     write_metric_series(out / "metrics.csv", beliefs, secret, _distance_for(mdp))
     # expected step cost of the synthesized policy along the user's own chain
-    user_chain = induce_chain(mdp, result.policy)
     step_u = np.einsum("sa,sa->s", result.policy, mdp.utility)
     p = mdp.p0.copy()
     total = 0.0
@@ -379,14 +385,7 @@ def cmd_verify(args):
     if not secret:
         raise CliError("result has no secret states; pass --secret")
     spec = PrivacySpec(secret, _epsilon(epsilon))
-    try:
-        drift, chain = deployed_chain(mdp, result)
-    except NonErgodicError:
-        raise CliError("the result's policy induces a non-ergodic chain, so its occupancy "
-                       "cannot be checked against the stored theta", EXIT_INTERNAL)
-    if not drift <= THETA_TOL:
-        raise CliError(f"the result's policy does not induce its stored theta "
-                       f"(max abs difference {drift:.3g} > {THETA_TOL:g})", EXIT_INTERNAL)
+    chain = _deployed_chain(mdp, result)[1]
     if result.mode == "asymptotic":  # the claim: an ergodic chain whose limit is b_inf, safe
         try:
             mass, gap, holds = limit_check(chain, spec, result.b_inf)

@@ -22,6 +22,7 @@ RATIO_FLOOR = 1e-150
 SCREEN_ULPS = 16
 SETTLE_CHUNK = 1 << 16    # entries per settle block, so no (T, n, n) array is built
 DISTANCE_ATOL = 1e-9      # asymmetry and diagonal a distance matrix may carry
+VERIFY_SLACK = 1e-9       # a secret mass this far above epsilon still keeps the bound
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,13 @@ def secret_mass_series(beliefs: np.ndarray, spec) -> np.ndarray:
     return np.array([row.sum() for row in beliefs[:, _secret_indices(spec)]], dtype=float)
 
 
-def eps_privacy_check(beliefs: np.ndarray, spec: PrivacySpec, slack: float = 1e-9) -> EpsPrivacyResult:
+def eps_privacy_check(beliefs: np.ndarray, spec: PrivacySpec,
+                      slack: float = VERIFY_SLACK) -> EpsPrivacyResult:
     """Check secret mass <= epsilon along a whole belief trajectory."""
     return mass_bound_check(secret_mass_series(beliefs, spec), spec.epsilon, slack)
 
 
-def mass_bound_check(masses, epsilon: float, slack: float = 1e-9) -> EpsPrivacyResult:
+def mass_bound_check(masses, epsilon: float, slack: float = VERIFY_SLACK) -> EpsPrivacyResult:
     """`eps_privacy_check` on a secret-mass column computed beforehand."""
     masses = np.asarray(masses, dtype=float)
     bad = np.nonzero(masses > epsilon + slack)[0]

@@ -18,12 +18,11 @@ import numpy as np
 
 from .adversary import adversary_matrix, stationary_belief
 from .mdp import (Mdp, NonErgodicError, NotUnichainError, action_independent_rows,
-                  average_cost, check_unichain_exhaustive, occupancy_from_policy,
-                  policy_from_theta, scatter_pairs, stationary_distribution, uniform_policy)
-from .metrics import PrivacySpec
+                  average_cost, check_unichain_exhaustive, induce_chain, policy_from_theta,
+                  scatter_pairs, stationary_distribution, uniform_policy)
+from .metrics import VERIFY_SLACK, PrivacySpec, secret_mass
 from .optim import LinearProgram, LpSolution, solve_lp
 
-VERIFY_SLACK = 1e-9
 THETA_TOL = 1e-9  # largest max abs |theta - occupancy of its policy| a result may carry
 ASYMPTOTIC_MARGIN = 1e-3  # the asymptotic mode keeps limit beliefs this far inside epsilon
 CUT_TOL = 1e-8  # relative fit of the asymptotic secret cuts; above solve_lp's FEAS_TOL
@@ -39,7 +38,7 @@ class InfeasibleSynthesisError(RuntimeError):
 
 
 class SelfCheckError(RuntimeError):
-    """The policy a private mode is about to return fails the check `verify` makes."""
+    """A result's policy fails the check `verify` makes."""
 
 
 class ActionDependentModelError(ValueError):
@@ -225,14 +224,17 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
         raise _unproven(sol, f"eps_private LP at epsilon={eps:g}")
     diagnostics.update(lp_status=sol.status, lp_iterations=sol.iterations,
                        certificate_rows=len(lp.b_ub))
-    theta = _theta(mdp, sol.x)
-    z = float(sol.x[-1])
-    chain = adversary_matrix(mdp, theta)
+    result = _finish(mdp, "eps_private", _theta(mdp, sol.x), diagnostics, epsilon=eps,
+                     secret_states=spec.secret_states)
+    chain, z = _self_check(mdp, result, spec), float(sol.x[-1])
     beta = np.maximum(eps - eps * z + z * sel - secret_inflow(chain, spec), 0.0)
-    cert = Certificate(z, beta, certificate_margin(chain, spec, Certificate(z, beta, 0.0)))
-    return _self_check(mdp, _finish(mdp, "eps_private", theta, diagnostics, epsilon=eps,
-                                    secret_states=spec.secret_states, certificate=cert,
-                                    b_inf=_try_stationary(chain)), spec)
+    cert = result.certificate = Certificate(z, beta, 0.0)
+    cert.margin = certificate_margin(chain, spec, cert)
+    try:
+        result.b_inf = stationary_belief(chain)
+    except NonErgodicError:
+        pass  # a chain with no limit belief leaves b_inf null
+    return result
 
 
 def _solve_private_lp(mdp: Mdp, sel: np.ndarray, eps: float):
@@ -262,20 +264,21 @@ def _certificate_inflow(mdp: Mdp, sel: np.ndarray) -> np.ndarray:
                      for a in range(mdp.n_actions)])
 
 
-def _try_stationary(chain: np.ndarray) -> np.ndarray | None:
+def deployed_chain(mdp: Mdp, result: SynthesisResult) -> tuple[np.ndarray, np.ndarray]:
+    """(user, chain): the user chain of the result's policy, the object that gets
+    deployed, and the observer chain of its occupancy, which a result is stored
+    from, checked on and replayed on. SelfCheckError when the user chain is not
+    ergodic or the occupancy is off the stored theta by more than THETA_TOL."""
+    user = induce_chain(mdp, result.policy)
     try:
-        return stationary_belief(chain)
+        theta = stationary_distribution(user)[:, None] * result.policy
     except NonErgodicError:
-        return None
-
-
-def deployed_chain(mdp: Mdp, result: SynthesisResult) -> tuple[float, np.ndarray]:
-    """(drift, chain): the max abs difference between the occupancy of the
-    result's policy, the object that gets deployed, and its stored theta, and
-    the observer chain of that occupancy. Raises NonErgodicError when the
-    policy's own chain is not ergodic."""
-    theta = occupancy_from_policy(mdp, result.policy)
-    return float(np.max(np.abs(theta - result.theta))), adversary_matrix(mdp, theta)
+        raise SelfCheckError("its chain is not ergodic") from None
+    drift = float(np.max(np.abs(theta - result.theta)))
+    if not drift <= THETA_TOL:
+        raise SelfCheckError(f"its own occupancy differs from theta by {drift:.3g} > "
+                             f"{THETA_TOL:g} (max abs)")
+    return user, adversary_matrix(mdp, theta)
 
 
 def limit_check(chain: np.ndarray, spec: PrivacySpec, b_inf: np.ndarray | None):
@@ -284,35 +287,32 @@ def limit_check(chain: np.ndarray, spec: PrivacySpec, b_inf: np.ndarray | None):
     whether mass - epsilon and gap are both at most VERIFY_SLACK. Raises
     NonErgodicError when the chain has no limit belief."""
     limit = stationary_belief(chain)
-    mass = float(spec.selector(limit.size) @ limit)
+    mass = secret_mass(limit, spec)
     gap = float(np.max(np.abs(limit - b_inf))) if np.shape(b_inf) == limit.shape else np.inf
     return mass, gap, mass <= spec.epsilon + VERIFY_SLACK and gap <= VERIFY_SLACK
 
 
-def _self_check(mdp: Mdp, result: SynthesisResult, spec: PrivacySpec) -> SynthesisResult:
-    """The result, once `verify` would accept it: the policy's own occupancy
-    lies within THETA_TOL of theta, and its observer chain keeps the safe set
-    invariant (eps_private, whose worst one-step mass goes into
-    post_verify_optimum) or has a safe limit matching b_inf (asymptotic).
-    SelfCheckError otherwise."""
+def _self_check(mdp: Mdp, result: SynthesisResult, spec: PrivacySpec) -> np.ndarray:
+    """The result's deployed_chain, once `verify` would accept the result: that
+    chain keeps the safe set invariant (eps_private, whose worst one-step mass
+    goes into post_verify_optimum) or has a safe limit, which becomes b_inf
+    (asymptotic). SelfCheckError otherwise."""
     what = f"the synthesized {result.mode} policy failed its self-check"
     try:
-        drift, chain = deployed_chain(mdp, result)
-        if not drift <= THETA_TOL:
-            raise SelfCheckError(f"{what}: its own occupancy differs from theta by "
-                                 f"{drift:.3g} > {THETA_TOL:g} (max abs)")
+        chain = deployed_chain(mdp, result)[1]
         if result.mode == "asymptotic":
+            result.b_inf = stationary_belief(chain)
             mass, gap, holds = limit_check(chain, spec, result.b_inf)
             detail = f"limit secret mass {mass:.12g}, stored b_inf off by {gap:.3g}"
         else:
             verdict = verify_invariance(chain, spec)
             result.diagnostics["post_verify_optimum"] = verdict.optimum
             holds, detail = verdict.invariant, f"worst one-step secret mass {verdict.optimum:.12g}"
-    except NonErgodicError:
-        raise SelfCheckError(f"{what}: its chain is not ergodic") from None
-    if not holds:
-        raise SelfCheckError(f"{what}: {detail} (epsilon {spec.epsilon:g})")
-    return result
+        if not holds:
+            raise SelfCheckError(f"{detail} (epsilon {spec.epsilon:g})")
+    except (NonErgodicError, SelfCheckError) as exc:
+        raise SelfCheckError(f"{what}: {exc}") from None
+    return chain
 
 
 def _unproven(sol: LpSolution, what: str) -> InfeasibleSynthesisError:
@@ -383,14 +383,13 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
             f"unknown)", {"lowest_secret_mass_inf": descent.lowest_mass,
                           "lp_solves": descent.lp_solves, "feasibility": "unknown"})
     start = min(ends, key=lambda name: average_cost(mdp, ends[name]))
-    chain = adversary_matrix(mdp, ends[start])
-    b_inf = stationary_belief(chain)
+    result = _finish(mdp, "asymptotic", ends[start], diagnostics, epsilon=spec.epsilon,
+                     secret_states=spec.secret_states)
+    chain, b_inf = _self_check(mdp, result, spec), result.b_inf
     diagnostics.update(residual=float(np.abs(chain.T @ b_inf - b_inf).sum()),
-                       secret_mass_inf=float(sel @ b_inf), lp_solves=descent.lp_solves,
+                       secret_mass_inf=secret_mass(b_inf, spec), lp_solves=descent.lp_solves,
                        start=start)
-    return _self_check(mdp, _finish(mdp, "asymptotic", ends[start], diagnostics,
-                                    epsilon=spec.epsilon, secret_states=spec.secret_states,
-                                    b_inf=b_inf), spec)
+    return result
 
 
 class _LimitDescent:

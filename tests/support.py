@@ -656,6 +656,23 @@ def record_synthesis_lps(monkeypatch):
     return solved
 
 
+def record_chain_builds(monkeypatch):
+    """Route mix_actions, as lppm.mdp (induce_chain, a user chain) and
+    lppm.adversary (adversary_matrix, an observer chain) call it, through a
+    recorder; returns the list of weight arrays it fills in call order."""
+    from lppm.mdp import mix_actions
+
+    built = []
+
+    def recording(mdp, weights):
+        built.append(np.asarray(weights))
+        return mix_actions(mdp, weights)
+
+    for module in ("lppm.mdp", "lppm.adversary"):
+        monkeypatch.setattr(f"{module}.mix_actions", recording)
+    return built
+
+
 def action_independent_mdp(seed, n, geometry=False):
     """Mobility-like model: moving ignores the action, T(s, a, .) = p(s, .).
 

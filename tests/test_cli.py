@@ -7,13 +7,15 @@ import pytest
 from lppm import baselines as bl, serialize
 from lppm.cli import main
 from lppm.fixtures import campus as campus_fixture
-from lppm.mdp import Mdp, NonErgodicError, make_mdp
+from lppm import synthesis
+from lppm.mdp import Mdp, make_mdp
 from lppm.optim import LpSolution
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
 from lppm.synthesis import InvarianceVerdict, SynthesisResult
 from support import (action_independent_mdp, binding_spec, csv_write_belief_csv,
                      csv_write_metric_series, loop_nested, random_dense_mdp,
-                     record_synthesis_lps, recursive_dumps_canonical, save_mdp_v1)
+                     record_chain_builds, record_synthesis_lps, recursive_dumps_canonical,
+                     save_mdp_v1)
 
 
 def run(capsys, *argv):
@@ -189,18 +191,20 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("mode,epsilon", [("eps_private", "0.2"), ("asymptotic", "0.16")])
     def test_theta_drift_exit_4(self, tmp_path, capsys, monkeypatch, mode, epsilon):
-        monkeypatch.setattr("lppm.synthesis.deployed_chain",
-                            lambda mdp, result: (1e-8, None))
+        def drifted(mdp, result):  # theta 1e-8 off the policy's own occupancy
+            result.theta.flat[np.argmax(result.theta)] += 1e-8
+            return deployed_chain(mdp, result)
+
+        deployed_chain = synthesis.deployed_chain
+        monkeypatch.setattr("lppm.synthesis.deployed_chain", drifted)
         line = self.self_check_fails(tmp_path, capsys, mode, epsilon)
         assert line.endswith("its own occupancy differs from theta by 1e-08 > 1e-09 (max abs)")
 
     @pytest.mark.parametrize("mode,epsilon", [("eps_private", "0.2"), ("asymptotic", "0.16")])
     def test_non_ergodic_policy_chain_exit_4(self, tmp_path, capsys, monkeypatch, mode, epsilon):
         # no silent check of the stored theta instead
-        def non_ergodic(mdp, policy):
-            raise NonErgodicError("chain is not ergodic")
-
-        monkeypatch.setattr("lppm.synthesis.occupancy_from_policy", non_ergodic)
+        monkeypatch.setattr("lppm.synthesis.induce_chain",
+                            lambda mdp, policy: np.eye(mdp.n_states))
         line = self.self_check_fails(tmp_path, capsys, mode, epsilon)
         assert line.endswith("its chain is not ergodic")
 
@@ -332,8 +336,7 @@ class TestVerify:
         assert len(lines) == 3
         assert lines[0].startswith("limit check: secret mass of the limit belief = 0.158")
         assert lines[0].endswith(" (epsilon 0.16)")
-        assert lines[1].startswith("stored b_inf: max abs difference ")
-        assert float(lines[1].rsplit(" ", 1)[1]) <= 1e-9
+        assert lines[1] == "stored b_inf: max abs difference 0.000e+00"
         assert lines[2] == "holds in the limit: True"
 
     def test_edited_limit_belief_fails(self, tmp_path, capsys):
@@ -368,9 +371,9 @@ class TestVerify:
         assert rc == 0
         return load_result(tmp_path / "result.json")
 
-    def verify_altered(self, tmp_path, capsys, result):
+    def verify_altered(self, tmp_path, capsys, result, command="verify"):
         save_result(result, tmp_path / "altered.json")
-        return run(capsys, "verify", "--fixture", "campus",
+        return run(capsys, command, "--fixture", "campus",
                    "--result", str(tmp_path / "altered.json"), "--out", str(tmp_path))
 
     def test_tampered_policy_exit_4(self, tmp_path, capsys):
@@ -383,7 +386,8 @@ class TestVerify:
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert "theta" in lines[0]
 
-    def test_non_ergodic_policy_exit_4(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_non_ergodic_policy_exit_4(self, tmp_path, capsys, command):
         # action 0 stays put, action 1 swaps the two states
         transition = np.stack([np.eye(2), np.eye(2)[::-1]])
         mdp = make_mdp(transition, np.ones((2, 2)), ((0, 1), (0, 1)), np.array([0.5, 0.5]))
@@ -391,20 +395,25 @@ class TestVerify:
         stay = np.array([[1.0, 0.0], [1.0, 0.0]])
         save_result(SynthesisResult("eps_private", 0.5 * stay, stay, np.full(2, 0.5), 1.0,
                                     epsilon=0.5, secret_states=(0,)), tmp_path / "result.json")
-        rc, out, err = run(capsys, "verify", "--model", str(tmp_path / "mdp.json"),
+        rc, out, err = run(capsys, command, "--model", str(tmp_path / "mdp.json"),
                            "--result", str(tmp_path / "result.json"), "--out", str(tmp_path))
         assert rc == 4
         assert out == ""
-        lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err
-        assert "non-ergodic" in lines[0]
+        assert err.splitlines() == [
+            "error: the result's eps_private policy fails its check: its chain is not ergodic"]
 
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
     @pytest.mark.parametrize("shift,code", [(1e-12, 0), (1e-8, 4)])
-    def test_theta_drift_tolerance(self, tmp_path, capsys, shift, code):
+    def test_theta_drift_tolerance(self, tmp_path, capsys, shift, code, command):
         result = self.private_result(tmp_path, capsys)
         result.theta[1, 4] += shift
-        rc, _, err = self.verify_altered(tmp_path, capsys, result)
+        rc, out, err = self.verify_altered(tmp_path, capsys, result, command)
         assert rc == code, err
+        if code == 4:
+            assert out == ""
+            assert err.splitlines() == [
+                "error: the result's eps_private policy fails its check: its own occupancy "
+                "differs from theta by 1e-08 > 1e-09 (max abs)"]
 
 
 class TestBaselines:
@@ -656,6 +665,22 @@ class TestModelCore:
         assert rc == 0 and out.count(": avg quality loss") == 3
         assert len(loaded) == 6
         assert all("transition" not in m.__dict__ for m in loaded)
+
+
+class TestChainBuilds:
+    def test_each_command_builds_the_user_and_observer_chain_once(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        """synthesize stores, verify checks and simulate replays one deployed_chain:
+        one user chain (policy weights) and one observer chain (action frequencies)."""
+        built = record_chain_builds(monkeypatch)
+        for mode, epsilon in [("eps_private", "0.2"), ("asymptotic", "0.16")]:
+            out = str(tmp_path / mode)
+            for argv in [("synthesize", "--mode", mode, "--epsilon", epsilon, "--secret", "s4"),
+                         ("verify", "--result", out + "/result.json"),
+                         ("simulate", "--result", out + "/result.json", "--horizon", "20")]:
+                built.clear()
+                assert run(capsys, *argv, "--fixture", "campus", "--out", out)[0] == 0, argv
+                assert [w.ndim for w in built] == [2, 1], argv
 
 
 class TestOracleWriters:

@@ -1,11 +1,13 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from lppm.metrics import (RATIO_FLOOR, EpsPrivacyResult, PrivacySpec, _entropy_series,
-                          _max_dp_ratio_series, distance_matrix_from_meta, dp_ratio,
-                          entropy, eps_privacy_check, expected_inference_error,
+from lppm import synthesis
+from lppm.metrics import (RATIO_FLOOR, VERIFY_SLACK, EpsPrivacyResult, PrivacySpec,
+                          _entropy_series, _max_dp_ratio_series, distance_matrix_from_meta,
+                          dp_ratio, entropy, eps_privacy_check, expected_inference_error,
                           mass_bound_check, max_dp_ratio, secret_mass, secret_mass_series,
                           validate_distance_matrix, write_metric_series)
 from lppm.geo import haversine_m
@@ -134,6 +136,14 @@ class TestEpsPrivacyCheck:
         loose = eps_privacy_check(traj, PrivacySpec((1,), 0.3))
         assert not tight.holds
         assert loose.holds
+
+    def test_default_slack_is_the_verify_slack(self):
+        # simulate's bound line and verify read one number
+        assert synthesis.VERIFY_SLACK is VERIFY_SLACK
+        for check in (eps_privacy_check, mass_bound_check):
+            assert inspect.signature(check).parameters["slack"].default is VERIFY_SLACK
+        masses = [0.2 + 0.5 * VERIFY_SLACK, 0.2 + 2.0 * VERIFY_SLACK]
+        assert mass_bound_check(masses, 0.2).first_violation == 1
 
 
 class TestPrivacySpec:

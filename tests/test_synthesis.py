@@ -12,7 +12,8 @@ from lppm.metrics import PrivacySpec, eps_privacy_check, secret_mass
 from lppm.optim import LpSolution, solve_lp
 from lppm.serialize import save_result
 from lppm.synthesis import (ASYMPTOTIC_MARGIN, THETA_TOL, ActionDependentModelError,
-                            InfeasibleSynthesisError, _base_constraints, _solve_private_lp,
+                            InfeasibleSynthesisError, SelfCheckError, SynthesisResult,
+                            _base_constraints, _solve_private_lp,
                             certificate_margin, deployed_chain, limit_check, secret_inflow,
                             synthesize_asymptotic, synthesize_eps_private,
                             synthesize_unconstrained, theorem1_certificate, verify_invariance)
@@ -556,9 +557,9 @@ class TestSynthesizeAsymptotic:
                 assert f"{lowest:.6f}" in str(exc) and "feasibility unknown" in str(exc)
                 continue
             self.assert_exactly_safe(mdp, spec, res)
-            # and verify's own check of the deployed policy accepts it
-            drift, chain = deployed_chain(mdp, res)
-            assert drift <= THETA_TOL
+            # and verify's own check of the deployed policy accepts it: deployed_chain
+            # refuses an occupancy more than THETA_TOL off theta
+            chain = deployed_chain(mdp, res)[1]
             assert limit_check(chain, spec, res.b_inf)[2]
 
     def test_campus_takes_few_lps(self, campus, monkeypatch):
@@ -592,6 +593,68 @@ class TestSynthesizeAsymptotic:
         # campus chains can realize
         with pytest.raises(InfeasibleSynthesisError):
             synthesize_asymptotic(campus, PrivacySpec(CAMPUS_SECRET, 0.01))
+
+
+class TestDeployedChain:
+    """deployed_chain is the one chain of a result: what synthesize stores comes
+    from it bit for bit, and it refuses a policy its theta does not describe."""
+
+    @pytest.mark.parametrize("case", ["campus", "random"])
+    def test_stored_values_are_those_of_the_deployed_chain(self, campus, case):
+        if case == "campus":
+            mdp, private, limit = campus, PrivacySpec(CAMPUS_SECRET, 0.2), \
+                PrivacySpec(CAMPUS_SECRET, 0.16)
+        else:
+            mdp = action_independent_mdp(0, 16)
+            private = binding_spec(mdp)
+            pi = stationary_distribution(action_independent_rows(mdp))
+            limit = PrivacySpec((4, 9, 14), 0.9 * pi[[4, 9, 14]].sum())
+        res = synthesize_eps_private(mdp, private)
+        user, chain = deployed_chain(mdp, res)
+        assert res.b_inf.tobytes() == stationary_belief(chain).tobytes()
+        z, eps, sel = res.certificate.z, private.epsilon, private.selector(mdp.n_states)
+        beta = np.maximum(eps - eps * z + z * sel - secret_inflow(chain, private), 0.0)
+        assert res.certificate.beta.tobytes() == beta.tobytes()
+        assert res.certificate.margin == certificate_margin(chain, private, res.certificate)
+        assert user.tobytes() == induce_chain(mdp, res.policy).tobytes()
+        res = synthesize_asymptotic(mdp, limit)
+        chain = deployed_chain(mdp, res)[1]
+        b_inf = stationary_belief(chain)
+        assert res.b_inf.tobytes() == b_inf.tobytes()
+        assert res.diagnostics["residual"] == float(np.abs(chain.T @ b_inf - b_inf).sum())
+        assert limit_check(chain, limit, res.b_inf)[1] == 0.0
+
+    def test_one_secret_mass_on_the_claim_path(self):
+        # with three secret states a dot product with the selector and the
+        # index sum round apart on this limit belief
+        mdp = action_independent_mdp(0, 16)
+        pi = stationary_distribution(action_independent_rows(mdp))
+        spec = PrivacySpec((4, 9, 14), 0.9 * pi[[4, 9, 14]].sum())
+        res = synthesize_asymptotic(mdp, spec)
+        chain = deployed_chain(mdp, res)[1]
+        assert res.diagnostics["secret_mass_inf"] == limit_check(chain, spec, res.b_inf)[0] \
+            == secret_mass(res.b_inf, spec)
+        assert spec.selector(16) @ res.b_inf != secret_mass(res.b_inf, spec)
+
+    @pytest.mark.parametrize("shift", [1e-12, 1e-8])
+    def test_theta_drift_refused_above_theta_tol(self, campus, shift):
+        res = synthesize_eps_private(campus, PrivacySpec(CAMPUS_SECRET, 0.2))
+        res.theta[1, 4] += shift
+        if shift < THETA_TOL:
+            assert deployed_chain(campus, res)[1].shape == (6, 6)
+        else:
+            with pytest.raises(SelfCheckError, match=r"^its own occupancy differs from theta "
+                                                     r"by 1e-08 > 1e-09 \(max abs\)$"):
+                deployed_chain(campus, res)
+
+    def test_non_ergodic_user_chain_refused(self):
+        # action 0 stays put, action 1 swaps the two states; the policy always stays
+        mdp = make_mdp(np.stack([np.eye(2), np.eye(2)[::-1]]), np.ones((2, 2)),
+                       ((0, 1), (0, 1)), np.array([0.5, 0.5]))
+        stay = np.array([[1.0, 0.0], [1.0, 0.0]])
+        res = SynthesisResult("eps_private", 0.5 * stay, stay, np.full(2, 0.5), 1.0)
+        with pytest.raises(SelfCheckError, match="^its chain is not ergodic$"):
+            deployed_chain(mdp, res)
 
 
 class TestCampusTradeoff:

@@ -27,7 +27,7 @@ from . import baselines as bl
 from . import fixtures, mobility, serialize
 from .adversary import belief_trajectory, write_belief_csv
 from .mdp import UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, validate_policy
-from .metrics import (PrivacySpec, distance_matrix_from_meta, mass_bound_check,
+from .metrics import (PrivacySpec, distance_matrix_from_meta, mass_bound_check, secret_mass,
                       secret_mass_series, write_metric_series)
 from .optim import FW_GAP_TOL
 from .synthesis import (ASYMPTOTIC_MARGIN, ActionDependentModelError,
@@ -198,6 +198,8 @@ def _initial_belief(args, config, mdp, secret):
     n = mdp.n_states
     if kind == "uniform":
         return np.full(n, 1.0 / n)
+    if kind in ("uniform_excluding_secret", "unsafe") and len(set(secret)) == n:
+        raise CliError(f"belief {kind!r} needs a public state, but every state is secret")
     if kind == "uniform_excluding_secret":
         b = np.ones(n)
         b[list(secret)] = 0.0
@@ -324,8 +326,7 @@ def cmd_synthesize(args):
     if result.certificate is not None:
         line += f" certificate_z={result.certificate.z:.6g}"
     if result.b_inf is not None and result.secret_states:
-        mass = float(result.b_inf[list(result.secret_states)].sum())
-        line += f" stationary_secret_mass={mass:.6f}"
+        line += f" stationary_secret_mass={secret_mass(result.b_inf, result.secret_states):.6f}"
     print(line)
     print(f"wrote {out / 'result.json'}")
     return EXIT_OK
@@ -343,8 +344,8 @@ def cmd_simulate(args):
     secret = (_parse_secret(secret_text, mdp) if secret_text is not None
               else result.secret_states or (0,))
     user_chain, chain = _deployed_chain(mdp, result)
-    out = _out_dir(args, config)
     b0 = _initial_belief(args, config, mdp, secret)
+    out = _out_dir(args, config)
     beliefs = belief_trajectory(chain, b0, horizon)
     if horizon == 0:
         beliefs = beliefs[:0]
@@ -421,7 +422,6 @@ def cmd_baselines(args):
     eps_dp = _number(args, config, "eps_dp", 0.7)
     if not eps_dp > 0.0:  # also rejects nan
         raise CliError(f"eps-dp must be positive, got {eps_dp}")
-    out = _out_dir(args, config)
     kinds_text = _get(args, config, "kind", "max_entropy,max_inference_error,dp")
     kinds = [k for k in str(kinds_text).replace(",", " ").split() if k]
     known = ("max_entropy", "max_inference_error", "dp")
@@ -432,6 +432,7 @@ def cmd_baselines(args):
     secret_text = _get(args, config, "secret")
     secret = _parse_secret(secret_text, mdp) if secret_text is not None else (0,)
     b0 = _initial_belief(args, config, mdp, secret)
+    out = _out_dir(args, config)
     distance = _distance_for(mdp)
     for kind in kinds:
         try:
@@ -450,9 +451,8 @@ def cmd_baselines(args):
         write_metric_series(out / f"baseline_{kind}.csv", rollout.beliefs,
                             secret, distance)
         avg_loss = float(np.mean(rollout.losses))
-        mass = float(rollout.beliefs[-1][list(secret)].sum())
-        print(f"{kind}: avg quality loss {avg_loss:.4f}, "
-              f"final secret mass {mass:.4f} -> baseline_{kind}.csv")
+        print(f"{kind}: avg quality loss {avg_loss:.4f}, final secret mass "
+              f"{secret_mass(rollout.beliefs[-1], secret):.4f} -> baseline_{kind}.csv")
     return EXIT_OK
 
 

@@ -135,14 +135,6 @@ def theorem1_certificate(chain: np.ndarray, spec: PrivacySpec) -> Certificate | 
     return Certificate(z, beta, margin)
 
 
-def certificate_margin(chain: np.ndarray, spec: PrivacySpec, cert: Certificate) -> float:
-    """Smallest slack of the certificate rows; nonnegative means valid."""
-    sel = spec.selector(np.asarray(chain).shape[0])
-    rows = -spec.epsilon * cert.z + cert.z * sel - secret_inflow(chain, spec) \
-        - cert.beta + spec.epsilon
-    return float(rows.min())
-
-
 def _base_constraints(mdp: Mdp, n_extra: int):
     """Stationarity and normalization rows over [theta pairs | extras].
 
@@ -172,17 +164,50 @@ def _require_unichain(mdp: Mdp, diagnostics: dict):
         raise NotUnichainError(f"deterministic policy {report.witness} induces a reducible chain")
 
 
-def _finish(mdp: Mdp, mode: str, theta: np.ndarray, diagnostics: dict, **kw) -> SynthesisResult:
+def _finish(mdp: Mdp, mode: str, theta: np.ndarray, diagnostics: dict,
+            spec: PrivacySpec | None = None) -> SynthesisResult:
+    """The result of theta, once `verify` would accept it. Every mode builds the
+    deployed_chain. eps_private stores the certificate `verify` computes and the
+    chain's limit belief (null when it has none), and needs the safe set to be
+    invariant; asymptotic stores the limit belief, its residual and secret mass,
+    and needs that limit to be safe. SelfCheckError otherwise."""
     policy, p_inf = policy_from_theta(theta, mdp.available)
-    return SynthesisResult(mode=mode, theta=theta, policy=policy, p_inf=p_inf,
-                           average_cost=average_cost(mdp, theta),
-                           diagnostics=diagnostics, **kw)
+    result = SynthesisResult(mode=mode, theta=theta, policy=policy, p_inf=p_inf,
+                             average_cost=average_cost(mdp, theta), diagnostics=diagnostics)
+    if spec is not None:
+        result.epsilon, result.secret_states = spec.epsilon, spec.secret_states
+    try:
+        chain = deployed_chain(mdp, result)[1]
+        if mode == "eps_private":
+            verdict = verify_invariance(chain, spec)
+            diagnostics["post_verify_optimum"] = verdict.optimum
+            result.certificate = theorem1_certificate(chain, spec)
+            if not verdict.invariant or result.certificate is None:
+                raise SelfCheckError(f"worst one-step secret mass {verdict.optimum:.12g} "
+                                     f"(epsilon {spec.epsilon:g})")
+            try:
+                result.b_inf = stationary_belief(chain)
+            except NonErgodicError:
+                pass  # a chain with no limit belief leaves b_inf null
+        elif mode == "asymptotic":
+            b_inf = result.b_inf = stationary_belief(chain)
+            mass, gap, holds = limit_check(chain, spec, b_inf)
+            if not holds:
+                raise SelfCheckError(f"limit secret mass {mass:.12g}, stored b_inf off by "
+                                     f"{gap:.3g} (epsilon {spec.epsilon:g})")
+            diagnostics.update(residual=float(np.abs(chain.T @ b_inf - b_inf).sum()),
+                               secret_mass_inf=mass)
+    except (NonErgodicError, SelfCheckError) as exc:
+        raise SelfCheckError(f"the synthesized {mode} policy failed its self-check: "
+                             f"{exc}") from None
+    return result
 
 
 def synthesize_unconstrained(mdp: Mdp, check_unichain: bool = True) -> SynthesisResult:
     """Minimum average quality loss with no privacy constraint.
 
-    check_unichain=False skips the unichain check and records "skipped".
+    check_unichain=False skips the unichain check and records "skipped". The
+    returned policy passes deployed_chain's check, or SelfCheckError is raised.
     """
     diagnostics: dict = {}
     if check_unichain:
@@ -211,9 +236,8 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
     """
     diagnostics: dict = {}
     _require_unichain(mdp, diagnostics)
-    sel = spec.selector(mdp.n_states)
     eps = spec.epsilon
-    lp, group, sol = _solve_private_lp(mdp, sel, eps)
+    lp, group, sol = _solve_private_lp(mdp, spec.selector(mdp.n_states), eps)
     if sol.status == "infeasible":
         diagnosis = _diagnose_infeasible(lp, group)
         raise InfeasibleSynthesisError(
@@ -224,17 +248,7 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
         raise _unproven(sol, f"eps_private LP at epsilon={eps:g}")
     diagnostics.update(lp_status=sol.status, lp_iterations=sol.iterations,
                        certificate_rows=len(lp.b_ub))
-    result = _finish(mdp, "eps_private", _theta(mdp, sol.x), diagnostics, epsilon=eps,
-                     secret_states=spec.secret_states)
-    chain, z = _self_check(mdp, result, spec), float(sol.x[-1])
-    beta = np.maximum(eps - eps * z + z * sel - secret_inflow(chain, spec), 0.0)
-    cert = result.certificate = Certificate(z, beta, 0.0)
-    cert.margin = certificate_margin(chain, spec, cert)
-    try:
-        result.b_inf = stationary_belief(chain)
-    except NonErgodicError:
-        pass  # a chain with no limit belief leaves b_inf null
-    return result
+    return _finish(mdp, "eps_private", _theta(mdp, sol.x), diagnostics, spec)
 
 
 def _solve_private_lp(mdp: Mdp, sel: np.ndarray, eps: float):
@@ -290,29 +304,6 @@ def limit_check(chain: np.ndarray, spec: PrivacySpec, b_inf: np.ndarray | None):
     mass = secret_mass(limit, spec)
     gap = float(np.max(np.abs(limit - b_inf))) if np.shape(b_inf) == limit.shape else np.inf
     return mass, gap, mass <= spec.epsilon + VERIFY_SLACK and gap <= VERIFY_SLACK
-
-
-def _self_check(mdp: Mdp, result: SynthesisResult, spec: PrivacySpec) -> np.ndarray:
-    """The result's deployed_chain, once `verify` would accept the result: that
-    chain keeps the safe set invariant (eps_private, whose worst one-step mass
-    goes into post_verify_optimum) or has a safe limit, which becomes b_inf
-    (asymptotic). SelfCheckError otherwise."""
-    what = f"the synthesized {result.mode} policy failed its self-check"
-    try:
-        chain = deployed_chain(mdp, result)[1]
-        if result.mode == "asymptotic":
-            result.b_inf = stationary_belief(chain)
-            mass, gap, holds = limit_check(chain, spec, result.b_inf)
-            detail = f"limit secret mass {mass:.12g}, stored b_inf off by {gap:.3g}"
-        else:
-            verdict = verify_invariance(chain, spec)
-            result.diagnostics["post_verify_optimum"] = verdict.optimum
-            holds, detail = verdict.invariant, f"worst one-step secret mass {verdict.optimum:.12g}"
-        if not holds:
-            raise SelfCheckError(f"{detail} (epsilon {spec.epsilon:g})")
-    except (NonErgodicError, SelfCheckError) as exc:
-        raise SelfCheckError(f"{what}: {exc}") from None
-    return chain
 
 
 def _unproven(sol: LpSolution, what: str) -> InfeasibleSynthesisError:
@@ -383,12 +374,8 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
             f"unknown)", {"lowest_secret_mass_inf": descent.lowest_mass,
                           "lp_solves": descent.lp_solves, "feasibility": "unknown"})
     start = min(ends, key=lambda name: average_cost(mdp, ends[name]))
-    result = _finish(mdp, "asymptotic", ends[start], diagnostics, epsilon=spec.epsilon,
-                     secret_states=spec.secret_states)
-    chain, b_inf = _self_check(mdp, result, spec), result.b_inf
-    diagnostics.update(residual=float(np.abs(chain.T @ b_inf - b_inf).sum()),
-                       secret_mass_inf=secret_mass(b_inf, spec), lp_solves=descent.lp_solves,
-                       start=start)
+    result = _finish(mdp, "asymptotic", ends[start], diagnostics, spec)
+    diagnostics.update(lp_solves=descent.lp_solves, start=start)
     return result
 
 

@@ -765,6 +765,17 @@ def lp_theorem1_certificate(chain, spec):
     return Certificate(z, beta, t)
 
 
+def certificate_margin(chain, spec, cert):
+    """Smallest slack of the certificate rows with beta included,
+    epsilon - epsilon z + z sel_j - inflow_j - beta_j; nonnegative means valid."""
+    from lppm.synthesis import secret_inflow
+
+    sel = spec.selector(np.asarray(chain).shape[0])
+    rows = -spec.epsilon * cert.z + cert.z * sel - secret_inflow(chain, spec) \
+        - cert.beta + spec.epsilon
+    return float(rows.min())
+
+
 def full_eps_private_lp(mdp, spec):
     """synthesize_eps_private's LP with all n certificate rows, one per state
     in state order, over [theta pairs | z]: row j is

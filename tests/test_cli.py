@@ -167,8 +167,9 @@ class TestSynthesize:
 
     def self_check_fails(self, tmp_path, capsys, mode, epsilon):
         """synthesize exits 4 with one error line and writes no result; the line."""
-        rc, out, err = run(capsys, "synthesize", "--fixture", "campus", "--mode", mode,
-                           "--epsilon", epsilon, "--secret", "s4", "--out", str(tmp_path))
+        spec = () if epsilon is None else ("--epsilon", epsilon, "--secret", "s4")
+        rc, out, err = run(capsys, "synthesize", "--fixture", "campus", "--mode", mode, *spec,
+                           "--out", str(tmp_path))
         assert rc == 4 and out == ""
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(
@@ -189,7 +190,8 @@ class TestSynthesize:
         line = self.self_check_fails(tmp_path, capsys, "asymptotic", "0.16")
         assert line.endswith("limit secret mass 0.17, stored b_inf off by 0 (epsilon 0.16)")
 
-    @pytest.mark.parametrize("mode,epsilon", [("eps_private", "0.2"), ("asymptotic", "0.16")])
+    @pytest.mark.parametrize("mode,epsilon", [("eps_private", "0.2"), ("asymptotic", "0.16"),
+                                              ("unconstrained", None)])
     def test_theta_drift_exit_4(self, tmp_path, capsys, monkeypatch, mode, epsilon):
         def drifted(mdp, result):  # theta 1e-8 off the policy's own occupancy
             result.theta.flat[np.argmax(result.theta)] += 1e-8
@@ -200,7 +202,8 @@ class TestSynthesize:
         line = self.self_check_fails(tmp_path, capsys, mode, epsilon)
         assert line.endswith("its own occupancy differs from theta by 1e-08 > 1e-09 (max abs)")
 
-    @pytest.mark.parametrize("mode,epsilon", [("eps_private", "0.2"), ("asymptotic", "0.16")])
+    @pytest.mark.parametrize("mode,epsilon", [("eps_private", "0.2"), ("asymptotic", "0.16"),
+                                              ("unconstrained", None)])
     def test_non_ergodic_policy_chain_exit_4(self, tmp_path, capsys, monkeypatch, mode, epsilon):
         # no silent check of the stored theta instead
         monkeypatch.setattr("lppm.synthesis.induce_chain",
@@ -546,6 +549,27 @@ class TestBadInput:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
+    @pytest.mark.parametrize("command", ["baselines", "simulate"])
+    @pytest.mark.parametrize("belief", ["uniform", "uniform_excluding_secret", "unsafe"])
+    def test_one_state_model_default_secret(self, tmp_path, capsys, command, belief):
+        # the default secret state 0 leaves a one-state model no public state
+        save_mdp(make_mdp(np.ones((2, 1, 1)), np.array([[1.0, 2.0]]), ((0, 1),),
+                          np.array([1.0])), tmp_path / "mdp.json")
+        model = ("--model", str(tmp_path / "mdp.json"))
+        assert run(capsys, "synthesize", *model, "--mode", "unconstrained",
+                   "--out", str(tmp_path))[0] == 0
+        extra = {"baselines": ("--kind", "max_entropy"),
+                 "simulate": ("--result", str(tmp_path / "result.json"))}[command]
+        rc, out, err = run(capsys, command, *model, *extra, "--horizon", "2",
+                           "--belief", belief, "--out", str(tmp_path / "out"))
+        if belief == "uniform":
+            assert (rc, err) == (0, "")
+        else:
+            assert (rc, out) == (1, "")
+            assert err == f"error: belief '{belief}' needs a public state, but every state " \
+                          f"is secret\n"
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content", [None, b"lat,lon,timestamp\n40.0,-74.0,1\xff\n"],
                              ids=["directory", "not_utf8"])
     def test_unreadable_trace_file_exit_1(self, tmp_path, capsys, content):
@@ -673,6 +697,9 @@ class TestChainBuilds:
         """synthesize stores, verify checks and simulate replays one deployed_chain:
         one user chain (policy weights) and one observer chain (action frequencies)."""
         built = record_chain_builds(monkeypatch)
+        assert run(capsys, "synthesize", "--mode", "unconstrained", "--fixture", "campus",
+                   "--out", str(tmp_path / "unconstrained"))[0] == 0
+        assert [w.ndim for w in built] == [2, 1]
         for mode, epsilon in [("eps_private", "0.2"), ("asymptotic", "0.16")]:
             out = str(tmp_path / mode)
             for argv in [("synthesize", "--mode", mode, "--epsilon", epsilon, "--secret", "s4"),

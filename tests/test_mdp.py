@@ -80,12 +80,27 @@ class TestPairRows:
             assert dense[a].tobytes() == mdp.action_matrix(a).tobytes()
 
 
+def availability_mdp(rng, available, n_actions):
+    """Random dense rows and losses under the given availability sets."""
+    n = len(available)
+    return make_mdp(rng.dirichlet(np.ones(n), size=(n_actions, n)),
+                    rng.uniform(1.0, 5.0, size=(n, n_actions)), available,
+                    rng.dirichlet(np.ones(n)))
+
+
 ORACLE_MODELS = {
     "campus": lambda rng: campus_fixture(),
     "random_dense": lambda rng: random_dense_mdp(rng, n_states=7, n_actions=5),
     "random_sparse": lambda rng: random_sparse_mdp(rng)[0],
     "random_shared_row": lambda rng: random_shared_row_mdp(rng, shared=True),
     "action_independent": lambda rng: action_independent_mdp(3, 40),
+    # action 3 is available at no state
+    "unused_action": lambda rng: availability_mdp(
+        rng, [(0, 2), (1,), (0, 1, 2), (2,), (1, 2)], 4),
+    # state 2 has all 24 actions: a sum over its pairs is longer than numpy's
+    # 8-way unrolled block, so a grouped reduction would add in another order
+    "wide_state": lambda rng: availability_mdp(
+        rng, [(0, 5), (3,), tuple(range(24)), (7, 23), (1, 2, 11)], 24),
 }
 
 

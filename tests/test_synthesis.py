@@ -13,12 +13,12 @@ from lppm.optim import LpSolution, solve_lp
 from lppm.serialize import save_result
 from lppm.synthesis import (ASYMPTOTIC_MARGIN, THETA_TOL, ActionDependentModelError,
                             InfeasibleSynthesisError, SelfCheckError, SynthesisResult,
-                            _base_constraints, _solve_private_lp,
-                            certificate_margin, deployed_chain, limit_check, secret_inflow,
+                            _base_constraints, _solve_private_lp, deployed_chain, limit_check,
+                            secret_inflow,
                             synthesize_asymptotic, synthesize_eps_private,
                             synthesize_unconstrained, theorem1_certificate, verify_invariance)
-from support import (action_independent_mdp, binding_spec, elastic_violations,
-                     full_eps_private_lp, lp_theorem1_certificate, lp_verify_invariance,
+from support import (action_independent_mdp, binding_spec, certificate_margin,
+                     elastic_violations, full_eps_private_lp, lp_theorem1_certificate, lp_verify_invariance,
                      random_chain, random_dense_mdp, random_sparse_mdp, record_synthesis_lps,
                      sample_safe_beliefs)
 
@@ -612,10 +612,6 @@ class TestDeployedChain:
         res = synthesize_eps_private(mdp, private)
         user, chain = deployed_chain(mdp, res)
         assert res.b_inf.tobytes() == stationary_belief(chain).tobytes()
-        z, eps, sel = res.certificate.z, private.epsilon, private.selector(mdp.n_states)
-        beta = np.maximum(eps - eps * z + z * sel - secret_inflow(chain, private), 0.0)
-        assert res.certificate.beta.tobytes() == beta.tobytes()
-        assert res.certificate.margin == certificate_margin(chain, private, res.certificate)
         assert user.tobytes() == induce_chain(mdp, res.policy).tobytes()
         res = synthesize_asymptotic(mdp, limit)
         chain = deployed_chain(mdp, res)[1]
@@ -623,6 +619,24 @@ class TestDeployedChain:
         assert res.b_inf.tobytes() == b_inf.tobytes()
         assert res.diagnostics["residual"] == float(np.abs(chain.T @ b_inf - b_inf).sum())
         assert limit_check(chain, limit, res.b_inf)[1] == 0.0
+
+    @pytest.mark.parametrize("case", ["campus-0.17", "campus-0.2", "random"])
+    def test_stored_certificate_is_the_one_verify_prints(self, campus, case):
+        if case == "random":
+            mdp = action_independent_mdp(0, 16)
+            spec = binding_spec(mdp)
+        else:
+            mdp, spec = campus, PrivacySpec(CAMPUS_SECRET, float(case.split("-")[1]))
+        res = synthesize_eps_private(mdp, spec)
+        chain = deployed_chain(mdp, res)[1]
+        cert = theorem1_certificate(chain, spec)
+        assert (res.certificate.z, res.certificate.margin) == (cert.z, cert.margin)
+        assert res.certificate.beta.tobytes() == cert.beta.tobytes()
+        # the smallest row slack: epsilon minus the worst one-step mass, up to rounding
+        assert res.certificate.margin == pytest.approx(
+            spec.epsilon - res.diagnostics["post_verify_optimum"], abs=1e-15)
+        # beta absorbs every row's slack
+        assert certificate_margin(chain, spec, res.certificate) == pytest.approx(0.0, abs=1e-15)
 
     def test_one_secret_mass_on_the_claim_path(self):
         # with three secret states a dot product with the selector and the

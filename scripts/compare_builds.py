@@ -24,7 +24,10 @@ perfbench's `private_spec` (imported from this script's repository): the
 state most visited under the uniform policy, at a budget where the
 certificate rows bind. The unconstrained result is verified and simulated
 against that same budget. On campus the chain goes on with `synthesize`
-asymptotic at epsilon 0.16 with secret s4, its `verify` and its `simulate`.
+asymptotic at epsilon 0.16 with secret s4, its `verify` and its `simulate`,
+then a `simulate` of the eps_private result from the `unsafe` prior with
+all mass on the secret (beliefs with zeros and tiny masses), and
+`baselines` of all three kinds over 2 steps from that prior.
 
 Each command compares every file written, stdout, stderr and the exit code,
 after replacing each side's output directory and tree path in stdout and
@@ -56,6 +59,8 @@ PARAM_SETS = {"small": ["--max-radius", "20", "--min-dist", "30", "--min-stay", 
               "wide": ["--max-radius", "300", "--min-dist", "200", "--min-speed", "3"]}
 HORIZON = "200"
 ASYMPTOTIC = ["--epsilon", "0.16", "--secret", "s4"]  # the campus asymptotic run
+UNSAFE = ["--belief", "unsafe", "--belief-mass", "1"]  # every mass on the secret at t = 0
+BASELINE_KINDS = "max_entropy,max_inference_error,dp"
 
 
 def _perfbench(name: str):
@@ -119,6 +124,13 @@ def chain(model_args: list[str], secret: int, eps: float) -> list[tuple[str, lis
         steps += [(f"verify_{mode}", ["verify", *model_args, *result, *given]),
                   (f"simulate_{mode}",
                    ["simulate", *model_args, *result, "--horizon", HORIZON, *given])]
+    if "asymptotic" in modes:
+        # beliefs with zeros and tiny masses, and the baselines' metric files
+        steps += [("simulate_eps_private_unsafe",
+                   ["simulate", *model_args, "--result", "synthesize_eps_private/result.json",
+                    "--horizon", HORIZON, *UNSAFE]),
+                  ("baselines", ["baselines", *model_args, "--kind", BASELINE_KINDS,
+                                 "--horizon", "2", "--secret", str(secret), *UNSAFE])]
     return steps
 
 

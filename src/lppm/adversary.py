@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .floattext import format_rows
 from .mdp import COMPUTATION_ATOL, Mdp, mix_actions, stationary_distribution
 from .metrics import secret_mass_series
 
@@ -71,13 +72,12 @@ def write_belief_csv(path, beliefs: np.ndarray, secret_states) -> None:
     """Belief trajectory table: t, one column per state, secret mass.
 
     The bytes csv.writer would write (comma separated, \\r\\n line ends, no
-    field needs quoting), every float with 17 significant digits (%.17g).
+    field needs quoting), every float as its `'%.17g'` text.
     """
     beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
     n = beliefs.shape[1]
-    mass = secret_mass_series(beliefs, secret_states).tolist()
-    line = ",".join(["%d"] + ["%.17g"] * (n + 1)) + "\r\n"
+    mass = secret_mass_series(beliefs, secret_states)
+    rows = zip(format_rows(beliefs), format_rows(mass[:, None]))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t"] + [f"b{i + 1}" for i in range(n)] + ["secret_mass"]) + "\r\n")
-        fh.writelines(line % (t, *b, m)
-                      for t, (b, m) in enumerate(zip(beliefs.tolist(), mass)))
+        fh.writelines(f"{t},{b},{m}\r\n" for t, (b, m) in enumerate(rows))

@@ -16,7 +16,6 @@ names with dashes as underscores).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -26,6 +25,7 @@ import numpy as np
 from . import baselines as bl
 from . import fixtures, mobility, serialize
 from .adversary import belief_trajectory, write_belief_csv
+from .floattext import format_rows
 from .mdp import UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, validate_policy
 from .metrics import (PrivacySpec, distance_matrix_from_meta, mass_bound_check, secret_mass,
                       secret_mass_series, write_metric_series)
@@ -355,14 +355,15 @@ def cmd_simulate(args):
     step_u = np.einsum("sa,sa->s", result.policy, mdp.utility)
     p = mdp.p0.copy()
     total = 0.0
+    costs = np.empty((horizon + 1 if horizon > 0 else 0, 2))  # step cost, running average
+    for t, row in enumerate(costs):
+        cost = float(p @ step_u)
+        total += cost
+        row[:] = cost, total / (t + 1)
+        p = p @ user_chain
     with open(out / "quality.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "step_cost", "avg_cost"])
-        for t in range(horizon + 1 if horizon > 0 else 0):
-            cost = float(p @ step_u)
-            total += cost
-            writer.writerow([t, format(cost, ".17g"), format(total / (t + 1), ".17g")])
-            p = p @ user_chain
+        fh.write("t,step_cost,avg_cost\r\n")
+        fh.writelines(f"{t},{row}\r\n" for t, row in enumerate(format_rows(costs)))
     if epsilon is not None and horizon > 0:
         # the secret_mass column of belief.csv and metrics.csv, bit for bit
         check = mass_bound_check(secret_mass_series(beliefs, secret), epsilon)

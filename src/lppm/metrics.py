@@ -7,11 +7,13 @@ probability mass the adversary assigns to a designated secret set.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .floattext import format_rows
 from .geo import EARTH_RADIUS_M
 
 # the fast max_dp_ratio path takes step pairs whose entries lie in (RATIO_FLOOR, 1]:
@@ -227,7 +229,7 @@ def write_metric_series(path, beliefs: np.ndarray, spec,
 
     The ratio column at row t compares b_t with b_{t+1}; the final row has
     no successor and leaves the field empty. The bytes csv.writer would
-    write, every float with `format(x, ".17g")`, each value equal bit for bit
+    write, every float as its `'%.17g'` text, each value equal bit for bit
     to its one-belief function (`entropy`, `expected_inference_error`,
     `max_dp_ratio`, `secret_mass`).
     """
@@ -237,9 +239,10 @@ def write_metric_series(path, beliefs: np.ndarray, spec,
     costs = np.empty((beliefs.shape[0], distance.shape[1]))
     for b, out in zip(beliefs, costs):
         np.matmul(b, distance, out=out)
-    ratios = ["%.17g" % x for x in _max_dp_ratio_series(beliefs)] + [""]
-    rows = zip(_entropy_series(beliefs), costs.min(axis=1).tolist(), ratios,
-               secret_mass_series(beliefs, spec).tolist())
+    entropy_err = np.column_stack([_entropy_series(beliefs), costs.min(axis=1)])
+    ratios = np.array(_max_dp_ratio_series(beliefs)).reshape(-1, 1)
+    rows = zip(format_rows(entropy_err), itertools.chain(format_rows(ratios), [""]),
+               format_rows(secret_mass_series(beliefs, spec)[:, None]))
     with open(path, "w", newline="") as fh:
         fh.write("t,entropy,exp_err,max_dp_ratio,secret_mass\r\n")
-        fh.writelines("%d,%.17g,%.17g,%s,%.17g\r\n" % (t, *row) for t, row in enumerate(rows))
+        fh.writelines(f"{t},{e},{r},{m}\r\n" for t, (e, r, m) in enumerate(rows))

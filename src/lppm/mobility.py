@@ -7,7 +7,6 @@ losses. Every stage is deterministic given the input order.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .floattext import format_rows
 from .geo import (SCREEN_TOL_M, chord2, chord2_at_m, chord2_to_m, haversine_m,
                   max_haversine_m, step_distances_m, unit_vectors)
 from .mdp import ActionMeta, Mdp, StateMeta, make_mdp
@@ -692,14 +692,16 @@ def build_model_from_traces(path, params: ClusterParams, fmt: str | None = None,
 
 
 def write_poi_summary(path, pois: list[PoiCluster], cloaks: list[CloakRegion]) -> None:
-    """Summary table of POIs and cloaks: id, lat, lon, radius, stay_hours, covered_pois."""
+    """Summary table of POIs and cloaks: id, lat, lon, radius, stay_hours, covered_pois.
+
+    The bytes csv.writer would write, every float as its `'%.17g'` text.
+    """
+    poi_rows = format_rows(np.array([[p.lat, p.lon, p.radius_m, p.stay_hours]
+                                     for p in pois]).reshape(-1, 4))
+    cloak_rows = format_rows(np.array([[c.lat, c.lon, c.radius_m]
+                                       for c in cloaks]).reshape(-1, 3))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lat", "lon", "radius", "stay_hours", "covered_pois"])
-        for i, poi in enumerate(pois):
-            writer.writerow([f"s{i + 1}", format(poi.lat, ".17g"), format(poi.lon, ".17g"),
-                             format(poi.radius_m, ".17g"), format(poi.stay_hours, ".17g"), ""])
-        for i, cl in enumerate(cloaks):
-            writer.writerow([f"a{i + 1}", format(cl.lat, ".17g"), format(cl.lon, ".17g"),
-                             format(cl.radius_m, ".17g"), "",
-                             " ".join(f"s{j + 1}" for j in cl.covered)])
+        fh.write("id,lat,lon,radius,stay_hours,covered_pois\r\n")
+        fh.writelines(f"s{i + 1},{row},\r\n" for i, row in enumerate(poi_rows))
+        fh.writelines(f"a{i + 1},{row},,{' '.join(f's{j + 1}' for j in cl.covered)}\r\n"
+                      for i, (row, cl) in enumerate(zip(cloak_rows, cloaks)))

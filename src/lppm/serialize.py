@@ -1,9 +1,9 @@
 """Canonical JSON persistence for models and synthesis results.
 
-Floats are printed with repr-faithful %.17g so save-load-save is
-byte-identical and two runs that compute the same numbers produce the same
-file. Key order is fixed by the writers below and documented in
-docs/schemas.md.
+Floats are printed as %.17g text, which reads back to the same double, so
+save-load-save is byte-identical and two runs that compute the same numbers
+produce the same file. Key order is fixed by the writers below and
+documented in docs/schemas.md.
 
 A model file (schema 2) stores one transition row per available
 (state, action) pair, the form `Mdp.rows` holds in memory. Files without a
@@ -18,55 +18,75 @@ import math
 
 import numpy as np
 
+from .floattext import format_rows
 from .mdp import CONSTRUCTION_ATOL, ActionMeta, Mdp, StateMeta, _pair_index
 from .synthesis import Certificate, SynthesisResult
 
 MDP_SCHEMA = 2
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+# stands for a float scalar until the document's scalars are formatted in one
+# call; canonical JSON text has no NUL, because json.dumps escapes it
+_SCALAR = "\0"
 
 
-def _float_list(values) -> str:
-    """`_fmt_float` of every value, joined by ", ", in one format call."""
-    # v + 0.0 turns -0.0 into 0.0 and leaves every other float as it is
-    text = ", ".join(["%.17g"] * len(values)) % tuple(v + 0.0 for v in values)
-    if "n" in text:  # "inf" or "nan": no finite %.17g text has an n
-        _fmt_float(next(v for v in values if not math.isfinite(v)))  # raises its error
-    return text
+def _non_finite(x: float):
+    return ValueError(f"non-finite value {x!r} cannot be serialized")
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """Deterministic JSON text; dict keys in insertion order."""
+def _array_text(a: np.ndarray) -> str:
+    """Nested JSON lists of a float array with no -0.0."""
+    if a.ndim == 1:
+        return f"[{next(format_rows(a[None], ', '))}]"
+    if a.ndim == 2:
+        return "[" + ", ".join(f"[{row}]" for row in format_rows(a, ", ")) + "]"
+    return "[" + ", ".join(_array_text(sub) for sub in a) + "]"
+
+
+def _dumps(obj, indent: int, scalars: list) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad} "{k}": {dumps_canonical(v, indent + 1)}' for k, v in obj.items()]
+        items = [f'{pad} {json.dumps(str(k))}: {_dumps(v, indent + 1, scalars)}'
+                 for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        if all(type(v) is float for v in obj):
-            return "[" + _float_list(obj) + "]"
-        parts = [dumps_canonical(v, indent) for v in obj]
-        return "[" + ", ".join(parts) + "]"
+        return "[" + ", ".join(_dumps(v, indent, scalars) for v in obj) + "]"
+    if isinstance(obj, np.ndarray) and obj.ndim > 0:
+        finite = np.isfinite(obj)
+        if not finite.all():
+            raise _non_finite(float(obj.flat[np.argmin(finite)]))
+        return _array_text(obj + 0.0)  # + 0.0 turns -0.0 into 0.0
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        if not math.isfinite(obj):
+            raise _non_finite(float(obj))
+        scalars.append(float(obj) + 0.0)
+        return _SCALAR
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _nested(array: np.ndarray):
-    return np.asarray(array, dtype=float).tolist()
+def dumps_canonical(obj, indent: int = 0) -> str:
+    """Deterministic JSON text; dict keys in insertion order.
+
+    Every float, in an array or not, is its `'%.17g'` text from
+    `floattext.format_rows`, with -0.0 written as 0; nan and inf raise
+    ValueError.
+    """
+    scalars = []
+    pieces = _dumps(obj, indent, scalars).split(_SCALAR)
+    texts = format_rows(np.array(scalars).reshape(-1, 1))
+    return pieces[0] + "".join(t + p for t, p in zip(texts, pieces[1:]))
+
+
+def _nested(array) -> np.ndarray:
+    return np.asarray(array, dtype=float)
 
 
 def mdp_to_dict(mdp: Mdp) -> dict:

@@ -17,8 +17,9 @@ class TestCompareBuilds:
         assert compare_builds().main([str(ROOT), str(ROOT), "--seeds"]) == 0
         out, err = capsys.readouterr()
         # 4 builds, then 6 chain commands on each of the 4 built models and campus,
-        # and 3 more for campus's asymptotic mode
-        assert out.startswith("byte-identical") and err == "37 runs compared\n"
+        # 3 more for campus's asymptotic mode, and campus's unsafe-prior simulate
+        # and baselines
+        assert out.startswith("byte-identical") and err == "39 runs compared\n"
 
     def test_changed_cover_tolerance_differs(self, tmp_path, capsys):
         shutil.copytree(ROOT / "src", tmp_path / "src",

@@ -118,11 +118,11 @@ class TestMdpRoundTrip:
         assert back.action_meta is None
         np.testing.assert_array_equal(back.transition, mdp.transition)
 
-    def test_dict_form_lists_only(self, campus):
+    def test_dict_form_holds_float_arrays(self, campus):
         doc = mdp_to_dict(campus)
         assert doc["schema"] == 2
         assert doc["n_states"] == 6
-        assert isinstance(doc["rows"], list)
+        assert isinstance(doc["rows"], np.ndarray) and doc["rows"].dtype == np.float64
         rebuilt = mdp_from_dict(json.loads(dumps_canonical(doc)))
         np.testing.assert_array_equal(rebuilt.transition, campus.transition)
 
@@ -130,7 +130,7 @@ class TestMdpRoundTrip:
         doc = mdp_to_dict(campus)
         assert "transition" not in doc
         states, actions = campus.pair_index()
-        assert doc["rows"] == campus.transition[actions, states].tolist()
+        assert doc["rows"].tolist() == campus.transition[actions, states].tolist()
 
     def test_unsorted_available_reads_rows_in_pair_order(self, rng):
         mdp = random_dense_mdp(rng)

@@ -14,11 +14,14 @@ under a temporary directory from this script's own repository:
 * the bundled trace with one quoted row, which sends the file to the
   row-by-row reader;
 * the bundled trace, and the first seed's user0 csv, at two non-default
-  parameter sets.
+  parameter sets;
+* a seeded model whose rows differ by action at partial availability (the
+  built models and campus move the same way under every action).
 
 Each side then runs the synthesis chain on the model it built, on the campus
-fixture and on every --model file: `synthesize` unconstrained, then
-eps_private, `verify` of both results and `simulate` of both (200 steps).
+fixture, on the action-dependent model and on every --model file:
+`synthesize` unconstrained, then eps_private, `verify` of both results and
+`simulate` of both (200 steps).
 The secret state and budget of a model come from the parent's model through
 perfbench's `private_spec` (imported from this script's repository): the
 state most visited under the uniform policy, at a budget where the
@@ -27,7 +30,8 @@ against that same budget. On campus the chain goes on with `synthesize`
 asymptotic at epsilon 0.16 with secret s4, its `verify` and its `simulate`,
 then a `simulate` of the eps_private result from the `unsafe` prior with
 all mass on the secret (beliefs with zeros and tiny masses), and
-`baselines` of all three kinds over 2 steps from that prior.
+`baselines` of all three kinds over 2 steps from that prior; the
+action-dependent model's chain ends with the same `baselines` run.
 
 Each command compares every file written, stdout, stderr and the exit code,
 after replacing each side's output directory and tree path in stdout and
@@ -61,6 +65,7 @@ HORIZON = "200"
 ASYMPTOTIC = ["--epsilon", "0.16", "--secret", "s4"]  # the campus asymptotic run
 UNSAFE = ["--belief", "unsafe", "--belief-mass", "1"]  # every mass on the secret at t = 0
 BASELINE_KINDS = "max_entropy,max_inference_error,dp"
+ACTION_DEPENDENT_SEED = 2400  # its eps_private budget binds: the cost rises above the optimum
 
 
 def _perfbench(name: str):
@@ -94,11 +99,33 @@ def write_inputs(work: Path, seeds: list[int]) -> list[tuple[str, Path, list[str
     return runs
 
 
+def _own_lppm():
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+
+
+def write_action_dependent_model(path: Path) -> None:
+    """8 states, 5 actions, 2 to 4 of them available at each state, and a
+    Dirichlet row of full support per available pair, so that every policy
+    has an ergodic chain; written with this script's own lppm."""
+    _own_lppm()
+    import numpy as np
+    from lppm.mdp import make_mdp
+    from lppm.serialize import save_mdp
+
+    rng = np.random.default_rng(ACTION_DEPENDENT_SEED)
+    n, m = 8, 5
+    available = [tuple(int(a) for a in rng.permutation(m)[:rng.integers(2, 5)])
+                 for _ in range(n)]
+    save_mdp(make_mdp(rng.dirichlet(np.ones(n), size=(m, n)),
+                      rng.uniform(1.0, 5.0, size=(n, m)), available, np.full(n, 1.0 / n)),
+             path)
+
+
 def private_spec(model_args: list[str]) -> tuple[int, float]:
     """(secret state, epsilon) for a model given as CLI arguments, read with
     this script's own lppm."""
-    if str(ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(ROOT / "src"))
+    _own_lppm()
     from lppm import fixtures, serialize
     from lppm.mdp import occupancy_from_policy, uniform_policy
 
@@ -109,9 +136,11 @@ def private_spec(model_args: list[str]) -> tuple[int, float]:
     return _perfbench("checks").private_spec(mdp, candidates)
 
 
-def chain(model_args: list[str], secret: int, eps: float) -> list[tuple[str, list[str]]]:
+def chain(model_args: list[str], secret: int, eps: float,
+          baselines: bool = False) -> list[tuple[str, list[str]]]:
     """(step, CLI arguments) of the synthesis chain, run from the directory
-    that holds every step's output directory, named after the step."""
+    that holds every step's output directory, named after the step; campus,
+    and the other models with `baselines`, end with a `baselines` run."""
     private = ["--epsilon", repr(eps), "--secret", str(secret)]
     modes = {"unconstrained": [], "eps_private": private}
     if model_args == ["--fixture", "campus"]:
@@ -126,11 +155,12 @@ def chain(model_args: list[str], secret: int, eps: float) -> list[tuple[str, lis
                    ["simulate", *model_args, *result, "--horizon", HORIZON, *given])]
     if "asymptotic" in modes:
         # beliefs with zeros and tiny masses, and the baselines' metric files
-        steps += [("simulate_eps_private_unsafe",
-                   ["simulate", *model_args, "--result", "synthesize_eps_private/result.json",
-                    "--horizon", HORIZON, *UNSAFE]),
-                  ("baselines", ["baselines", *model_args, "--kind", BASELINE_KINDS,
-                                 "--horizon", "2", "--secret", str(secret), *UNSAFE])]
+        steps.append(("simulate_eps_private_unsafe",
+                      ["simulate", *model_args, "--result", "synthesize_eps_private/result.json",
+                       "--horizon", HORIZON, *UNSAFE]))
+    if baselines or "asymptotic" in modes:
+        steps.append(("baselines", ["baselines", *model_args, "--kind", BASELINE_KINDS,
+                                    "--horizon", "2", "--secret", str(secret), *UNSAFE]))
     return steps
 
 
@@ -253,10 +283,14 @@ def compare(parent: Path, change: Path, seeds: list[int], models: list[Path] = (
             if all("mdp.json" in side for side in got):
                 chains.append((name, ["--model", "build/mdp.json"],
                                ["--model", str(work / "parent" / name / "build" / "mdp.json")]))
+        model = work / "action_dependent.json"
+        write_action_dependent_model(model)
+        chains.append(("action_dependent", ["--model", str(model)], ["--model", str(model)]))
         chains += [(f"model{k}_{path.stem}", ["--model", str(path)], ["--model", str(path)])
                    for k, path in enumerate(models)]
         for name, model_args, parent_model in chains:
-            for step, args in chain(model_args, *private_spec(parent_model)):
+            for step, args in chain(model_args, *private_spec(parent_model),
+                                    baselines=name == "action_dependent"):
                 problems += _differences(f"{name} {step}",
                                          _run_both(trees, args, Path(name) / step))
                 runs += 1

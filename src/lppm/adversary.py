@@ -15,9 +15,10 @@ from .mdp import COMPUTATION_ATOL, Mdp, mix_actions, stationary_distribution
 from .metrics import secret_mass_series
 
 
-def _check_simplex(v: np.ndarray, what: str) -> np.ndarray:
+def check_simplex(v: np.ndarray, what: str) -> np.ndarray:
+    """v as a float array; ValueError unless it is a distribution to COMPUTATION_ATOL."""
     v = np.asarray(v, dtype=float)
-    if np.any(v < -COMPUTATION_ATOL) or abs(v.sum() - 1.0) > COMPUTATION_ATOL:
+    if not (np.all(v >= -COMPUTATION_ATOL) and abs(v.sum() - 1.0) <= COMPUTATION_ATOL):
         raise ValueError(f"{what} must be a probability distribution")
     return v
 
@@ -28,14 +29,10 @@ def belief_update(mdp: Mdp, belief: np.ndarray, action_dist: np.ndarray) -> np.n
     b'(q') = sum_a p_a sum_q T(q, a, q') b(q); the action marginal weighs the
     per-action pushforwards of the current belief.
     """
-    belief = _check_simplex(belief, "belief")
-    action_dist = _check_simplex(action_dist, "action distribution")
-    # the dense contraction's order, for the same bits: terms (p_a T[a](q, .)) b(q),
-    # added action by action, and within an action state by state
-    post = np.zeros(mdp.n_states)
-    for a in range(mdp.n_actions):
-        terms = (action_dist[a] * mdp.action_matrix(a)) * belief[:, None]
-        post = np.add.reduce(np.vstack([post, terms]))
+    belief = check_simplex(belief, "belief")
+    action_dist = check_simplex(action_dist, "action distribution")
+    a, q, r, v = mdp.entries
+    post = np.bincount(r, (action_dist[a] * v) * belief[q], minlength=mdp.n_states)
     return post / post.sum()
 
 
@@ -43,7 +40,7 @@ def action_frequencies(theta: np.ndarray) -> np.ndarray:
     """Long-run action marginal of an occupancy measure."""
     theta = np.asarray(theta, dtype=float)
     freq = theta.sum(axis=0)
-    return _check_simplex(freq, "occupancy action marginal")
+    return check_simplex(freq, "occupancy action marginal")
 
 
 def adversary_matrix(mdp: Mdp, theta: np.ndarray) -> np.ndarray:
@@ -56,7 +53,7 @@ def belief_trajectory(chain: np.ndarray, b0: np.ndarray, horizon: int) -> np.nda
     """Beliefs b_0 .. b_horizon under b_{t+1} = chain^T b_t; shape (horizon+1, n)."""
     chain = np.asarray(chain, dtype=float)
     out = np.empty((horizon + 1, chain.shape[0]))
-    out[0] = _check_simplex(b0, "b0")
+    out[0] = check_simplex(b0, "b0")
     for t in range(horizon):
         nxt = chain.T @ out[t]
         out[t + 1] = nxt / nxt.sum()

@@ -41,12 +41,8 @@ def step_user(mdp: Mdp, p: np.ndarray, f: np.ndarray):
     p = np.asarray(p, dtype=float)
     f = np.asarray(f, dtype=float)
     action_dist = f.T @ p
-    # the dense contraction's order, for the same bits: terms (p(s) f(s, a)) T[a](s, .),
-    # added action by action, and within an action state by state
-    p_next = np.zeros(mdp.n_states)
-    for a in range(mdp.n_actions):
-        terms = (p * f[:, a])[:, None] * mdp.action_matrix(a)
-        p_next = np.add.reduce(np.vstack([p_next, terms]))
+    a, q, r, v = mdp.entries
+    p_next = np.bincount(r, (p[q] * f[q, a]) * v, minlength=mdp.n_states)
     return p_next, action_dist
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import baselines as bl
 from . import fixtures, mobility, serialize
-from .adversary import belief_trajectory, write_belief_csv
+from .adversary import belief_trajectory, check_simplex, write_belief_csv
 from .floattext import format_rows
 from .mdp import UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, validate_policy
 from .metrics import (PrivacySpec, distance_matrix_from_meta, mass_bound_check, secret_mass,
@@ -218,11 +218,11 @@ def _initial_belief(args, config, mdp, secret):
         if vec is None:
             raise CliError("belief kind 'explicit' needs belief_vector in the config")
         try:
-            b = np.array(vec, dtype=float)
-        except (TypeError, ValueError):
-            raise CliError("belief_vector is not a list of numbers")
-        if b.shape != (n,) or not (b >= 0).all() or not abs(b.sum() - 1.0) <= 1e-9:
-            raise CliError("belief_vector is not a distribution over the states")
+            b = check_simplex(vec, "belief_vector")
+        except (TypeError, ValueError):  # not numbers, or off the simplex
+            raise CliError("belief_vector is not a distribution over the states") from None
+        if b.shape != (n,):
+            raise CliError(f"belief_vector must list {n} numbers, one per state")
         return b
     raise CliError(f"unknown belief kind {kind!r}")
 

@@ -4,10 +4,10 @@ A model is a finite state set (points of interest), a finite action set
 (cloaking regions), a per-state action availability relation, one
 transition row per available (state, action) pair, a quality-loss matrix and
 an initial distribution. At an unavailable pair the user stays put (the
-self-loop completion rule); a per-action transition matrix T[a] is built on
-demand from the stored rows and is not kept. Stationary policies induce
-Markov chains; occupancy measures summarize the long-run behavior and carry
-the average quality loss.
+self-loop completion rule). Every contraction of the per-action matrices
+T[a] weighs and bins the entries of `Mdp.entries`; no T[a] is built.
+Stationary policies induce Markov chains; occupancy measures summarize the
+long-run behavior and carry the average quality loss.
 """
 from __future__ import annotations
 
@@ -53,8 +53,8 @@ class Mdp:
 
     Only the available (state, action) pairs have dynamics, so only their
     rows are stored. Every other pair follows the self-loop completion rule:
-    T(s, a, .) is the point mass on s. `action_matrix` is the one place that
-    applies the rule; every contraction of T builds the T[a] it needs from it.
+    T(s, a, .) is the point mass on s. `entries` is the one place that
+    applies the rule; every contraction of T sums its entries.
 
     Attributes
     ----------
@@ -125,9 +125,6 @@ class Mdp:
         if self.action_meta is not None and len(self.action_meta) != m:
             raise ValueError(f"action_meta lists {len(self.action_meta)} actions, "
                              f"n_actions is {m}")
-        # pairs of each action, states ascending
-        self._action_pairs = np.split(np.argsort(actions, kind="stable"),
-                                      np.cumsum(np.bincount(actions, minlength=m))[:-1])
 
     @property
     def n_states(self) -> int:
@@ -152,25 +149,33 @@ class Mdp:
         """Boolean (n, m) mask of available (state, action) pairs."""
         return _pair_mask(self._pairs, self.n_states, self.n_actions)
 
-    def action_matrix(self, a: int) -> np.ndarray:
-        """T[a] as a new (n, n) array, T[a][s, s'] = T(s, a, s').
-
-        The identity (the self-loop completion rows) with the stored rows of
-        the pairs (s, a) scattered in.
-        """
-        k = self._action_pairs[a]
-        out = np.eye(self.n_states)
-        out[self._pairs[0][k]] = self.rows[k]
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only arrays (a, q, r, v), T(q, a, r) = v, of every entry a
+        contraction of T adds, sorted by (a, q, r) as in the dense tensor: the
+        n of each stored row, and only the 1.0 of each self-loop row. A kernel
+        that np.bincount-s weighted entries, adding in this order from 0.0,
+        gives the bits of the dense contraction."""
+        n, m = self.n_states, self.n_actions
+        k = np.full(m * n, -1)  # pair of (a, q) at a * n + q, -1 when unavailable
+        k[self._pairs[1] * n + self._pairs[0]] = np.arange(len(self.rows))
+        width = np.where(k >= 0, n, 1)
+        block = np.repeat(np.arange(m * n), width)
+        col = np.arange(block.size) - np.repeat(np.cumsum(width) - width, width)
+        a, q = np.divmod(block, n)
+        stored = k[block] >= 0  # rows[-1] read at a self-loop entry is dropped
+        out = a, q, np.where(stored, col, q), np.where(stored, self.rows[k[block], col], 1.0)
+        for x in out:
+            x.flags.writeable = False
         return out
 
     @cached_property
     def transition(self) -> np.ndarray:
-        """Read-only dense (m, n, n) tensor of every T[a], built on first use.
-
-        For callers that want the dense form; the package itself contracts
-        T one action at a time through `action_matrix`.
-        """
-        dense = np.stack([self.action_matrix(a) for a in range(self.n_actions)])
+        """Read-only dense (m, n, n) tensor of every T[a], scattered from
+        `entries` on first use, for callers that want the dense form."""
+        a, q, r, v = self.entries
+        dense = np.zeros((self.n_actions, self.n_states, self.n_states))
+        dense[a, q, r] = v
         dense.flags.writeable = False
         return dense
 
@@ -221,21 +226,18 @@ def make_mdp(transition, utility, available, p0,
 
 
 def mix_actions(mdp: Mdp, weights: np.ndarray) -> np.ndarray:
-    """sum_a w_a T[a], with w_a = weights[a] or the column weights[:, a].
-
-    Sums over actions in order: bit for bit the einsum over the dense tensor.
-    """
-    weights = np.asarray(weights, dtype=float)
-    out = np.zeros((mdp.n_states, mdp.n_states))
-    for a in range(mdp.n_actions):
-        out += weights[..., a, None] * mdp.action_matrix(a)
-    return out
+    """sum_a w_a T[a], with w_a = weights[a] or the column weights[:, a]."""
+    a, q, r, v = mdp.entries
+    n = mdp.n_states
+    w = np.broadcast_to(np.asarray(weights, dtype=float), (n, mdp.n_actions))
+    return np.bincount(q * n + r, w[q, a] * v, minlength=n * n).reshape(n, n)
 
 
 def pushforward(mdp: Mdp, belief: np.ndarray) -> np.ndarray:
-    """(m, n) array w with w[a] = T[a]^T belief, summed over states in order."""
-    return np.stack([(mdp.action_matrix(a) * belief[:, None]).sum(axis=0)
-                     for a in range(mdp.n_actions)])
+    """(m, n) array w with w[a] = T[a]^T belief."""
+    a, q, r, v = mdp.entries
+    n, m = mdp.n_states, mdp.n_actions
+    return np.bincount(a * n + r, v * belief[q], minlength=m * n).reshape(m, n)
 
 
 def uniform_policy(mdp: Mdp) -> np.ndarray:

@@ -127,9 +127,11 @@ def _mdp_from_v1(doc: dict, available, utility, p0, state_meta, action_meta) -> 
     mdp = Mdp(rows, available, utility, p0, state_meta, action_meta)
     if transition.shape != (mdp.n_actions, mdp.n_states, mdp.n_states):
         raise ValueError("transition must have shape (n_actions, n_states, n_states)")
-    for a in range(mdp.n_actions):
-        if not np.allclose(transition[a], mdp.action_matrix(a), atol=CONSTRUCTION_ATOL, rtol=0.0):
-            raise ValueError(f"action {a}: unavailable rows must be self-loop completion rows")
+    completed = np.where(mdp.availability_mask().T[:, :, None], transition, np.eye(mdp.n_states))
+    bad = ~np.isclose(transition, completed, atol=CONSTRUCTION_ATOL, rtol=0.0).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"action {bad.argmax()}: unavailable rows must be self-loop "
+                         "completion rows")
     return mdp
 
 

@@ -271,11 +271,12 @@ def _solve_private_lp(mdp: Mdp, sel: np.ndarray, eps: float):
 
 
 def _certificate_inflow(mdp: Mdp, sel: np.ndarray) -> np.ndarray:
-    """g[a, j] = T[a](j, secret), the coefficient of every pair (s, a) on
-    certificate row j. einsum, not matmul, sums each row in the order of the
-    dense-tensor contraction, so every coefficient matches it bit for bit."""
-    return np.stack([np.einsum("qr,r->q", mdp.action_matrix(a), sel)
-                     for a in range(mdp.n_actions)])
+    """g[a, j] = T[a](j, secret), the coefficient of every pair (s, a) on certificate
+    row j; sel_j at a self-loop row. einsum, not matmul or bincount, sums a stored row
+    in the dense-tensor contraction's order, so g matches it bit for bit."""
+    g = np.tile(sel, (mdp.n_actions, 1))
+    g[mdp.pair_index()[::-1]] = np.einsum("kr,r->k", mdp.rows, sel)
+    return g
 
 
 def deployed_chain(mdp: Mdp, result: SynthesisResult) -> tuple[np.ndarray, np.ndarray]:

@@ -105,26 +105,36 @@ def save_mdp_v1(mdp, path):
 # The contractions of the dense (m, n, n) tensor that the pair-row model core
 # replaced, kept as oracles: the library must match them bit for bit.
 
+def completed_tensor(mdp):
+    """Dense (m, n, n) T built apart from the library: each T[a] is the identity
+    (the self-loop completion rows) with the stored rows of the pairs (s, a)
+    scattered in."""
+    states, actions = mdp.pair_index()
+    dense = np.stack([np.eye(mdp.n_states)] * mdp.n_actions)
+    dense[actions, states] = mdp.rows
+    return dense
+
+
 def dense_induce_chain(mdp, policy):
-    return np.einsum("sa,asn->sn", policy, mdp.transition)
+    return np.einsum("sa,asn->sn", policy, completed_tensor(mdp))
 
 
 def dense_adversary_matrix(mdp, theta):
-    return np.einsum("a,aqr->qr", np.asarray(theta).sum(axis=0), mdp.transition)
+    return np.einsum("a,aqr->qr", np.asarray(theta).sum(axis=0), completed_tensor(mdp))
 
 
 def dense_belief_update(mdp, belief, action_dist):
-    post = np.einsum("a,aqr,q->r", action_dist, mdp.transition, belief)
+    post = np.einsum("a,aqr,q->r", action_dist, completed_tensor(mdp), belief)
     return post / post.sum()
 
 
 def dense_step_user(mdp, p, f):
-    return np.einsum("s,sa,asn->n", p, f, mdp.transition)
+    return np.einsum("s,sa,asn->n", p, f, completed_tensor(mdp))
 
 
 def dense_pushforward(mdp, belief):
     """w[a] = T[a]^T belief; the per-step baselines' posterior rows."""
-    return np.einsum("aqr,q->ar", mdp.transition, belief)
+    return np.einsum("aqr,q->ar", completed_tensor(mdp), belief)
 
 
 def dense_posterior_map(mdp, belief, p_user):
@@ -134,14 +144,14 @@ def dense_posterior_map(mdp, belief, p_user):
 
 def dense_certificate_inflow(mdp, sel):
     """g[a, j] = T[a](j, secret); synthesize_eps_private's certificate rows."""
-    return np.einsum("aqr,r->aq", mdp.transition, sel)
+    return np.einsum("aqr,r->aq", completed_tensor(mdp), sel)
 
 
 def dense_simulate(mdp, policy, horizon, seed):
     """Reference for mdp.simulate: next states drawn from the dense tensor's cumsum."""
     rng = np.random.default_rng(seed)
     cum_policy = np.cumsum(policy, axis=1)
-    cum_trans = np.cumsum(mdp.transition, axis=2)
+    cum_trans = np.cumsum(completed_tensor(mdp), axis=2)
     draws = rng.random((horizon, 2))
     out = np.empty((horizon, 2), dtype=np.int64)
     n, m = mdp.n_states, mdp.n_actions
@@ -206,9 +216,10 @@ def bfs_check_ergodic(chain, tol=1e-12):
 def enumerate_unichain(mdp):
     """Reference for mdp.check_unichain_exhaustive: every action tuple of
     the full product of availability sets, in lexicographic order."""
+    dense = completed_tensor(mdp)
     checked = 0
     for choice in product(*mdp.available):
-        chain = np.stack([mdp.transition[a][s] for s, a in enumerate(choice)])
+        chain = np.stack([dense[a][s] for s, a in enumerate(choice)])
         checked += 1
         if not bfs_check_ergodic(chain):
             return UnichainReport("not_unichain", tuple(choice), checked)

@@ -550,6 +550,19 @@ class TestBadInput:
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
     @pytest.mark.parametrize("command", ["baselines", "simulate"])
+    def test_belief_vector_off_the_simplex(self, tmp_path, capsys, command):
+        # sums to 1 + 5e-10: off the simplex by more than the belief update allows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"belief_vector": [0.5, 0.5 + 5e-10, 0.0, 0.0, 0.0, 0.0]}))
+        assert run(capsys, "synthesize", "--fixture", "campus", "--mode", "unconstrained",
+                   "--out", str(tmp_path))[0] == 0
+        result = ["--result", str(tmp_path / "result.json")] if command == "simulate" else []
+        rc, _, err = run(capsys, command, "--fixture", "campus", *result, "--horizon", "2",
+                         "--belief", "explicit", "--config", str(cfg),
+                         "--out", str(tmp_path / "out"))
+        assert (rc, err) == (1, "error: belief_vector is not a distribution over the states\n")
+
+    @pytest.mark.parametrize("command", ["baselines", "simulate"])
     @pytest.mark.parametrize("belief", ["uniform", "uniform_excluding_secret", "unsafe"])
     def test_one_state_model_default_secret(self, tmp_path, capsys, command, belief):
         # the default secret state 0 leaves a one-state model no public state

@@ -16,10 +16,10 @@ class TestCompareBuilds:
     def test_tree_against_itself_is_identical(self, capsys):
         assert compare_builds().main([str(ROOT), str(ROOT), "--seeds"]) == 0
         out, err = capsys.readouterr()
-        # 4 builds, then 6 chain commands on each of the 4 built models and campus,
-        # 3 more for campus's asymptotic mode, and campus's unsafe-prior simulate
-        # and baselines
-        assert out.startswith("byte-identical") and err == "39 runs compared\n"
+        # 4 builds, then 6 chain commands on each of the 4 built models, campus and
+        # the action-dependent model, 3 more for campus's asymptotic mode, campus's
+        # unsafe-prior simulate, and baselines on campus and the action-dependent model
+        assert out.startswith("byte-identical") and err == "46 runs compared\n"
 
     def test_changed_cover_tolerance_differs(self, tmp_path, capsys):
         shutil.copytree(ROOT / "src", tmp_path / "src",

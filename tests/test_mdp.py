@@ -9,11 +9,12 @@ from lppm.mdp import (Mdp, NonErgodicError, action_independent_rows, average_cos
                       occupancy_from_policy, policy_from_theta, pushforward, simulate,
                       stationary_distribution, uniform_policy, validate_policy)
 from lppm.synthesis import _certificate_inflow
-from support import (action_independent_mdp, bfs_check_ergodic, dense_adversary_matrix,
-                     dense_belief_update, dense_certificate_inflow, dense_induce_chain,
-                     dense_posterior_map, dense_pushforward, dense_simulate, dense_step_user,
-                     enumerate_unichain, power_iteration_stationary, random_dense_mdp,
-                     random_shared_row_mdp, random_sparse_mdp)
+from support import (action_independent_mdp, bfs_check_ergodic, completed_tensor,
+                     dense_adversary_matrix, dense_belief_update, dense_certificate_inflow,
+                     dense_induce_chain, dense_posterior_map, dense_pushforward,
+                     dense_simulate, dense_step_user, enumerate_unichain,
+                     power_iteration_stationary, random_dense_mdp, random_shared_row_mdp,
+                     random_sparse_mdp)
 from test_mobility import ROOT, load_module
 
 # campus stationary distribution under any policy (shared successor rows)
@@ -76,8 +77,7 @@ class TestPairRows:
         assert "transition" not in mdp.__dict__
         dense = mdp.transition
         assert mdp.transition is dense and not dense.flags.writeable
-        for a in range(mdp.n_actions):
-            assert dense[a].tobytes() == mdp.action_matrix(a).tobytes()
+        assert dense.tobytes() == completed_tensor(mdp).tobytes()
 
 
 def availability_mdp(rng, available, n_actions):
@@ -92,6 +92,8 @@ ORACLE_MODELS = {
     "campus": lambda rng: campus_fixture(),
     "random_dense": lambda rng: random_dense_mdp(rng, n_states=7, n_actions=5),
     "random_sparse": lambda rng: random_sparse_mdp(rng)[0],
+    # dense rows and self-loop entries share nearly every bin
+    "random_sparse_wide": lambda rng: random_sparse_mdp(rng, 40, 12)[0],
     "random_shared_row": lambda rng: random_shared_row_mdp(rng, shared=True),
     "action_independent": lambda rng: action_independent_mdp(3, 40),
     # action 3 is available at no state
@@ -105,16 +107,27 @@ ORACLE_MODELS = {
 
 
 @pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_entries_list_the_completed_tensor_in_dense_order(rng, name):
+    mdp = ORACLE_MODELS[name](rng)
+    n, m, pairs = mdp.n_states, mdp.n_actions, len(mdp.rows)
+    a, q, r, v = mdp.entries
+    assert mdp.entries is mdp.entries and not any(x.flags.writeable for x in mdp.entries)
+    assert len(v) == pairs * n + (m * n - pairs)
+    assert np.all(np.diff((a * n + q) * n + r) > 0)  # sorted by (a, q, r), no repeats
+    assert mdp.transition.tobytes() == completed_tensor(mdp).tobytes()
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
 def test_contractions_equal_dense_einsums_bit_for_bit(rng, name):
-    """Every contraction of T over on-demand T[a] gives the dense einsum's bits."""
+    """Every contraction of T over `Mdp.entries` gives the dense einsum's bits."""
     mdp = ORACLE_MODELS[name](rng)
     n, m = mdp.n_states, mdp.n_actions
     mask = mdp.availability_mask()
     for trial in range(8):
         policy = rng.random((n, m)) * mask
+        policy /= policy.sum(axis=1, keepdims=True)
         if trial % 2:  # dust on unavailable pairs, within validate_policy's tolerance
             policy += 1e-14 * ~mask
-        policy /= policy.sum(axis=1, keepdims=True)
         f = rng.dirichlet(np.ones(m), size=n)  # a mechanism that also uses unavailable pairs
         theta = rng.dirichlet(np.ones(n * m)).reshape(n, m)
         b, p = rng.dirichlet(np.ones(n), size=2)
@@ -291,7 +304,7 @@ class TestActionIndependentRows:
         assert p is not None and p.shape == (mdp.n_states, mdp.n_states)
         for s, acts in enumerate(mdp.available):
             for a in acts:
-                assert mdp.action_matrix(a)[s].tobytes() == p[s].tobytes()
+                assert mdp.transition[a, s].tobytes() == p[s].tobytes()
 
     def test_campus(self, campus):
         self.assert_rows_ignore_the_action(campus)

@@ -16,12 +16,14 @@ under a temporary directory from this script's own repository:
 * the bundled trace, and the first seed's user0 csv, at two non-default
   parameter sets;
 * a seeded model whose rows differ by action at partial availability (the
-  built models and campus move the same way under every action).
+  built models and campus move the same way under every action), written by
+  the parent tree's lppm, so that both trees read it.
 
 Each side then runs the synthesis chain on the model it built, on the campus
 fixture, on the action-dependent model and on every --model file:
 `synthesize` unconstrained, then eps_private, `verify` of both results and
-`simulate` of both (200 steps).
+`simulate` of both (200 steps). Every --model file must be in a model schema
+the parent reads.
 The secret state and budget of a model come from the parent's model through
 perfbench's `private_spec` (imported from this script's repository): the
 state most visited under the uniform policy, at a budget where the
@@ -39,7 +41,12 @@ stderr with <out> and <tree>. The script prints one line per difference, and
 for a JSON or CSV file also the largest relative and absolute differences
 among the numbers both sides hold at the same place, with their places,
 and the places only one side has, and exits 1 if there is any; otherwise it prints how many runs
-matched and exits 0.
+matched and exits 0. Two `mdp.json` files that differ in bytes are also both
+read with this script's own lppm: when they hold the same model bit for bit
+(`rows`, `utility`, `p0`, `available` and the meta), as after a change of
+the file schema alone, the script prints that on its own line and does not
+count it as a difference; otherwise the numbers compared are those of the two
+models, by their places in `Mdp`.
 """
 from __future__ import annotations
 
@@ -47,6 +54,7 @@ import argparse
 import csv
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -104,22 +112,28 @@ def _own_lppm():
         sys.path.insert(0, str(ROOT / "src"))
 
 
-def write_action_dependent_model(path: Path) -> None:
+# run as `python -c ACTION_DEPENDENT_MODEL PATH SEED` with a tree's lppm on the path
+ACTION_DEPENDENT_MODEL = """
+import sys
+import numpy as np
+from lppm.mdp import make_mdp
+from lppm.serialize import save_mdp
+
+rng = np.random.default_rng(int(sys.argv[2]))
+n, m = 8, 5
+available = [tuple(int(a) for a in rng.permutation(m)[:rng.integers(2, 5)]) for _ in range(n)]
+save_mdp(make_mdp(rng.dirichlet(np.ones(n), size=(m, n)), rng.uniform(1.0, 5.0, size=(n, m)),
+                  available, np.full(n, 1.0 / n)), sys.argv[1])
+"""
+
+
+def write_action_dependent_model(tree: Path, path: Path) -> None:
     """8 states, 5 actions, 2 to 4 of them available at each state, and a
     Dirichlet row of full support per available pair, so that every policy
-    has an ergodic chain; written with this script's own lppm."""
-    _own_lppm()
-    import numpy as np
-    from lppm.mdp import make_mdp
-    from lppm.serialize import save_mdp
-
-    rng = np.random.default_rng(ACTION_DEPENDENT_SEED)
-    n, m = 8, 5
-    available = [tuple(int(a) for a in rng.permutation(m)[:rng.integers(2, 5)])
-                 for _ in range(n)]
-    save_mdp(make_mdp(rng.dirichlet(np.ones(n), size=(m, n)),
-                      rng.uniform(1.0, 5.0, size=(n, m)), available, np.full(n, 1.0 / n)),
-             path)
+    has an ergodic chain; written by `tree`'s lppm."""
+    subprocess.run([sys.executable, "-c", ACTION_DEPENDENT_MODEL, str(path),
+                    str(ACTION_DEPENDENT_SEED)],
+                   env={**os.environ, "PYTHONPATH": str(tree / "src")}, check=True)
 
 
 def private_spec(model_args: list[str]) -> tuple[int, float]:
@@ -218,6 +232,31 @@ def _values(name: str, data: bytes) -> dict | None:
     return None
 
 
+def _model(data: bytes):
+    """The model a model file holds, read with this script's own lppm; None
+    when it holds none that lppm reads."""
+    _own_lppm()
+    from lppm.serialize import mdp_from_dict
+    try:
+        return mdp_from_dict(json.loads(data))
+    except (LookupError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def _model_values(mdp) -> dict:
+    """Every value of a model by its place in `Mdp` (such as `.rows[3][7]`):
+    the numbers of `rows`, `utility` and `p0` as floats, and `available` and
+    the meta as their repr, which tells every float apart, -0.0 from 0.0 too."""
+    found = {f".{key}": repr(getattr(mdp, key))
+             for key in ("available", "state_meta", "action_meta")}
+    for key in ("rows", "utility", "p0"):
+        array = getattr(mdp, key)
+        found[f".{key} shape"] = repr(array.shape)
+        for index, x in zip(itertools.product(*map(range, array.shape)), array.ravel().tolist()):
+            found[f".{key}" + "".join(f"[{i}]" for i in index)] = x
+    return found
+
+
 def number_difference(name: str, a: bytes, b: bytes) -> dict | None:
     """The largest |x - y| / max(|x|, |y|) ("relative") and |x - y|
     ("absolute") over the numbers both files hold at the same place, each
@@ -227,6 +266,11 @@ def number_difference(name: str, a: bytes, b: bytes) -> dict | None:
     xs, ys = _values(name, a), _values(name, b)
     if xs is None or ys is None:
         return None
+    return _value_difference(xs, ys)
+
+
+def _value_difference(xs: dict, ys: dict) -> dict | None:
+    """number_difference over two maps of values by place."""
     rel = gap = (0.0, None)
     for place in sorted(xs.keys() & ys.keys()):
         x, y = xs[place], ys[place]
@@ -241,15 +285,25 @@ def number_difference(name: str, a: bytes, b: bytes) -> dict | None:
     return {"relative": rel, "absolute": gap, "only": sorted(xs.keys() ^ ys.keys())}
 
 
-def _differences(name: str, got: list[dict]) -> list[str]:
-    lines = []
+def _differences(name: str, got: list[dict]) -> tuple[list[str], list[str]]:
+    """One line per output the two sides differ in, and one per model file
+    that differs in bytes only, holding the same model bit for bit."""
+    lines, same = [], []
     for key in sorted(set(got[0]) | set(got[1])):
         a, b = got[0].get(key), got[1].get(key)
         if a == b:
             continue
         line = f"{name}: {key} differs"
-        diff = number_difference(key, a, b) if isinstance(a, bytes) and isinstance(b, bytes) \
-            else None
+        files = isinstance(a, bytes) and isinstance(b, bytes)
+        models = [_model(a), _model(b)] if files and key == "mdp.json" else [None]
+        if None in models:
+            diff = number_difference(key, a, b) if files else None
+        else:
+            xs, ys = map(_model_values, models)
+            if {k: repr(v) for k, v in xs.items()} == {k: repr(v) for k, v in ys.items()}:
+                same.append(f"{name}: {key} holds the same model bit for bit in other bytes")
+                continue
+            diff = _value_difference(xs, ys)
         if diff is not None:
             parts = [f"largest {kind} difference {value:.3g}" + (f" at {place}" if place else "")
                      for kind in ("relative", "absolute") for value, place in [diff[kind]]]
@@ -257,7 +311,7 @@ def _differences(name: str, got: list[dict]) -> list[str]:
                 parts.append(f"on one side only: {', '.join(diff['only'])}")
             line += f" ({'; '.join(parts)})"
         lines.append(line)
-    return lines
+    return lines, same
 
 
 def _run_both(trees, args: list[str], out: Path) -> list[dict]:
@@ -267,9 +321,11 @@ def _run_both(trees, args: list[str], out: Path) -> list[dict]:
     return [outcome(*proc) for proc in procs]
 
 
-def compare(parent: Path, change: Path, seeds: list[int], models: list[Path] = ()) -> list[str]:
-    """One line per differing output of each command."""
-    problems, runs = [], 0
+def compare(parent: Path, change: Path, seeds: list[int],
+            models: list[Path] = ()) -> tuple[list[str], list[str]]:
+    """One line per differing output of each command, and one per model file
+    that differs in bytes only."""
+    problems, same, runs = [], [], 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         trees = [(work / "parent", parent), (work / "change", change)]
@@ -278,24 +334,24 @@ def compare(parent: Path, change: Path, seeds: list[int], models: list[Path] = (
         for name, trace, args in write_inputs(work, seeds):
             got = _run_both(trees, ["build", "--traces", str(trace), *args],
                             Path(name) / "build")
-            problems += _differences(name, got)
-            runs += 1
+            lines, same_model = _differences(name, got)
+            problems, same, runs = problems + lines, same + same_model, runs + 1
             if all("mdp.json" in side for side in got):
                 chains.append((name, ["--model", "build/mdp.json"],
                                ["--model", str(work / "parent" / name / "build" / "mdp.json")]))
         model = work / "action_dependent.json"
-        write_action_dependent_model(model)
+        write_action_dependent_model(parent, model)
         chains.append(("action_dependent", ["--model", str(model)], ["--model", str(model)]))
         chains += [(f"model{k}_{path.stem}", ["--model", str(path)], ["--model", str(path)])
                    for k, path in enumerate(models)]
         for name, model_args, parent_model in chains:
             for step, args in chain(model_args, *private_spec(parent_model),
                                     baselines=name == "action_dependent"):
-                problems += _differences(f"{name} {step}",
-                                         _run_both(trees, args, Path(name) / step))
-                runs += 1
+                lines, same_model = _differences(f"{name} {step}",
+                                                 _run_both(trees, args, Path(name) / step))
+                problems, same, runs = problems + lines, same + same_model, runs + 1
         print(f"{runs} runs compared", file=sys.stderr)
-    return problems
+    return problems, same
 
 
 def main(argv=None) -> int:
@@ -305,14 +361,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="*", default=[1501, 4242, 9090],
                         help="perfbench trace seeds (default: 1501 4242 9090)")
     parser.add_argument("--model", type=Path, nargs="*", default=[],
-                        help="saved model files to run the synthesis chain on as well")
+                        help="saved model files to run the synthesis chain on as well; both "
+                             "trees read them, so each must be in a model schema the parent "
+                             "reads")
     args = parser.parse_args(argv)
-    problems = compare(args.parent.resolve(), args.change.resolve(), args.seeds,
-                       [path.resolve() for path in args.model])
-    for line in problems:
+    problems, same = compare(args.parent.resolve(), args.change.resolve(), args.seeds,
+                             [path.resolve() for path in args.model])
+    for line in same + problems:
         print(line)
     if not problems:
-        print("byte-identical: every file written, stdout, stderr and exit code")
+        print("byte-identical: every file written, stdout, stderr and exit code"
+              + (f", but for the {len(same)} model files above" if same else ""))
     return 1 if problems else 0
 
 

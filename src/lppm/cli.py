@@ -104,7 +104,7 @@ def _read_file(kind, path, load):
         raise CliError(f"cannot read {kind} file {path}: {exc.strerror}")
     except KeyError as exc:
         raise CliError(f"{kind} file {path} lacks the key {exc}")
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{kind} file {path} is malformed: {' '.join(str(exc).split())}")
 
 

@@ -86,19 +86,7 @@ class Mdp:
         n, m = self.utility.shape
         if self.p0.shape != (n,):
             raise ValueError("p0 must have shape (n_states,)")
-        if len(self.available) != n:
-            raise ValueError(f"available lists {len(self.available)} states, n_states is {n}")
-        self.available = tuple(tuple(sorted(acts)) for acts in self.available)
-        for s, acts in enumerate(self.available):
-            if not acts:
-                raise ValueError(f"state {s} has no available action")
-            bad = [a for a in acts if not isinstance(a, (int, np.integer))]
-            if bad:
-                raise ValueError(f"state {s} lists a non-integer action {bad[0]!r}")
-            if acts[0] < 0 or acts[-1] >= m:
-                raise ValueError(f"state {s} lists an action outside 0..{m - 1}")
-            if len(set(acts)) != len(acts):
-                raise ValueError(f"state {s} repeats an action")
+        self.available = check_available(self.available, n, m)
         self._pairs = _pair_index(self.available)
         states, actions = self._pairs
         if self.rows.shape != (len(states), n):
@@ -178,6 +166,36 @@ class Mdp:
         dense[a, q, r] = v
         dense.flags.writeable = False
         return dense
+
+
+def non_integers(values) -> list:
+    """The values that are not integers; a bool (JSON true or false) is not one."""
+    if set(map(type, values)) <= {int}:  # JSON integers, the usual case, tested at C speed
+        return []
+    return [x for x in values if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
+
+
+def check_available(available, n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """`available` as sorted tuples, once it lists, for each of n states, a
+    nonempty set of distinct integer actions in 0..m-1; ValueError otherwise."""
+    if len(available) != n:
+        raise ValueError(f"available lists {len(available)} states, n_states is {n}")
+    available = tuple(tuple(sorted(acts)) for acts in available)
+    flat = list(itertools.chain.from_iterable(available))
+    if (all(available) and not non_integers(flat) and min(flat, default=0) >= 0
+            and max(flat, default=0) < m and sum(map(len, map(set, available))) == len(flat)):
+        return available
+    for s, acts in enumerate(available):  # the first state at fault, and how
+        if not acts:
+            raise ValueError(f"state {s} has no available action")
+        bad = non_integers(acts)
+        if bad:
+            raise ValueError(f"state {s} lists a non-integer action {bad[0]!r}")
+        if acts[0] < 0 or acts[-1] >= m:
+            raise ValueError(f"state {s} lists an action outside 0..{m - 1}")
+        if len(set(acts)) != len(acts):
+            raise ValueError(f"state {s} repeats an action")
+    return available
 
 
 def _pair_index(available) -> tuple[np.ndarray, np.ndarray]:

@@ -72,34 +72,62 @@ def random_dense_mdp(rng, n_states=4, n_actions=3, meta=False):
     return make_mdp(transition, utility, available, p0)
 
 
+def _meta_docs(mdp):
+    """The state_meta and action_meta entries every model schema writes."""
+    state_meta = action_meta = None
+    if mdp.state_meta is not None:
+        state_meta = [{"label": s.label, "lat": s.lat, "lon": s.lon,
+                       "area_m2": s.area_m2} for s in mdp.state_meta]
+    if mdp.action_meta is not None:
+        action_meta = [{"label": a.label, "lat": a.lat, "lon": a.lon,
+                        "radius_m": a.radius_m} for a in mdp.action_meta]
+    return {"state_meta": state_meta, "action_meta": action_meta}
+
+
 def mdp_to_dict_v1(mdp):
     """Version-1 model document: the dense (m, n, n) tensor under "transition".
 
-    The writer that `serialize.mdp_to_dict` replaced, kept to produce the old
-    files that must still load.
+    One of the writers `serialize.mdp_to_dict` replaced, kept to produce the
+    old files that must still load.
     """
-    doc = {
+    return {
         "n_states": mdp.n_states,
         "n_actions": mdp.n_actions,
         "available": [list(acts) for acts in mdp.available],
         "transition": mdp.transition.tolist(),
         "p0": mdp.p0.tolist(),
         "utility": mdp.utility.tolist(),
-        "state_meta": None,
-        "action_meta": None,
+        **_meta_docs(mdp),
     }
-    if mdp.state_meta is not None:
-        doc["state_meta"] = [{"label": s.label, "lat": s.lat, "lon": s.lon,
-                              "area_m2": s.area_m2} for s in mdp.state_meta]
-    if mdp.action_meta is not None:
-        doc["action_meta"] = [{"label": a.label, "lat": a.lat, "lon": a.lon,
-                               "radius_m": a.radius_m} for a in mdp.action_meta]
-    return doc
+
+
+def mdp_to_dict_v2(mdp):
+    """Schema-2 model document: every stored row, n entries wide, under "rows"
+    and the whole (n, m) loss matrix.
+
+    One of the writers `serialize.mdp_to_dict` replaced, kept to produce the
+    old files that must still load.
+    """
+    return {
+        "schema": 2,
+        "n_states": mdp.n_states,
+        "n_actions": mdp.n_actions,
+        "available": [list(acts) for acts in mdp.available],
+        "rows": mdp.rows.tolist(),
+        "p0": mdp.p0.tolist(),
+        "utility": mdp.utility.tolist(),
+        **_meta_docs(mdp),
+    }
 
 
 def save_mdp_v1(mdp, path):
     with open(path, "w") as fh:
         fh.write(dumps_canonical(mdp_to_dict_v1(mdp)) + "\n")
+
+
+def save_mdp_v2(mdp, path):
+    with open(path, "w") as fh:
+        fh.write(dumps_canonical(mdp_to_dict_v2(mdp)) + "\n")
 
 
 # The contractions of the dense (m, n, n) tensor that the pair-row model core
@@ -874,6 +902,8 @@ def recursive_dumps_canonical(obj, indent=0):
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(recursive_dumps_canonical(v, indent) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return recursive_dumps_canonical(obj.tolist(), indent)
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):

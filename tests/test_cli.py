@@ -15,7 +15,7 @@ from lppm.synthesis import InvarianceVerdict, SynthesisResult
 from support import (action_independent_mdp, binding_spec, csv_write_belief_csv,
                      csv_write_metric_series, loop_nested, random_dense_mdp,
                      record_chain_builds, record_synthesis_lps, recursive_dumps_canonical,
-                     save_mdp_v1)
+                     save_mdp_v1, save_mdp_v2)
 
 
 def run(capsys, *argv):
@@ -583,6 +583,21 @@ class TestBadInput:
                           f"is secret\n"
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["model", "result"])
+    def test_overlarge_integer_is_malformed(self, tmp_path, capsys, campus, kind):
+        model, result = tmp_path / "mdp.json", tmp_path / "result.json"
+        save_mdp(campus, model)
+        assert run(capsys, "synthesize", "--model", str(model), "--mode", "unconstrained",
+                   "--out", str(tmp_path))[0] == 0
+        path, key = (model, "p0") if kind == "model" else (result, "p_inf")
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, key: [10 ** 400, *doc[key][1:]]}))
+        command = ("synthesize", "--mode", "unconstrained") if kind == "model" else \
+            ("verify", "--result", str(result), "--secret", "s4", "--epsilon", "0.2")
+        rc, out, err = run(capsys, *command, "--model", str(model), "--out", str(tmp_path / "out"))
+        assert (rc, out) == (1, "")
+        assert err == f"error: {kind} file {path} is malformed: int too large to convert to float\n"
+
     @pytest.mark.parametrize("content", [None, b"lat,lon,timestamp\n40.0,-74.0,1\xff\n"],
                              ids=["directory", "not_utf8"])
     def test_unreadable_trace_file_exit_1(self, tmp_path, capsys, content):
@@ -621,7 +636,7 @@ class TestMalformedFile:
         ("model", "v2", lambda doc: json.dumps(
             {**doc, "available": [[*doc["available"][0], 6], *doc["available"][1:]]}),
          "outside 0..5"),
-        ("model", "v2", lambda doc: json.dumps({**doc, "schema": 3}), "unknown model schema 3"),
+        ("model", "v3", lambda doc: json.dumps({**doc, "schema": 4}), "unknown model schema 4"),
         ("model", "v2", lambda doc: json.dumps({**doc, "n_states": 7}),
          "utility must have shape (n_states, n_actions) = (7, 6)"),
         ("model", "v2", lambda doc: json.dumps(
@@ -643,6 +658,33 @@ class TestMalformedFile:
          "outside 0..5"),
         ("model", "v1", lambda doc: json.dumps({**doc, "available": [*doc["available"], [0]]}),
          "available lists 7 states, n_states is 6"),
+        ("model", "v3", lambda doc: json.dumps(
+            {**doc, "successors": [[0, 1, 6], *doc["successors"][1:]]}),
+         "successors list a state outside 0..5"),
+        ("model", "v3", lambda doc: json.dumps(
+            {**doc, "successors": [[0, 1, 1], *doc["successors"][1:]]}),
+         "the successors of state 0, action 0 are not strictly ascending"),
+        ("model", "v3", lambda doc: json.dumps(
+            {**doc, "probabilities": [*doc["probabilities"][:2], doc["probabilities"][2][:-1],
+                                      *doc["probabilities"][3:]]}),
+         "the row of state 1, action 1 lists 4 successors and 3 probabilities"),
+        ("model", "v3", lambda doc: json.dumps({**doc, "successors": doc["successors"][:-1]}),
+         "successors and probabilities must hold 15 rows, one per available pair; got 14 and 15"),
+        ("model", "v3", lambda doc: json.dumps({**doc, "utility": doc["utility"][:-1]}),
+         "utility must hold 15 losses, one per available pair; got shape (14,)"),
+        ("model", "v3", lambda doc: json.dumps({**doc, "sentinel": None}),
+         "sentinel must be null exactly when every pair is available"),
+        ("model", "v3", lambda doc: json.dumps({**doc, "n_states": 6.5}),
+         "n_states and n_actions must be integers; got 6.5 and 6"),
+        ("model", "v3", lambda doc: json.dumps(
+            {**doc, "successors": [[0, True, 2], *doc["successors"][1:]]}),
+         "successors list a non-integer state True"),
+        ("model", "v3", lambda doc: json.dumps(
+            {**doc, "available": [[True, 4], *doc["available"][1:]]}),
+         "state 0 lists a non-integer action True"),
+        ("model", "v2", lambda doc: json.dumps(
+            {**doc, "available": [[True, 4], *doc["available"][1:]]}),
+         "state 0 lists a non-integer action True"),
         ("result", None, lambda doc: json.dumps(doc)[:-5], "Expecting"),
         ("result", None, lambda doc: TestMalformedFile.without(doc, "theta"),
          "lacks the key 'theta'"),
@@ -654,13 +696,19 @@ class TestMalformedFile:
             "model_n_states_disagrees", "model_non_integer_action", "model_state_meta_length",
             "model_action_meta_length", "model_v1_unavailable_row_not_self_loop",
             "model_v1_extra_action", "model_v1_action_range", "model_v1_state_count",
+            "model_v3_successor_out_of_range", "model_v3_repeated_successor",
+            "model_v3_row_lengths_differ", "model_v3_rows_missing_a_pair",
+            "model_v3_utility_count", "model_v3_null_sentinel", "model_v3_fractional_n_states",
+            "model_v3_bool_successor",
+            "model_v3_bool_action", "model_bool_action",
             "result_not_json", "result_no_theta", "result_every_state_secret"])
     def test_one_error_line_exit_1(self, tmp_path, capsys, campus, kind, base, edit, expect):
         rc, _, _ = run(capsys, "synthesize", "--fixture", "campus", "--mode",
                        "unconstrained", "--out", str(tmp_path))
         assert rc == 0
         good = {"model": tmp_path / "mdp.json", "result": tmp_path / "result.json"}
-        (save_mdp_v1 if base == "v1" else save_mdp)(campus, good["model"])
+        {"v1": save_mdp_v1, "v2": save_mdp_v2}.get(base, save_mdp)(
+            campus, good["model"])
         bad = tmp_path / f"bad_{kind}.json"
         bad.write_text(edit(json.loads(good[kind].read_text())))
         good[kind] = bad

@@ -3,6 +3,9 @@ import shutil
 
 import numpy as np
 
+from lppm.mdp import Mdp
+from lppm.serialize import dumps_canonical, mdp_to_dict
+from support import mdp_to_dict_v2
 from test_mobility import ROOT, load_module
 
 
@@ -51,9 +54,9 @@ class TestLargestRelativeDifference:
         assert 0.0 < diff["relative"][0] < 2.3e-16
         lines = script._differences("campus synthesize_eps_private",
                                     [{"result.json": a}, {"result.json": b}])
-        assert lines == ["campus synthesize_eps_private: result.json differs (largest relative "
-                         f"difference {diff['relative'][0]:.3g} at .theta[0][0]; largest "
-                         f"absolute difference {gap:.3g} at .theta[0][0])"]
+        assert lines == (["campus synthesize_eps_private: result.json differs (largest relative "
+                          f"difference {diff['relative'][0]:.3g} at .theta[0][0]; largest "
+                          f"absolute difference {gap:.3g} at .theta[0][0])"], [])
 
     def test_one_ulp_in_a_csv_file(self):
         # belief.csv's last secret_mass one ulp lower
@@ -68,10 +71,10 @@ class TestLargestRelativeDifference:
         a = b'{"diagnostics": {"lp_iterations": 25}, "theta": [0.5, 0.25]}'
         b = b'{"diagnostics": {"certificate_rows": 5, "lp_iterations": 24}, "theta": [0.5, 0.25]}'
         script = compare_builds()
-        assert script._differences("x", [{"result.json": a}, {"result.json": b}]) == [
+        assert script._differences("x", [{"result.json": a}, {"result.json": b}]) == ([
             "x: result.json differs (largest relative difference 0.04 at "
             ".diagnostics.lp_iterations; largest absolute difference 1 at "
-            ".diagnostics.lp_iterations; on one side only: .diagnostics.certificate_rows)"]
+            ".diagnostics.lp_iterations; on one side only: .diagnostics.certificate_rows)"], [])
 
     def test_no_number_difference_for_other_changes(self):
         script = compare_builds()
@@ -83,3 +86,38 @@ class TestLargestRelativeDifference:
         assert script.number_difference("result.json", a, b'[1.0') is None
         assert script.number_difference("stdout", b"1.0", b"2.0") is None
         assert script.number_difference("a.csv", b"x,1\n", b"y,1\n") is None
+
+
+class TestModelFiles:
+    """Two model files that differ in bytes are compared by the models they hold."""
+
+    @staticmethod
+    def texts(mdp):
+        """The model's schema-2 and schema-3 file text."""
+        return [dumps_canonical(mdp_to_dict_v2(mdp)).encode(),
+                dumps_canonical(mdp_to_dict(mdp)).encode()]
+
+    def test_same_model_in_another_schema(self, campus):
+        old, new = self.texts(campus)
+        assert old != new
+        assert compare_builds()._differences("bundled", [{"mdp.json": old}, {"mdp.json": new}]) \
+            == ([], ["bundled: mdp.json holds the same model bit for bit in other bytes"])
+
+    def test_one_ulp_in_a_row_of_another_schema(self, campus):
+        moved = campus.rows.copy()
+        moved[2, 1] = np.nextafter(0.25, 1.0)  # the row still sums to one within 1e-12
+        other = Mdp(moved, campus.available, campus.utility, campus.p0,
+                    campus.state_meta, campus.action_meta)
+        gap = np.nextafter(0.25, 1.0) - 0.25
+        assert compare_builds()._differences(
+            "bundled", [{"mdp.json": self.texts(campus)[0]}, {"mdp.json": self.texts(other)[1]}]) \
+            == ([f"bundled: mdp.json differs (largest relative difference "
+                 f"{gap / np.nextafter(0.25, 1.0):.3g} at .rows[2][1]; largest absolute "
+                 f"difference {gap:.3g} at .rows[2][1])"], [])
+
+    def test_a_file_that_does_not_load_is_compared_by_its_text(self):
+        lines, same = compare_builds()._differences(
+            "bundled", [{"mdp.json": b'{"p0": [0.5]}'}, {"mdp.json": b'{"p0": [0.25]}'}])
+        assert same == [] and lines == [
+            "bundled: mdp.json differs (largest relative difference 0.5 at .p0[0]; "
+            "largest absolute difference 0.25 at .p0[0])"]

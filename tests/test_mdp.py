@@ -43,6 +43,16 @@ class TestMdpValidation:
         with pytest.raises(ValueError):
             make_mdp(t, np.ones((2, 1)), ((0,), (0,)), np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("action", [True, np.True_, 0.0])
+    def test_non_integer_action_rejected(self, action):
+        """A JSON true is no action index, though Python's bool is an int."""
+        rows, utility = np.full((3, 2), 0.5), np.array([[1.0, 1.0], [1.0, 5.0]])
+        with pytest.raises(ValueError) as err:
+            Mdp(rows, ((action, 1), (0,)), utility, np.array([0.5, 0.5]))
+        assert str(err.value) == f"state 0 lists a non-integer action {action!r}"
+        assert Mdp(rows, ((np.int64(0), 1), (0,)), utility,
+                   np.array([0.5, 0.5])).available == ((0, 1), (0,))
+
     def test_unavailable_rows_become_self_loops(self, campus):
         for s in range(campus.n_states):
             for a in range(campus.n_actions):

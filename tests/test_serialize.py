@@ -11,7 +11,10 @@ from lppm.serialize import (dumps_canonical, load_mdp, load_result, mdp_from_dic
                             mdp_to_dict, result_to_dict, save_mdp, save_result)
 from lppm.synthesis import (synthesize_asymptotic, synthesize_eps_private,
                             synthesize_unconstrained)
-from support import loop_nested, random_dense_mdp, recursive_dumps_canonical, save_mdp_v1
+from support import (loop_nested, mdp_to_dict_v1, mdp_to_dict_v2, random_dense_mdp,
+                     recursive_dumps_canonical, save_mdp_v1, save_mdp_v2)
+from test_mdp import ORACLE_MODELS
+from test_mobility import ROOT, load_module
 
 
 class TestDumpsCanonical:
@@ -52,6 +55,11 @@ class TestFloatListFastPath:
         [1.0, 2, 3.5], [True, 0.5, False], [np.float64(-0.0), 0.25], [0.5, np.float64(0.1)],
         [np.int64(7), 0.5], [0.5, None, "x"], (0.25, -0.0), {"a": [[0.1, -0.0], [2.0]], "b": []},
         [[0.1, 0.2], [0.3, [0.4, -0.0]]],
+        # lists of 1-D arrays, whose values are formatted in one call
+        [np.array([0.1, -0.0]), np.array([]), np.array([2.5, 1e22, 5e-324])],
+        [np.array([3, 0, 7]), np.array([], dtype=np.int64), np.array([2 ** 60])],
+        [np.array([]), np.array([])], [np.array([1, 2]), np.array([0.5])],
+        {"a": [np.array([0.25]), np.array([1 / 3, 2.0])], "b": [np.array([1.0]), 0.5]},
     ])
     def test_same_text_as_reference(self, doc):
         assert dumps_canonical(doc) == recursive_dumps_canonical(doc)
@@ -64,7 +72,8 @@ class TestFloatListFastPath:
 
     @pytest.mark.parametrize("values", [
         [float("inf")], [1.0, float("nan")], [0.5, -float("inf"), float("nan")],
-        [float("nan"), float("inf")], [[0.5], [1.0, float("inf")]]])
+        [float("nan"), float("inf")], [[0.5], [1.0, float("inf")]],
+        [np.array([0.5]), np.array([1.0, -np.inf, np.nan])]])
     def test_first_non_finite_value_raises_the_reference_error(self, values):
         with pytest.raises(ValueError) as want:
             recursive_dumps_canonical(values)
@@ -120,17 +129,27 @@ class TestMdpRoundTrip:
 
     def test_dict_form_holds_float_arrays(self, campus):
         doc = mdp_to_dict(campus)
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert doc["n_states"] == 6
-        assert isinstance(doc["rows"], np.ndarray) and doc["rows"].dtype == np.float64
+        assert all(row.dtype == np.float64 for row in doc["probabilities"])
+        assert all(row.dtype.kind == "i" for row in doc["successors"])
+        assert doc["utility"].dtype == np.float64 and doc["p0"].dtype == np.float64
         rebuilt = mdp_from_dict(json.loads(dumps_canonical(doc)))
         np.testing.assert_array_equal(rebuilt.transition, campus.transition)
+        old = mdp_from_dict(json.loads(dumps_canonical(mdp_to_dict_v2(campus))))
+        np.testing.assert_array_equal(old.transition, campus.transition)
 
     def test_rows_are_the_available_pairs(self, campus):
         doc = mdp_to_dict(campus)
-        assert "transition" not in doc
+        assert "transition" not in doc and "rows" not in doc
         states, actions = campus.pair_index()
-        assert doc["rows"].tolist() == campus.transition[actions, states].tolist()
+        rows = campus.transition[actions, states]
+        assert [list(row) for row in doc["successors"]] == [
+            np.flatnonzero(row).tolist() for row in rows]
+        assert [row.tolist() for row in doc["probabilities"]] == [
+            row[row != 0].tolist() for row in rows]
+        assert doc["utility"].tolist() == campus.utility[states, actions].tolist()
+        assert doc["sentinel"] == campus.utility[0, 3] == 1e3 * doc["utility"].max()
 
     def test_unsorted_available_reads_rows_in_pair_order(self, rng):
         mdp = random_dense_mdp(rng)
@@ -164,27 +183,73 @@ class TestVersionOneFiles:
         assert back.p0.tobytes() == mdp.p0.tobytes()
         assert back.available == mdp.available
 
-    def test_resaves_as_version_two(self, model_case, tmp_path):
+    def test_resaves_in_the_current_schema(self, model_case, tmp_path):
         mdp = model_case[0]
         save_mdp_v1(mdp, tmp_path / "v1.json")
         save_mdp(load_mdp(tmp_path / "v1.json"), tmp_path / "resaved.json")
-        save_mdp(mdp, tmp_path / "v2.json")
-        assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
+        save_mdp(mdp, tmp_path / "v3.json")
+        assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "v3.json").read_bytes()
 
     def test_eps_private_result_byte_identical(self, model_case, tmp_path, capsys):
+        """The same model in a file of each schema gives the same result, byte for byte."""
         mdp, secret, epsilon = model_case
         save_mdp_v1(mdp, tmp_path / "v1.json")
-        save_mdp(mdp, tmp_path / "v2.json")
-        printed = []
-        for version in ("v1", "v2"):
+        save_mdp_v2(mdp, tmp_path / "v2.json")
+        save_mdp(mdp, tmp_path / "v3.json")
+        printed, written = [], []
+        for version in ("v1", "v2", "v3"):
             rc = main(["synthesize", "--model", str(tmp_path / f"{version}.json"),
                        "--mode", "eps_private", "--secret", str(secret),
                        "--epsilon", str(epsilon), "--out", str(tmp_path / version)])
             assert rc == 0
             printed.append(capsys.readouterr().out.splitlines()[0])
-        assert printed[0] == printed[1]
-        assert ((tmp_path / "v1" / "result.json").read_bytes()
-                == (tmp_path / "v2" / "result.json").read_bytes())
+            written.append((tmp_path / version / "result.json").read_bytes())
+        assert printed[0] == printed[1] == printed[2]
+        assert written[0] == written[1] == written[2]
+
+
+def generated_model(n):
+    """perfbench's mobility-like model with n states and n actions."""
+    return load_module("perfbench_gen", ROOT / "perfbench" / "gen.py").make_model(501, 0, n)
+
+
+SCHEMA_MODELS = {**ORACLE_MODELS, "generated_120": lambda rng: generated_model(120)}
+WRITERS = {1: mdp_to_dict_v1, 2: mdp_to_dict_v2, 3: mdp_to_dict}
+
+
+class TestEverySchema:
+    """A model written in any schema loads to the model that was written, bit for bit."""
+
+    @staticmethod
+    def assert_same_model(back, mdp):
+        assert back.rows.tobytes() == mdp.rows.tobytes()
+        assert back.utility.tobytes() == mdp.utility.tobytes()
+        assert back.p0.tobytes() == mdp.p0.tobytes()
+        assert back.available == mdp.available
+        assert back.state_meta == mdp.state_meta and back.action_meta == mdp.action_meta
+
+    @pytest.mark.parametrize("schema", WRITERS)
+    @pytest.mark.parametrize("name", SCHEMA_MODELS)
+    def test_loads_bit_identical(self, rng, tmp_path, name, schema):
+        mdp = SCHEMA_MODELS[name](rng)
+        path = tmp_path / "mdp.json"
+        path.write_text(dumps_canonical(WRITERS[schema](mdp)) + "\n")
+        self.assert_same_model(load_mdp(path), mdp)
+
+    @pytest.mark.parametrize("name", SCHEMA_MODELS)
+    def test_save_load_save_byte_identical(self, rng, tmp_path, name):
+        mdp = SCHEMA_MODELS[name](rng)
+        save_mdp(mdp, tmp_path / "m1.json")
+        save_mdp(load_mdp(tmp_path / "m1.json"), tmp_path / "m2.json")
+        assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+
+    def test_stores_only_the_nonzero_entries(self):
+        mdp = generated_model(120)
+        doc = mdp_to_dict(mdp)
+        assert sum(map(len, doc["successors"])) == np.count_nonzero(mdp.rows)
+        assert len(doc["utility"]) == len(mdp.rows) == 360
+        text, old = dumps_canonical(doc), dumps_canonical(mdp_to_dict_v2(mdp))
+        assert len(text) < len(old) / 4
 
 
 class TestResultRoundTrip:

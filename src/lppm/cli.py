@@ -30,7 +30,7 @@ from .mdp import UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, validate_po
 from .metrics import (PrivacySpec, distance_matrix_from_meta, mass_bound_check, secret_mass,
                       secret_mass_series, write_metric_series)
 from .optim import FW_GAP_TOL
-from .synthesis import (ASYMPTOTIC_MARGIN, ActionDependentModelError,
+from .synthesis import (ASYMPTOTIC_MARGIN, MODES, ActionDependentModelError,
                         InfeasibleSynthesisError, SelfCheckError, deployed_chain, limit_check,
                         synthesize_asymptotic, synthesize_eps_private,
                         synthesize_unconstrained, theorem1_certificate, verify_invariance)
@@ -40,6 +40,9 @@ EXIT_INPUT = 1
 EXIT_EMPTY = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
+# options whose values are paths or names; a config must give them as strings
+STRING_OPTIONS = ("out", "fixture", "model", "traces", "format", "mode", "result", "belief",
+                  "kind")
 
 
 class CliError(Exception):
@@ -67,6 +70,9 @@ def _load_config(path):
         raise CliError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise CliError(f"config file {path} must hold a JSON object")
+    bad = [key for key in STRING_OPTIONS if key in config and not isinstance(config[key], str)]
+    if bad:
+        raise CliError(f"config file {path}: {bad[0]} must be a string, got {config[bad[0]]!r}")
     return config
 
 
@@ -254,6 +260,9 @@ def cmd_build(args):
         raise CliError("no input: pass --traces or --fixture")
     if not Path(traces).exists():
         raise CliError(f"trace file not found: {traces}")
+    fmt = _get(args, config, "format")
+    if fmt not in (None, "csv", "plt"):
+        raise CliError(f"unknown trace format {fmt!r}")
     try:
         params = mobility.ClusterParams(
             min_speed_mps=_number(args, config, "min_speed", 1.0),
@@ -263,7 +272,7 @@ def cmd_build(args):
             k_anonymity=_number(args, config, "k", 2, int),
         )
         mdp, pois, cloaks, diag = mobility.build_model_from_traces(
-            traces, params, fmt=_get(args, config, "format"),
+            traces, params, fmt=fmt,
             start_state=_number(args, config, "start_state", 0, int))
     except mobility.EmptyPoiError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -288,7 +297,7 @@ def cmd_synthesize(args):
     mdp = _load_model(args, config)
     out = _out_dir(args, config)
     mode = _get(args, config, "mode", "eps_private")
-    if mode not in ("unconstrained", "eps_private", "asymptotic"):
+    if mode not in MODES:
         raise CliError(f"unknown mode {mode!r}")
     if mode != "unconstrained":
         secret = _parse_secret(_get(args, config, "secret", ""), mdp)
@@ -424,7 +433,7 @@ def cmd_baselines(args):
     if not eps_dp > 0.0:  # also rejects nan
         raise CliError(f"eps-dp must be positive, got {eps_dp}")
     kinds_text = _get(args, config, "kind", "max_entropy,max_inference_error,dp")
-    kinds = [k for k in str(kinds_text).replace(",", " ").split() if k]
+    kinds = [k for k in kinds_text.replace(",", " ").split() if k]
     known = ("max_entropy", "max_inference_error", "dp")
     bad = [k for k in kinds if k not in known]
     if bad or not kinds:
@@ -484,7 +493,7 @@ def build_parser():
 
     p = sub.add_parser("synthesize", help="synthesize a policy")
     common(p)
-    p.add_argument("--mode", choices=["unconstrained", "eps_private", "asymptotic"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--secret", help="secret states, labels or indices")
     p.set_defaults(func=cmd_synthesize)

@@ -5,15 +5,12 @@ save-load-save is byte-identical and two runs that compute the same numbers
 produce the same file. Key order is fixed by the writers below and
 documented in docs/schemas.md.
 
-A model file (schema 3) stores, for each available (state, action) pair,
-the states it moves to with nonzero probability and those probabilities, and
-one loss per pair; the loss of every unavailable pair is one stored
-sentinel. The reader scatters them into the dense `Mdp.rows` and
-`Mdp.utility`, so a saved model reloads bit for bit. Schema 2 files store
-`Mdp.rows` and the (n_states, n_actions) loss matrix whole; files without a
-schema key are version 1, which stores the dense
-(n_actions, n_states, n_states) tensor, whose unavailable rows must be the
-self-loop completion rows. Both still load.
+A model is written in schema 3: for each available (state, action) pair, the
+states it moves to with nonzero probability, those probabilities and its
+loss, plus one sentinel, the loss of every unavailable pair. `mdp_from_dict`
+is the one reader of schemas 1, 2 and 3: every schema takes the same checks
+of its counts, `available`, `p0` and meta into one `Mdp`, and loads the
+model it holds bit for bit; only how rows and losses are stored differs.
 """
 from __future__ import annotations
 
@@ -26,7 +23,7 @@ import numpy as np
 from .floattext import format_rows
 from .mdp import (CONSTRUCTION_ATOL, ActionMeta, Mdp, StateMeta, _pair_index,
                   check_available, non_integers)
-from .synthesis import Certificate, SynthesisResult
+from .synthesis import MODES, Certificate, SynthesisResult
 
 MDP_SCHEMA = 3
 
@@ -111,10 +108,6 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     return pieces[0] + "".join(t + p for t, p in zip(texts, pieces[1:]))
 
 
-def _nested(array) -> np.ndarray:
-    return np.asarray(array, dtype=float)
-
-
 def mdp_to_dict(mdp: Mdp) -> dict:
     """Schema-3 document: the nonzero entries of each stored row, ascending by
     state, and the loss of each available pair, in `pair_index()` order."""
@@ -125,10 +118,10 @@ def mdp_to_dict(mdp: Mdp) -> dict:
         "schema": MDP_SCHEMA,
         "n_states": mdp.n_states,
         "n_actions": mdp.n_actions,
-        "available": [list(acts) for acts in mdp.available],
+        "available": mdp.available,
         "successors": np.split(successor, cuts),
         "probabilities": np.split(mdp.rows[pair, successor], cuts),
-        "p0": _nested(mdp.p0),
+        "p0": mdp.p0,
         "utility": mdp.utility[mask],
         "sentinel": None if mask.all() else float(mdp.utility[~mask][0]),
         "state_meta": None,
@@ -148,47 +141,10 @@ def save_mdp(mdp: Mdp, path) -> None:
         fh.write(dumps_canonical(mdp_to_dict(mdp)) + "\n")
 
 
-def _mdp_from_v1(doc: dict, available, p0, state_meta, action_meta) -> Mdp:
-    """Model of a version-1 file: the available rows of its dense tensor, whose
-    other rows must be the self-loop completion rows."""
-    transition = np.array(doc["transition"], dtype=float)
-    utility = np.array(doc["utility"], dtype=float)
-    states, actions = _pair_index(tuple(tuple(sorted(acts)) for acts in available))
-    try:
-        rows = transition[actions, states]
-    except IndexError:  # available names a state or action past the tensor; Mdp says which
-        rows = np.empty((0, 0))
-    mdp = Mdp(rows, available, utility, p0, state_meta, action_meta)
-    if transition.shape != (mdp.n_actions, mdp.n_states, mdp.n_states):
-        raise ValueError("transition must have shape (n_actions, n_states, n_states)")
-    completed = np.where(mdp.availability_mask().T[:, :, None], transition, np.eye(mdp.n_states))
-    bad = ~np.isclose(transition, completed, atol=CONSTRUCTION_ATOL, rtol=0.0).all(axis=(1, 2))
-    if bad.any():
-        raise ValueError(f"action {bad.argmax()}: unavailable rows must be self-loop "
-                         "completion rows")
-    return mdp
-
-
-def _mdp_from_v2(doc: dict, available, p0, state_meta, action_meta) -> Mdp:
-    """Model of a schema-2 file: `Mdp.rows` and the dense loss matrix as stored."""
-    utility = np.array(doc["utility"], dtype=float)
-    shape = (int(doc["n_states"]), int(doc["n_actions"]))
-    if utility.shape != shape:
-        raise ValueError(f"utility must have shape (n_states, n_actions) = {shape}; "
-                         f"got {utility.shape}")
-    return Mdp(np.array(doc["rows"], dtype=float), available, utility, p0,
-               state_meta, action_meta)
-
-
-def _mdp_from_v3(doc: dict, available, p0, state_meta, action_meta) -> Mdp:
-    """Model of a schema-3 file: its successor lists and probabilities
-    scattered into dense rows, and its losses into the dense loss matrix
-    around the sentinel."""
-    n, m = doc["n_states"], doc["n_actions"]
-    if non_integers([n, m]):
-        raise ValueError(f"n_states and n_actions must be integers; got {n!r} and {m!r}")
-    available = check_available(available, n, m)
-    states, actions = _pair_index(available)
+def _scatter_v3(doc: dict, n: int, m: int, states, actions):
+    """(rows, utility) of a schema-3 file: its successor lists and
+    probabilities scattered into dense rows, and its losses into the dense
+    loss matrix around the sentinel."""
     successors, probabilities = doc["successors"], doc["probabilities"]
     if len(successors) != len(states) or len(probabilities) != len(states):
         raise ValueError(f"successors and probabilities must hold {len(states)} rows, one "
@@ -222,25 +178,67 @@ def _mdp_from_v3(doc: dict, available, p0, state_meta, action_meta) -> Mdp:
         raise ValueError("sentinel must be null exactly when every pair is available")
     utility = np.full((n, m), 0.0 if sentinel is None else float(sentinel))
     utility[states, actions] = losses
-    return Mdp(rows, available, utility, p0, state_meta, action_meta)
+    return rows, utility
+
+
+def _meta_ok(fields) -> bool:
+    """Whether every (label, lat, lon, size) holds a string and three finite numbers."""
+    labels, numbers = [f[0] for f in fields], [x for f in fields for x in f[1:]]
+    return (set(map(type, labels)) <= {str} and set(map(type, numbers)) <= {int, float}
+            and all(map(math.isfinite, numbers)))
+
+
+def _meta(doc: dict, key: str, kind, size: str):
+    """The `key` list of meta entries, each a string label and finite lat,
+    lon and `size`; None when the document holds none."""
+    if doc.get(key) is None:
+        return None
+    fields = [(d["label"], d["lat"], d["lon"], d[size]) for d in doc[key]]
+    if not _meta_ok(fields):
+        i = next(i for i, f in enumerate(fields) if not _meta_ok([f]))
+        raise ValueError(f"{key}[{i}] must hold a string label and finite numbers "
+                         f"lat, lon and {size}")
+    return [kind(*f) for f in fields]
 
 
 def mdp_from_dict(doc: dict) -> Mdp:
+    """The model of a document of any schema. Only how the rows and losses
+    are stored differs: schema 3 scatters its per-pair lists, schema 2 holds
+    `Mdp.rows` and the dense loss matrix, and schema 1 the dense tensor,
+    whose unavailable rows must be the self-loop completion rows."""
     schema = doc.get("schema", 1)
-    if schema not in (1, 2, MDP_SCHEMA):
+    if non_integers([schema]) or schema not in (1, 2, MDP_SCHEMA):
         raise ValueError(f"unknown model schema {schema!r}; this version reads 1, 2 and "
                          f"{MDP_SCHEMA}")
-    available = tuple(tuple(a) for a in doc["available"])
-    p0 = np.array(doc["p0"], dtype=float)
-    state_meta = action_meta = None
-    if doc.get("state_meta") is not None:
-        state_meta = [StateMeta(d["label"], d["lat"], d["lon"], d["area_m2"])
-                      for d in doc["state_meta"]]
-    if doc.get("action_meta") is not None:
-        action_meta = [ActionMeta(d["label"], d["lat"], d["lon"], d["radius_m"])
-                       for d in doc["action_meta"]]
-    read = {1: _mdp_from_v1, 2: _mdp_from_v2, MDP_SCHEMA: _mdp_from_v3}[schema]
-    return read(doc, available, p0, state_meta, action_meta)
+    n, m = doc["n_states"], doc["n_actions"]
+    if non_integers([n, m]):
+        raise ValueError(f"n_states and n_actions must be integers; got {n!r} and {m!r}")
+    if schema < MDP_SCHEMA:
+        utility = np.array(doc["utility"], dtype=float)
+        if utility.shape != (n, m):
+            raise ValueError(f"utility must have shape (n_states, n_actions) = {(n, m)}; "
+                             f"got {utility.shape}")
+    available = check_available(doc["available"], n, m)
+    states, actions = _pair_index(available)
+    if schema == 1:
+        transition = np.array(doc["transition"], dtype=float)
+        if transition.shape != (m, n, n):
+            raise ValueError("transition must have shape (n_actions, n_states, n_states)")
+        rows = transition[actions, states]
+    elif schema == 2:
+        rows = doc["rows"]
+    else:
+        rows, utility = _scatter_v3(doc, n, m, states, actions)
+    mdp = Mdp(rows, available, utility, doc["p0"],
+              _meta(doc, "state_meta", StateMeta, "area_m2"),
+              _meta(doc, "action_meta", ActionMeta, "radius_m"))
+    if schema == 1:
+        bad = ~np.isclose(transition, mdp.transition, atol=CONSTRUCTION_ATOL,
+                          rtol=0.0).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"action {bad.argmax()}: unavailable rows must be self-loop "
+                             "completion rows")
+    return mdp
 
 
 def _load_object(path) -> dict:
@@ -255,41 +253,23 @@ def load_mdp(path) -> Mdp:
     return mdp_from_dict(_load_object(path))
 
 
-def _plain(value):
-    """Coerce numpy containers to json-ready python values."""
-    if isinstance(value, np.ndarray):
-        return _nested(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
-
-
 def result_to_dict(result: SynthesisResult) -> dict:
     cert = None
     if result.certificate is not None:
         cert = {"z": result.certificate.z,
-                "beta": _nested(result.certificate.beta),
+                "beta": result.certificate.beta,
                 "margin": result.certificate.margin}
     return {
         "mode": result.mode,
         "epsilon": result.epsilon,
-        "secret_states": (None if result.secret_states is None
-                          else list(result.secret_states)),
+        "secret_states": result.secret_states,
         "average_cost": result.average_cost,
-        "theta": _nested(result.theta),
-        "policy": _nested(result.policy),
-        "p_inf": _nested(result.p_inf),
-        "b_inf": None if result.b_inf is None else _nested(result.b_inf),
+        "theta": result.theta,
+        "policy": result.policy,
+        "p_inf": result.p_inf,
+        "b_inf": result.b_inf,
         "certificate": cert,
-        "diagnostics": _plain(result.diagnostics),
+        "diagnostics": result.diagnostics,
     }
 
 
@@ -299,6 +279,14 @@ def save_result(result: SynthesisResult, path) -> None:
 
 
 def result_from_dict(doc: dict) -> SynthesisResult:
+    mode, epsilon, secret = doc["mode"], doc["epsilon"], doc["secret_states"]
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(MODES)}; got {mode!r}")
+    if epsilon is not None and type(epsilon) not in (int, float):  # a bool is not a number here
+        raise ValueError(f"epsilon must be a number or null; got {epsilon!r}")
+    if secret is not None and (not isinstance(secret, list) or non_integers(secret)):
+        raise ValueError(f"secret_states must be null or a list of integer states; "
+                         f"got {secret!r}")
     cert = None
     if doc.get("certificate") is not None:
         c = doc["certificate"]
@@ -306,14 +294,13 @@ def result_from_dict(doc: dict) -> SynthesisResult:
                            margin=float(c["margin"]))
     b_inf = None if doc.get("b_inf") is None else np.array(doc["b_inf"], dtype=float)
     return SynthesisResult(
-        mode=doc["mode"],
+        mode=mode,
         theta=np.array(doc["theta"], dtype=float),
         policy=np.array(doc["policy"], dtype=float),
         p_inf=np.array(doc["p_inf"], dtype=float),
         average_cost=float(doc["average_cost"]),
-        epsilon=doc["epsilon"] if doc["epsilon"] is None else float(doc["epsilon"]),
-        secret_states=(None if doc["secret_states"] is None
-                       else tuple(int(s) for s in doc["secret_states"])),
+        epsilon=None if epsilon is None else float(epsilon),
+        secret_states=None if secret is None else tuple(secret),
         certificate=cert, b_inf=b_inf,
         diagnostics=doc.get("diagnostics", {}),
     )

@@ -23,6 +23,7 @@ from .mdp import (Mdp, NonErgodicError, NotUnichainError, action_independent_row
 from .metrics import VERIFY_SLACK, PrivacySpec, secret_mass
 from .optim import LinearProgram, LpSolution, solve_lp
 
+MODES = ("unconstrained", "eps_private", "asymptotic")
 THETA_TOL = 1e-9  # largest max abs |theta - occupancy of its policy| a result may carry
 ASYMPTOTIC_MARGIN = 1e-3  # the asymptotic mode keeps limit beliefs this far inside epsilon
 CUT_TOL = 1e-8  # relative fit of the asymptotic secret cuts; above solve_lp's FEAS_TOL

@@ -918,12 +918,6 @@ def recursive_dumps_canonical(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def loop_nested(array):
-    """Reference for serialize._nested: one float() per entry."""
-    return ([float(v) for v in array] if array.ndim == 1
-            else [loop_nested(row) for row in array])
-
-
 def ratio_dp_lp(mdp, belief, p_user, eps_dp):
     """The dp baseline's LP in ratio form, over (mechanism pairs, U, L).
 

@@ -13,7 +13,7 @@ from lppm.optim import LpSolution
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
 from lppm.synthesis import InvarianceVerdict, SynthesisResult
 from support import (action_independent_mdp, binding_spec, csv_write_belief_csv,
-                     csv_write_metric_series, loop_nested, random_dense_mdp,
+                     csv_write_metric_series, random_dense_mdp,
                      record_chain_builds, record_synthesis_lps, recursive_dumps_canonical,
                      save_mdp_v1, save_mdp_v2)
 
@@ -583,6 +583,29 @@ class TestBadInput:
                           f"is secret\n"
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,config", [
+        (["synthesize", "--mode", "unconstrained"], {"model": 0}),
+        (["verify", "--fixture", "campus"], {"result": 0}),
+        (["build"], {"traces": 5}),
+        (["build", "--traces", "{traces}"], {"format": 7}),
+        (["synthesize", "--fixture", "campus"], {"mode": None}),
+    ], ids=["model", "result", "traces", "format", "mode"])
+    def test_config_value_not_a_string(self, tmp_path, capsys, trace_path, argv, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [str(trace_path) if a == "{traces}" else a for a in argv]
+        rc, out, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        (key, value), = config.items()
+        assert (rc, out) == (1, "")
+        assert err == f"error: config file {cfg}: {key} must be a string, got {value!r}\n"
+
+    def test_unknown_trace_format_in_config(self, tmp_path, capsys, trace_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "gpx"}))
+        rc, out, err = run(capsys, "build", "--traces", str(trace_path), "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+        assert (rc, out, err) == (1, "", "error: unknown trace format 'gpx'\n")
+
     @pytest.mark.parametrize("kind", ["model", "result"])
     def test_overlarge_integer_is_malformed(self, tmp_path, capsys, campus, kind):
         model, result = tmp_path / "mdp.json", tmp_path / "result.json"
@@ -685,11 +708,45 @@ class TestMalformedFile:
         ("model", "v2", lambda doc: json.dumps(
             {**doc, "available": [[True, 4], *doc["available"][1:]]}),
          "state 0 lists a non-integer action True"),
+        ("model", "v2", lambda doc: json.dumps({**doc, "n_states": 6.5}),
+         "n_states and n_actions must be integers; got 6.5 and 6"),
+        ("model", "v1", lambda doc: json.dumps({**doc, "n_states": 6.5}),
+         "n_states and n_actions must be integers; got 6.5 and 6"),
+        ("model", "v1", lambda doc: json.dumps({**doc, "n_states": 9}),
+         "utility must have shape (n_states, n_actions) = (9, 6); got (6, 6)"),
+        ("model", "v3", lambda doc: json.dumps({**doc, "schema": True}),
+         "unknown model schema True"),
+        ("model", "v3", lambda doc: json.dumps({**doc, "schema": 3.0}),
+         "unknown model schema 3.0"),
+        ("model", "v3", lambda doc: json.dumps(
+            {**doc, "state_meta": [{**doc["state_meta"][0], "lat": "x"},
+                                   *doc["state_meta"][1:]]}),
+         "state_meta[0] must hold a string label and finite numbers lat, lon and area_m2"),
+        ("model", "v3", lambda doc: json.dumps(
+            {**doc, "state_meta": [{**doc["state_meta"][0], "lat": None},
+                                   *doc["state_meta"][1:]]}),
+         "state_meta[0] must hold a string label and finite numbers lat, lon and area_m2"),
+        ("model", "v2", lambda doc: json.dumps(
+            {**doc, "action_meta": [*doc["action_meta"][:-1],
+                                    {**doc["action_meta"][-1], "label": 5}]}),
+         "action_meta[5] must hold a string label and finite numbers lat, lon and radius_m"),
         ("result", None, lambda doc: json.dumps(doc)[:-5], "Expecting"),
         ("result", None, lambda doc: TestMalformedFile.without(doc, "theta"),
          "lacks the key 'theta'"),
         ("result", None, lambda doc: json.dumps({**doc, "secret_states": list(range(6))}),
          "secret set must leave at least one state public"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "secret_states": [True]}),
+         "secret_states must be null or a list of integer states; got [True]"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "secret_states": [3.5]}),
+         "secret_states must be null or a list of integer states; got [3.5]"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "secret_states": "3"}),
+         "secret_states must be null or a list of integer states; got '3'"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "epsilon": True}),
+         "epsilon must be a number or null; got True"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "mode": "bogus"}),
+         "mode must be one of unconstrained, eps_private, asymptotic; got 'bogus'"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "mode": 5}),
+         "mode must be one of unconstrained, eps_private, asymptotic; got 5"),
     ], ids=["model_not_json", "model_not_an_object", "model_v1_no_transition",
             "model_v1_row_sums", "model_rows_missing_a_pair", "model_rows_too_short",
             "model_state_count", "model_action_range", "model_unknown_schema",
@@ -701,10 +758,16 @@ class TestMalformedFile:
             "model_v3_utility_count", "model_v3_null_sentinel", "model_v3_fractional_n_states",
             "model_v3_bool_successor",
             "model_v3_bool_action", "model_bool_action",
-            "result_not_json", "result_no_theta", "result_every_state_secret"])
+            "model_v2_fractional_n_states", "model_v1_fractional_n_states",
+            "model_v1_n_states_disagrees", "model_bool_schema", "model_float_schema",
+            "model_meta_text_lat", "model_meta_null_lat", "model_meta_number_label",
+            "result_not_json", "result_no_theta", "result_every_state_secret",
+            "result_bool_secret", "result_fractional_secret", "result_text_secret",
+            "result_bool_epsilon", "result_unknown_mode", "result_number_mode"])
     def test_one_error_line_exit_1(self, tmp_path, capsys, campus, kind, base, edit, expect):
-        rc, _, _ = run(capsys, "synthesize", "--fixture", "campus", "--mode",
-                       "unconstrained", "--out", str(tmp_path))
+        mode = (("--mode", "eps_private", "--epsilon", "0.2", "--secret", "s4")
+                if base == "eps_private" else ("--mode", "unconstrained"))
+        rc, _, _ = run(capsys, "synthesize", "--fixture", "campus", *mode, "--out", str(tmp_path))
         assert rc == 0
         good = {"model": tmp_path / "mdp.json", "result": tmp_path / "result.json"}
         {"v1": save_mdp_v1, "v2": save_mdp_v2}.get(base, save_mdp)(
@@ -779,7 +842,6 @@ class TestOracleWriters:
     @staticmethod
     def use_oracles(monkeypatch):
         monkeypatch.setattr(serialize, "dumps_canonical", recursive_dumps_canonical)
-        monkeypatch.setattr(serialize, "_nested", loop_nested)
         monkeypatch.setattr("lppm.cli.write_belief_csv",
                             lambda path, beliefs, secret:
                             csv_write_belief_csv(path, beliefs, secret))

@@ -6,12 +6,11 @@ import pytest
 from lppm.cli import main
 from lppm.metrics import PrivacySpec
 from lppm.mobility import ClusterParams, build_model_from_traces
-from lppm import serialize
 from lppm.serialize import (dumps_canonical, load_mdp, load_result, mdp_from_dict,
                             mdp_to_dict, result_to_dict, save_mdp, save_result)
 from lppm.synthesis import (synthesize_asymptotic, synthesize_eps_private,
                             synthesize_unconstrained)
-from support import (loop_nested, mdp_to_dict_v1, mdp_to_dict_v2, random_dense_mdp,
+from support import (mdp_to_dict_v1, mdp_to_dict_v2, random_dense_mdp,
                      recursive_dumps_canonical, save_mdp_v1, save_mdp_v2)
 from test_mdp import ORACLE_MODELS
 from test_mobility import ROOT, load_module
@@ -81,13 +80,12 @@ class TestFloatListFastPath:
             dumps_canonical(values)
         assert str(got.value) == str(want.value)
 
-    def test_model_and_result_documents(self, campus, rng, monkeypatch):
+    def test_model_and_result_documents(self, campus, rng):
         models = [campus, random_dense_mdp(rng)]
         results = [synthesize_unconstrained(campus),
                    synthesize_eps_private(campus, PrivacySpec((3,), 0.17))]
         fast = ([dumps_canonical(mdp_to_dict(m)) for m in models]
                 + [dumps_canonical(result_to_dict(r)) for r in results])
-        monkeypatch.setattr(serialize, "_nested", loop_nested)
         want = ([recursive_dumps_canonical(mdp_to_dict(m)) for m in models]
                 + [recursive_dumps_canonical(result_to_dict(r)) for r in results])
         assert fast == want

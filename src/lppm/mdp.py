@@ -283,21 +283,34 @@ def induce_chain(mdp: Mdp, policy: np.ndarray) -> np.ndarray:
     return mix_actions(mdp, validate_policy(mdp, policy))
 
 
+def _bfs_levels(support: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from state 0 along the boolean support graph,
+    -1 at the states it cannot reach."""
+    level = np.full(support.shape[0], -1)
+    level[0] = 0
+    frontier, depth = level == 0, 0
+    while frontier.any():
+        depth += 1
+        frontier = support[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    return level
+
+
 def check_ergodic(chain: np.ndarray) -> bool:
     """True when the chain is irreducible and aperiodic.
 
-    That holds exactly when its support matrix (entries above
-    CONSTRUCTION_ATOL) is primitive, and by Wielandt's bound an n x n matrix
-    is primitive exactly when its power (n - 1)^2 + 1, and so every higher
-    power, is positive.
-    Repeated boolean squaring reaches such a power.
+    Both are properties of the support graph (entries above
+    CONSTRUCTION_ATOL). It is strongly connected when a forward and a
+    backward breadth-first search from state 0 reach every state; its period
+    is then the gcd, over its edges (u, v), of level(u) + 1 - level(v), with
+    level the forward search's distance from state 0.
     """
-    support = (np.asarray(chain, dtype=float) > CONSTRUCTION_ATOL).astype(float)
-    power = 1
-    while power < (support.shape[0] - 1) ** 2 + 1:
-        support = (support @ support > 0.0).astype(float)
-        power *= 2
-    return bool(support.all())
+    support = np.asarray(chain, dtype=float) > CONSTRUCTION_ATOL
+    level = _bfs_levels(support)
+    if level.min() < 0 or _bfs_levels(support.T).min() < 0:
+        return False
+    u, v = np.nonzero(support)
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) == 1
 
 
 def stationary_distribution(chain: np.ndarray) -> np.ndarray:

@@ -78,6 +78,9 @@ class LpSolution:
     objective: float | None
     iterations: int
     max_violation: float = 0.0
+    # y = c_B B^-1 at an optimum: one price per input row, the inequality rows
+    # first, 0 on a row dropped as redundant
+    row_prices: np.ndarray | None = None
 
 
 def constraint_violation(lp: LinearProgram, x: np.ndarray) -> float:
@@ -117,17 +120,19 @@ def _eta_update(binv: np.ndarray, row: int, d: np.ndarray):
 def _bland_prices(a, b, c, basis, tol, solve, solve_t):
     """Bland's entering column at one basis; solve(v) = B^-1 v, solve_t(v) = v B^-1.
 
-    Returns (x_basic, entering, d) with entering = -1 at optimality and d the
-    entering column in basis terms (no entry above tol when unbounded).
+    Returns (x_basic, entering, d, y) with entering = -1 at optimality, d the
+    entering column in basis terms (no entry above tol when unbounded) and y
+    the row prices c_B B^-1.
     """
     xb = solve(b)
-    reduced = c - solve_t(c[basis]) @ a
+    y = solve_t(c[basis])
+    reduced = c - y @ a
     reduced[basis] = 0.0
     negative = np.flatnonzero(reduced < -tol)
     if negative.size == 0:
-        return xb, -1, None
+        return xb, -1, None, y
     entering = int(negative[0])
-    return xb, entering, solve(a[:, entering])
+    return xb, entering, solve(a[:, entering]), y
 
 
 def _simplex_phase(a, b, c, basis, max_iter, tol):
@@ -136,9 +141,10 @@ def _simplex_phase(a, b, c, basis, max_iter, tol):
     The basis inverse is kept current by eta updates and refactorized every
     REFACTOR_EVERY pivots. An optimal or unbounded verdict is confirmed by
     dense solves on the final basis, and x_basic comes from those solves.
-    Returns (status, x_basic, iterations, basis_inverse) with status in
-    {"optimal", "unbounded", "stalled"}; a basis found singular by the
-    refactorization or a confirming solve ends the phase as "stalled".
+    Returns (status, x_basic, iterations, basis_inverse, row_prices) with
+    status in {"optimal", "unbounded", "stalled"} and the row prices of the
+    confirming solve; a basis found singular by the refactorization or a
+    confirming solve ends the phase as "stalled".
     """
     m = a.shape[0]
     it = 0
@@ -149,22 +155,22 @@ def _simplex_phase(a, b, c, basis, max_iter, tol):
             try:
                 binv = np.linalg.inv(a[:, basis])
             except np.linalg.LinAlgError:   # the pivots reached a singular basis
-                return "stalled", None, it, None
+                return "stalled", None, it, None, None
             age = 0
-        xb, entering, d = _bland_prices(a, b, c, basis, tol,
-                                        lambda v: binv @ v, lambda v: v @ binv)
+        xb, entering, d, _ = _bland_prices(a, b, c, basis, tol,
+                                           lambda v: binv @ v, lambda v: v @ binv)
         if entering < 0 or not np.any(d > tol):
             bmat = a[:, basis]
             try:
-                xb, entering, d = _bland_prices(a, b, c, basis, tol,
-                                                lambda v: np.linalg.solve(bmat, v),
-                                                lambda v: np.linalg.solve(bmat.T, v))
+                xb, entering, d, y = _bland_prices(a, b, c, basis, tol,
+                                                   lambda v: np.linalg.solve(bmat, v),
+                                                   lambda v: np.linalg.solve(bmat.T, v))
             except np.linalg.LinAlgError:
-                return "stalled", None, it, None
+                return "stalled", None, it, None, None
             if entering < 0:
-                return "optimal", xb, it, binv
+                return "optimal", xb, it, binv, y
             if not np.any(d > tol):
-                return "unbounded", xb, it, binv
+                return "unbounded", xb, it, binv, None
             age = REFACTOR_EVERY  # the updated inverse drifted: refactorize next pivot
         pos = d > tol
         ratios = np.full(m, np.inf)
@@ -177,7 +183,7 @@ def _simplex_phase(a, b, c, basis, max_iter, tol):
         basis[leave] = entering
         _eta_update(binv, leave, d)
         age += 1
-    return "stalled", None, it, None
+    return "stalled", None, it, None, None
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -185,7 +191,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     The iteration budget is 50 * (n_vars + 2 n_rows + 2); exceeding it, or
     pivoting onto a singular basis, yields status "stalled" rather than a
-    wrong answer or an exception.
+    wrong answer or an exception. An optimal solution carries the row prices
+    of its final basis, the dual solution (nonpositive on inequality rows).
     """
     c, a, b = _to_standard_form(lp)
     m, n = a.shape
@@ -195,7 +202,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if np.any(c < -tol):
             return LpSolution("unbounded", None, None, 0)
         x = np.zeros(n)
-        return LpSolution("optimal", x, float(lp.c @ x), 0, constraint_violation(lp, x))
+        return LpSolution("optimal", x, float(lp.c @ x), 0, constraint_violation(lp, x),
+                          np.zeros(0))
 
     flip = b < 0
     a = a.copy()
@@ -207,7 +215,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     a1 = np.hstack([a, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
-    status, xb, it1, binv = _simplex_phase(a1, b, c1, basis, max_iter, tol)
+    status, xb, it1, binv, _ = _simplex_phase(a1, b, c1, basis, max_iter, tol)
     if status == "stalled":
         return LpSolution("stalled", None, None, it1)
     phase1_obj = sum(max(float(xb[i]), 0.0) for i in range(m) if basis[i] >= n)
@@ -231,7 +239,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     b2 = b[rows]
     basis2 = basis[rows]
 
-    status, xb, it2, _ = _simplex_phase(a2, b2, c, basis2, max_iter, tol)
+    status, xb, it2, _, y2 = _simplex_phase(a2, b2, c, basis2, max_iter, tol)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, it1 + it2)
     if status == "stalled":
@@ -239,8 +247,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     y = np.zeros(n)
     y[basis2] = np.maximum(xb, 0.0)
     x = y[:lp.n_vars] + 0.0  # drops the slacks and the sign of zeros
+    prices = np.zeros(m)
+    prices[rows] = y2
+    prices[flip] *= -1.0
     return LpSolution("optimal", x, float(lp.c @ x), it1 + it2,
-                      constraint_violation(lp, x))
+                      constraint_violation(lp, x), prices + 0.0)
 
 
 @dataclass

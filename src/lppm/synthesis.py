@@ -12,7 +12,7 @@ terms, and a deterministic convex-concave descent over a few LPs solves it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .mdp import (Mdp, NonErgodicError, NotUnichainError, action_independent_row
                   average_cost, check_unichain_exhaustive, induce_chain, policy_from_theta,
                   scatter_pairs, stationary_distribution, uniform_policy)
 from .metrics import VERIFY_SLACK, PrivacySpec, secret_mass
-from .optim import LinearProgram, LpSolution, solve_lp
+from .optim import OPT_TOL, LinearProgram, LpSolution, argmax_vertex, solve_lp
 
 MODES = ("unconstrained", "eps_private", "asymptotic")
 THETA_TOL = 1e-9  # largest max abs |theta - occupancy of its policy| a result may carry
@@ -207,21 +207,37 @@ def _finish(mdp: Mdp, mode: str, theta: np.ndarray, diagnostics: dict,
 def synthesize_unconstrained(mdp: Mdp, check_unichain: bool = True) -> SynthesisResult:
     """Minimum average quality loss with no privacy constraint.
 
-    check_unichain=False skips the unichain check and records "skipped". The
-    returned policy passes deployed_chain's check, or SelfCheckError is raised.
+    When moving ignores the reported action, the occupancy of every policy
+    spreads pi, the user chain's stationary law, over the actions, so each
+    state takes its cheapest available action (the lowest on ties) with
+    theta(s, d(s)) = pi(s) and no LP is solved. Other models solve the
+    occupancy LP. check_unichain=False skips the unichain check and records
+    "skipped". The returned policy passes deployed_chain's check, or
+    SelfCheckError is raised.
     """
     diagnostics: dict = {}
     if check_unichain:
         _require_unichain(mdp, diagnostics)
     else:
         diagnostics["unichain"] = "skipped"
+    p = action_independent_rows(mdp)
+    if p is not None:
+        try:
+            pi = stationary_distribution(p)
+        except NonErgodicError:
+            raise SelfCheckError("the synthesized unconstrained policy failed its self-check: "
+                                 "its chain is not ergodic") from None
+        states, actions = mdp.pair_index()
+        cheapest = argmax_vertex(-mdp.utility[states, actions], states)
+        diagnostics["solver"] = "closed_form"
+        return _finish(mdp, "unconstrained", _theta(mdp, cheapest * pi[states]), diagnostics)
     a_eq, b_eq = _base_constraints(mdp, 0)
     sol = solve_lp(LinearProgram(mdp.utility[mdp.pair_index()], a_eq=a_eq, b_eq=b_eq))
     if sol.status == "infeasible":
         raise InfeasibleSynthesisError("occupancy LP infeasible")
     if sol.status != "optimal":
         raise _unproven(sol, "occupancy LP")
-    diagnostics.update(lp_status=sol.status, lp_iterations=sol.iterations)
+    diagnostics.update(solver="simplex", lp_status=sol.status, lp_iterations=sol.iterations)
     theta = _theta(mdp, sol.x)
     return _finish(mdp, "unconstrained", theta, diagnostics)
 
@@ -231,44 +247,163 @@ def synthesize_eps_private(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
 
     One LP over the occupancy measure and the certificate multiplier z; the
     belief chain is linear in the occupancy action marginals, so the
-    certificate rows stay linear. Infeasibility is reported with the
-    tightest violated row to guide relaxing epsilon. The returned policy
-    passes the self-check `verify` makes, or SelfCheckError is raised.
+    certificate rows stay linear. When moving ignores the reported action,
+    column generation (_PrivateMaster) solves it. Infeasibility is reported
+    with the tightest violated row to guide relaxing epsilon. The returned
+    policy passes the self-check `verify` makes, or SelfCheckError is raised.
     """
     diagnostics: dict = {}
     _require_unichain(mdp, diagnostics)
     eps = spec.epsilon
-    lp, group, sol = _solve_private_lp(mdp, spec.selector(mdp.n_states), eps)
+    sel = spec.selector(mdp.n_states)
+    sol, theta, info = _private_optimum(mdp, sel, eps)
     if sol.status == "infeasible":
-        diagnosis = _diagnose_infeasible(lp, group)
+        diagnosis = _diagnose_infeasible(*_private_lp(mdp, sel, eps))
         raise InfeasibleSynthesisError(
             f"no policy makes the safe belief set invariant at epsilon={eps:g} "
             f"(tightest row: state {diagnosis['worst_row']}, "
             f"violation {diagnosis['worst_violation']:.3g})", diagnosis)
     if sol.status != "optimal":
         raise _unproven(sol, f"eps_private LP at epsilon={eps:g}")
-    diagnostics.update(lp_status=sol.status, lp_iterations=sol.iterations,
-                       certificate_rows=len(lp.b_ub))
-    return _finish(mdp, "eps_private", _theta(mdp, sol.x), diagnostics, spec)
+    diagnostics.update(info)
+    return _finish(mdp, "eps_private", theta, diagnostics, spec)
 
 
-def _solve_private_lp(mdp: Mdp, sel: np.ndarray, eps: float):
-    """(lp, group, solution) of the eps_private LP over [theta pairs | z].
+def _private_optimum(mdp: Mdp, sel: np.ndarray, eps: float):
+    """(solution, theta, diagnostics) of the eps_private LP at eps, solved by
+    column generation when moving ignores the action and as one LP
+    otherwise. The solution's status is the verdict and its iterations count
+    every pivot; theta and diagnostics are None and {} unless it is optimal."""
+    p = action_independent_rows(mdp)
+    if p is not None:
+        return _PrivateMaster(mdp, sel, eps, stationary_distribution(p)).solve()
+    lp, _, sol = _solve_private_lp(mdp, sel, eps)
+    if sol.status != "optimal":
+        return sol, None, {}
+    return sol, _theta(mdp, sol.x), {"solver": "simplex", "lp_status": sol.status,
+                                     "lp_iterations": sol.iterations,
+                                     "certificate_rows": len(lp.b_ub)}
+
+
+def _certificate_rows(mdp: Mdp, sel: np.ndarray, eps: float):
+    """(a_ub, group): the distinct certificate rows over [theta pairs | z] and
+    the row of every state.
 
     State j's certificate row is sum_(s, a) T[a](j, secret) theta(s, a) +
     (eps - sel_j) z <= eps. Every state with no edge into the secret set
-    gives the same row, eps z <= eps, so the LP keeps each distinct row once,
-    at its lowest state, in state order; group[j] is the LP row of state j.
+    gives the same row, eps z <= eps, so each distinct row is kept once, at
+    its lowest state, in state order; group[j] is the kept row of state j.
     """
-    states, actions = mdp.pair_index()
+    actions = mdp.pair_index()[1]
     a_ub = np.column_stack([_certificate_inflow(mdp, sel)[actions].T, eps - sel])
     first: dict = {}
     group = np.array([first.setdefault(row.tobytes(), len(first)) for row in a_ub])
-    keep = np.unique(group, return_index=True)[1]
+    return a_ub[np.unique(group, return_index=True)[1]], group
+
+
+def _private_lp(mdp: Mdp, sel: np.ndarray, eps: float):
+    """(lp, group): the eps_private LP over [theta pairs | z], with the balance
+    rows and _certificate_rows, and the row of every state."""
+    states, actions = mdp.pair_index()
+    a_ub, group = _certificate_rows(mdp, sel, eps)
     a_eq, b_eq = _base_constraints(mdp, 1)
-    lp = LinearProgram(np.append(mdp.utility[states, actions], 0.0), a_ub=a_ub[keep],
-                       b_ub=np.full(keep.size, eps), a_eq=a_eq, b_eq=b_eq)
+    return LinearProgram(np.append(mdp.utility[states, actions], 0.0), a_ub=a_ub,
+                         b_ub=np.full(len(a_ub), eps), a_eq=a_eq, b_eq=b_eq), group
+
+
+def _solve_private_lp(mdp: Mdp, sel: np.ndarray, eps: float):
+    """(lp, group, solution) of _private_lp."""
+    lp, group = _private_lp(mdp, sel, eps)
     return lp, group, solve_lp(lp)
+
+
+class _PrivateMaster:
+    """Dantzig-Wolfe master of the eps_private LP of a model whose moves ignore
+    the action.
+
+    There the balance rows say sum_a theta(s, a) = pi(s), pi the user chain's
+    stationary law, so theta is a convex combination of the occupancies of
+    deterministic policies d, pi(s) at (s, d(s)). A master column is one such
+    policy, with cost sum_s pi(s) u(s, d(s)) and entry sum_s pi(s) g[d(s), j]
+    on certificate row j. The master holds the distinct certificate rows
+    over [columns | z] and one convexity row, and solve_lp solves it. Each
+    round prices the per-state argmin of u(s, a) - y . g[a] at the master's
+    row prices y (ties go to the cheaper, then to the lower pair) and adds
+    that policy, until its reduced cost is not below -OPT_TOL or it is a
+    column already. The first two columns are the cheapest policy and the
+    one that adds the least secret inflow summed over all n state rows. Only
+    when no mix of them is feasible does phase 1 run: the same rounds on the
+    _elastic master with u = 0, whose optimum is the least total violation.
+    """
+
+    def __init__(self, mdp: Mdp, sel: np.ndarray, eps: float, pi: np.ndarray):
+        states, actions = mdp.pair_index()
+        a_ub, self.group = _certificate_rows(mdp, sel, eps)
+        self.mdp, self.eps, self.pi, self.states = mdp, eps, pi, states
+        self.g, self.z = a_ub[:, :-1], a_ub[:, -1]
+        self.cost = mdp.utility[states, actions]
+        self.cols: list = []  # per column, the pair of every state
+        self.rounds = self.pivots = 0
+
+    def lp(self, elastic: bool) -> LinearProgram:
+        cols = np.array(self.cols)
+        lp = LinearProgram(np.append(self.cost[cols] @ self.pi, 0.0),
+                           a_ub=np.column_stack([self.g[:, cols] @ self.pi, self.z]),
+                           b_ub=np.full(len(self.z), self.eps),
+                           a_eq=np.append(np.ones(len(cols)), 0.0)[None], b_eq=[1.0])
+        return _elastic(lp, self.group) if elastic else lp
+
+    def policy(self, score: np.ndarray) -> np.ndarray:
+        """Pair of every state in the policy of least score; ties go to the
+        cheaper, then to the lower pair."""
+        order = np.lexsort((self.cost, score, self.states))
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = self.states[order[1:]] != self.states[order[:-1]]
+        return order[head]
+
+    def add(self, d: np.ndarray) -> bool:
+        """Append policy d as a column unless it is one already; True when appended."""
+        if any(np.array_equal(d, col) for col in self.cols):
+            return False
+        self.cols.append(d)
+        return True
+
+    def run(self, elastic: bool) -> LpSolution:
+        """Rounds until no column is added; the last master solution."""
+        cost = 0.0 if elastic else self.cost
+        while True:
+            sol = solve_lp(self.lp(elastic))
+            self.rounds += 1
+            self.pivots += sol.iterations
+            if sol.status != "optimal":
+                return sol
+            score = cost - sol.row_prices[:-1] @ self.g
+            d = self.policy(score)
+            if self.pi @ score[d] - sol.row_prices[-1] >= -OPT_TOL or not self.add(d):
+                return sol
+
+    def solve(self):
+        """(solution, theta, diagnostics) as _private_optimum returns them."""
+        self.add(self.policy(self.cost))
+        self.add(self.policy(np.bincount(self.group) @ self.g))
+        sol = self.run(elastic=False)
+        if sol.status == "infeasible":
+            sol = self.run(elastic=True)  # feasible and bounded: optimal or stalled
+            if sol.status == "optimal" and sol.objective > 10.0 * OPT_TOL:
+                sol = replace(sol, status="infeasible")
+            elif sol.status == "optimal":
+                sol = self.run(elastic=False)
+                if sol.status == "infeasible":  # phase 1 said feasible: nothing is proven
+                    sol = replace(sol, status="stalled")
+        sol = replace(sol, iterations=self.pivots)
+        if sol.status != "optimal":
+            return sol, None, {}
+        weights = sol.x[:len(self.cols)][:, None] * self.pi
+        x = np.bincount(np.ravel(self.cols), weights.ravel(), minlength=len(self.cost))
+        return sol, _theta(self.mdp, x), {
+            "solver": "column_generation", "lp_status": sol.status,
+            "lp_iterations": sol.iterations, "master_rounds": self.rounds,
+            "columns": len(self.cols), "certificate_rows": len(self.z)}
 
 
 def _certificate_inflow(mdp: Mdp, sel: np.ndarray) -> np.ndarray:
@@ -315,22 +450,30 @@ def _unproven(sol: LpSolution, what: str) -> InfeasibleSynthesisError:
         {"lp_status": sol.status, "lp_iterations": sol.iterations, "feasibility": "unknown"})
 
 
-def _diagnose_infeasible(lp: LinearProgram, group: np.ndarray) -> dict:
-    """Re-solve with elastic certificate rows to find the tightest violation.
-
-    Each row's elastic variable costs the number of states the row stands
-    for, so this is the elastic LP of all n state rows with the copies
-    merged. worst_row is a state, the lowest of its row's states, and
-    violations has one entry per state.
-    """
+def _elastic(lp: LinearProgram, group: np.ndarray) -> LinearProgram:
+    """lp's elastic LP: each certificate row may break by a nonnegative amount,
+    and the objective is the sum of those amounts, each weighed by the number
+    of states its row stands for. So it is the elastic LP of all n state rows
+    with the copies merged."""
     r, nv = lp.a_ub.shape
-    a_ub_el = np.hstack([lp.a_ub, -np.eye(r)])
-    a_eq_el = np.hstack([lp.a_eq, np.zeros((lp.a_eq.shape[0], r))])
     c = np.concatenate([np.zeros(nv), np.bincount(group, minlength=r).astype(float)])
-    sol = solve_lp(LinearProgram(c, a_ub=a_ub_el, b_ub=lp.b_ub, a_eq=a_eq_el, b_eq=lp.b_eq))
+    return LinearProgram(c, a_ub=np.hstack([lp.a_ub, -np.eye(r)]), b_ub=lp.b_ub,
+                         a_eq=np.hstack([lp.a_eq, np.zeros((lp.a_eq.shape[0], r))]),
+                         b_eq=lp.b_eq)
+
+
+def _diagnose_infeasible(lp: LinearProgram, group: np.ndarray) -> dict:
+    """Re-solve lp as its _elastic LP to find the tightest violation.
+
+    worst_row is a state, the lowest of its row's states, and violations has
+    one entry per state. Column generation's phase 1 reaches the same least
+    total violation, but the elastic optimum is not unique and the master
+    can end on another vertex, so the full LP is solved again.
+    """
+    sol = solve_lp(_elastic(lp, group))
     if sol.status != "optimal":
         return {"worst_row": -1, "worst_violation": float("nan"), "elastic_status": sol.status}
-    v = sol.x[nv:][group]
+    v = sol.x[lp.n_vars:][group]
     worst = int(np.argmax(v))
     return {"worst_row": worst, "worst_violation": float(v[worst]),
             "violations": v, "elastic_status": "optimal"}
@@ -363,9 +506,9 @@ def synthesize_asymptotic(mdp: Mdp, spec: PrivacySpec) -> SynthesisResult:
         raise ValueError("margin leaves no feasible belief region")
     sel, pi = spec.selector(mdp.n_states), stationary_distribution(p)
     starts = {"uniform": pi[:, None] * uniform_policy(mdp)}
-    sol = _solve_private_lp(mdp, sel, eps_eff)[2]
+    sol, theta, _ = _PrivateMaster(mdp, sel, eps_eff, pi).solve()
     if sol.status == "optimal":
-        starts["eps_private"] = _theta(mdp, sol.x)
+        starts["eps_private"] = theta
     descent = _LimitDescent(mdp, sel, eps_eff, pi)
     ends = {name: descent.run(theta) for name, theta in starts.items()}
     ends = {name: theta for name, theta in ends.items() if theta is not None}

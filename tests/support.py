@@ -203,6 +203,19 @@ def power_iteration_stationary(chain, tol=1e-12, max_iter=1_000_000):
     raise NonErgodicError("power iteration did not converge")
 
 
+def squaring_check_ergodic(chain, tol=1e-12):
+    """Reference for mdp.check_ergodic by Wielandt's bound: an n x n support
+    matrix is primitive (the chain irreducible and aperiodic) exactly when its
+    power (n - 1)^2 + 1, and so every higher power, is positive. Repeated
+    boolean squaring reaches such a power."""
+    support = (np.asarray(chain, dtype=float) > tol).astype(float)
+    power = 1
+    while power < (support.shape[0] - 1) ** 2 + 1:
+        support = (support @ support > 0.0).astype(float)
+        power *= 2
+    return bool(support.all())
+
+
 def bfs_check_ergodic(chain, tol=1e-12):
     """Reference for mdp.check_ergodic: strong connectivity by graph search,
     period as the gcd over support edges (u, v) of level(u) + 1 - level(v)

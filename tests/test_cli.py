@@ -360,12 +360,13 @@ class TestVerify:
 
     def test_verify_solves_no_lp(self, tmp_path, capsys, monkeypatch):
         solved = record_synthesis_lps(monkeypatch)
-        self.private_result(tmp_path, capsys)
-        assert len(solved) == 1  # the eps_private LP; its post-verify check is closed form
+        result = self.private_result(tmp_path, capsys)
+        # the eps_private master LPs; the post-verify check is closed form
+        assert len(solved) == result.diagnostics["master_rounds"]
         rc, out, _ = run(capsys, "verify", "--fixture", "campus",
                          "--result", str(tmp_path / "result.json"), "--out", str(tmp_path))
         assert rc == 0 and "invariant: True" in out
-        assert len(solved) == 1
+        assert len(solved) == result.diagnostics["master_rounds"]
 
     def private_result(self, tmp_path, capsys):
         rc, _, _ = run(capsys, "synthesize", "--fixture", "campus",
@@ -730,7 +731,7 @@ class TestMalformedFile:
             {**doc, "action_meta": [*doc["action_meta"][:-1],
                                     {**doc["action_meta"][-1], "label": 5}]}),
          "action_meta[5] must hold a string label and finite numbers lat, lon and radius_m"),
-        ("result", None, lambda doc: json.dumps(doc)[:-5], "Expecting"),
+        ("result", None, lambda doc: json.dumps(doc)[:-2], "Expecting"),
         ("result", None, lambda doc: TestMalformedFile.without(doc, "theta"),
          "lacks the key 'theta'"),
         ("result", None, lambda doc: json.dumps({**doc, "secret_states": list(range(6))}),

@@ -14,7 +14,7 @@ from support import (action_independent_mdp, bfs_check_ergodic, completed_tensor
                      dense_induce_chain, dense_posterior_map, dense_pushforward,
                      dense_simulate, dense_step_user, enumerate_unichain,
                      power_iteration_stationary, random_dense_mdp, random_shared_row_mdp,
-                     random_sparse_mdp)
+                     random_sparse_mdp, squaring_check_ergodic)
 from test_mobility import ROOT, load_module
 
 # campus stationary distribution under any policy (shared successor rows)
@@ -255,6 +255,52 @@ class TestCheckErgodic:
             chain /= chain.sum(axis=1, keepdims=True)
             verdicts.append(check_ergodic(chain))
             assert verdicts[-1] == bfs_check_ergodic(chain)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @staticmethod
+    def chain_on(support, rng):
+        chain = support * rng.uniform(0.1, 1.0, size=support.shape)
+        return chain / chain.sum(axis=1, keepdims=True)
+
+    def assert_matches_squaring(self, chain):
+        verdict = check_ergodic(chain)
+        assert verdict == squaring_check_ergodic(chain)
+        return verdict
+
+    def test_periodic_chains_match_squaring(self, rng):
+        for n in (2, 3, 5, 12, 40):
+            cycle = np.roll(np.eye(n), 1, axis=1)
+            assert not self.assert_matches_squaring(cycle)
+            # the edge n - 1 -> 1 adds a cycle of length n - 1, coprime to n
+            cycle[n - 1, 1] = 1.0
+            assert self.assert_matches_squaring(self.chain_on(cycle, rng))
+        for left, right in [(1, 1), (2, 3), (4, 4), (7, 2)]:
+            # every edge crosses between the two sides: period 2 at least
+            n = left + right
+            support = np.zeros((n, n))
+            support[:left, left:] = rng.random((left, right)) < 0.6
+            support[left:, :left] = rng.random((right, left)) < 0.6
+            support[np.arange(left), left + rng.integers(right, size=left)] = 1.0
+            support[left + np.arange(right), rng.integers(left, size=right)] = 1.0
+            assert not self.assert_matches_squaring(self.chain_on(support, rng))
+
+    def test_reducible_chains_match_squaring(self, rng):
+        for n in (2, 4, 9, 25):
+            # upper block triangular: the lower block never reaches the upper
+            support = (rng.random((n, n)) < 0.5) | np.eye(n, dtype=bool)
+            support[n // 2:, :n // 2] = False
+            assert not self.assert_matches_squaring(self.chain_on(support, rng))
+
+    def test_single_state_matches_squaring(self):
+        assert self.assert_matches_squaring(np.ones((1, 1)))
+
+    def test_random_sparse_chains_match_squaring(self, rng):
+        verdicts = []
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            support = rng.random((n, n)) < rng.uniform(0.02, 0.3)
+            support[np.arange(n), rng.permutation(n)] = True  # no empty row
+            verdicts.append(self.assert_matches_squaring(self.chain_on(support, rng)))
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_cycle_and_wielandt_chain(self):

@@ -6,11 +6,11 @@ import pytest
 from lppm.optim import (FEAS_TOL, FW_GAP_TOL, REFACTOR_EVERY, FwResult, LinearProgram,
                         _to_standard_form, argmax_vertex, constraint_violation,
                         maximize_concave, solve_lp)
-from lppm.synthesis import synthesize_eps_private
+from lppm.synthesis import _private_lp
 from support import (action_independent_mdp, binding_spec, bisection_frank_wolfe,
                      brute_force_lp, loop_to_standard_form, random_bounded_lp,
                      random_entropy_problem, random_simplex_lp, random_sparse_mdp,
-                     ratio_dp_lp, record_synthesis_lps, refactorizing_solve_lp)
+                     ratio_dp_lp, refactorizing_solve_lp)
 from test_mobility import ROOT, load_module
 
 
@@ -126,6 +126,66 @@ class TestSolveLp:
             assert float(b @ (t * y0)) <= sol.objective + 1e-8
 
 
+def seeded_price_lps(seed):
+    """Seeded optimal LPs: bounded inequality LPs and mixed random simplex LPs,
+    plain and degenerate (repeated equality rows and rows with b < 0 among them)."""
+    rng = np.random.default_rng(seed)
+    lps = [LinearProgram(c, a_ub=a, b_ub=b) for c, a, b in
+           (random_bounded_lp(rng, max_vars=12, max_rows=6) for _ in range(80))]
+    lps += [random_simplex_lp(rng, degenerate) for degenerate in (False, True) * 120]
+    return [(lp, sol) for lp, sol in ((lp, solve_lp(lp)) for lp in lps)
+            if sol.status == "optimal"]
+
+
+def stacked_rows(lp):
+    """(a, b, n_ub): every row of lp in input order, inequalities first."""
+    blocks = [(lp.a_ub, lp.b_ub), (lp.a_eq, lp.b_eq)]
+    a = np.vstack([np.zeros((0, lp.n_vars))] + [m for m, _ in blocks if m is not None])
+    b = np.concatenate([np.zeros(0)] + [v for m, v in blocks if m is not None])
+    return a, b, 0 if lp.a_ub is None else len(lp.b_ub)
+
+
+class TestRowPrices:
+    def test_dual_feasible_with_the_primal_objective(self):
+        solved = seeded_price_lps(2027)
+        assert len(solved) >= 200
+        for lp, sol in solved:
+            a, b, n_ub = stacked_rows(lp)
+            y = sol.row_prices
+            assert y.shape == (lp.n_rows,)
+            assert np.all(y[:n_ub] <= 1e-9)
+            assert np.all(lp.c - a.T @ y >= -1e-9)
+            assert float(b @ y) == pytest.approx(float(lp.c @ sol.x), abs=1e-9)
+
+    def test_nondegenerate_optima_match_highs_marginals(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        compared = 0
+        for lp, sol in seeded_price_lps(2028):
+            highs = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                            method="highs")
+            a, b, n_ub = stacked_rows(lp)
+            slack = highs.ineqlin.residual if n_ub else np.zeros(0)
+            # as many positive basic values as rows: the dual is unique
+            if np.count_nonzero(highs.x > 1e-9) + np.count_nonzero(slack > 1e-9) != len(b):
+                continue
+            marginals = np.concatenate([highs.ineqlin.marginals if n_ub else [],
+                                        highs.eqlin.marginals if lp.a_eq is not None else []])
+            np.testing.assert_allclose(sol.row_prices, marginals, rtol=0.0, atol=1e-9)
+            compared += 1
+        assert compared >= 100
+
+    def test_redundant_and_flipped_rows(self):
+        # min x0 + 2 x1 s.t. -x0 - x1 <= -1 (flipped), x0 + x1 = 1 twice (one dropped)
+        lp = LinearProgram(c=[1.0, 2.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0],
+                           a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 1.0])
+        sol = solve_lp(lp)
+        assert sol.objective == pytest.approx(1.0)
+        a, b, _ = stacked_rows(lp)
+        assert float(b @ sol.row_prices) == pytest.approx(1.0, abs=1e-12)
+        assert np.count_nonzero(sol.row_prices == 0.0) >= 1
+        assert np.all(lp.c - a.T @ sol.row_prices >= -1e-12)
+
+
 def assert_oracle_path(lp):
     """solve_lp and the per-pivot refactorizing oracle: same status, same
     pivot count, bit-identical x. Returns the oracle's solution."""
@@ -162,12 +222,10 @@ class TestRevisedSimplex:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-0.05, abs=1e-12)
 
-    def test_long_lp_crosses_several_refactorizations(self, monkeypatch):
+    def test_long_lp_crosses_several_refactorizations(self):
         mdp = action_independent_mdp(3, 160)
         spec = binding_spec(mdp)
-        solved = record_synthesis_lps(monkeypatch)
-        synthesize_eps_private(mdp, spec)
-        sol = assert_oracle_path(solved[0][0])
+        sol = assert_oracle_path(_private_lp(mdp, spec.selector(mdp.n_states), spec.epsilon)[0])
         assert sol.status == "optimal"
         assert sol.iterations > 4 * REFACTOR_EVERY
 

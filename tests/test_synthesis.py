@@ -9,8 +9,8 @@ from lppm.mdp import (Mdp, NotUnichainError, action_independent_rows, average_co
                       check_unichain_exhaustive, induce_chain, make_mdp, occupancy_from_policy,
                       stationary_distribution, uniform_policy)
 from lppm.metrics import PrivacySpec, eps_privacy_check, secret_mass
-from lppm.optim import LpSolution, solve_lp
-from lppm.serialize import save_result
+from lppm.optim import LinearProgram, LpSolution, solve_lp
+from lppm.serialize import load_mdp, save_mdp, save_result
 from lppm.synthesis import (ASYMPTOTIC_MARGIN, THETA_TOL, ActionDependentModelError,
                             InfeasibleSynthesisError, SelfCheckError, SynthesisResult,
                             _base_constraints, _solve_private_lp, deployed_chain, limit_check,
@@ -21,6 +21,7 @@ from support import (action_independent_mdp, binding_spec, certificate_margin,
                      elastic_violations, full_eps_private_lp, lp_theorem1_certificate, lp_verify_invariance,
                      random_chain, random_dense_mdp, random_sparse_mdp, record_synthesis_lps,
                      sample_safe_beliefs)
+from test_mobility import ROOT, load_module
 
 CAMPUS_SECRET = (3,)
 CAMPUS_V_UNCONSTRAINED = 3.526652
@@ -225,9 +226,18 @@ class TestBaseConstraints:
                                    atol=1e-12)
 
 
+def action_dependent(mdp):
+    """mdp with the last pair of state 1 moved by one ulp, so that its moves
+    depend on the action and synthesis takes the full occupancy LP."""
+    rows = mdp.rows.copy()
+    rows[4, 1] = np.nextafter(rows[4, 1], 1.0)
+    return Mdp(rows, mdp.available, mdp.utility, mdp.p0)
+
+
 class TestStalledLp:
+    # the unconstrained LP of an action-independent model is a closed form
     @pytest.mark.parametrize("synthesize", [
-        synthesize_unconstrained,
+        lambda mdp: synthesize_unconstrained(action_dependent(mdp)),
         lambda mdp: synthesize_eps_private(mdp, PrivacySpec(CAMPUS_SECRET, 0.2)),
     ], ids=["unconstrained", "eps_private"])
     def test_reported_as_unknown_not_infeasible(self, campus, monkeypatch, synthesize):
@@ -264,12 +274,20 @@ class TestHighsCrossCheck:
         spec = binding_spec(mdp)
         solved = record_synthesis_lps(monkeypatch)
         free = synthesize_unconstrained(mdp)
+        assert not solved  # a closed form
         private = synthesize_eps_private(mdp, spec)
         assert private.average_cost > free.average_cost + 1e-6  # the budget binds
-        assert len(solved) == 2  # the two occupancy LPs; the post-verify check solves none
+        # the master LPs; the post-verify check solves none
+        assert len(solved) == private.diagnostics["master_rounds"]
         for lp, sol in solved:
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(self.highs_objective(lp), abs=1e-9)
+        full = full_eps_private_lp(mdp, spec)
+        assert private.average_cost == pytest.approx(self.highs_objective(full), abs=1e-9)
+        a_eq, b_eq = _base_constraints(mdp, 0)
+        unconstrained = LinearProgram(full.c[:-1], a_eq=a_eq, b_eq=b_eq)
+        assert free.average_cost == pytest.approx(self.highs_objective(unconstrained),
+                                                  abs=1e-9)
 
 
 class TestSynthesizeUnconstrained:
@@ -326,8 +344,10 @@ class TestSynthesizeEpsPrivate:
     def test_campus_cost_at_017(self, campus):
         res = synthesize_eps_private(campus, PrivacySpec(CAMPUS_SECRET, 0.17))
         assert res.mode == "eps_private"
-        assert set(res.diagnostics) == {"unichain", "lp_status", "lp_iterations",
-                                        "certificate_rows", "post_verify_optimum"}
+        assert set(res.diagnostics) == {"unichain", "solver", "lp_status", "lp_iterations",
+                                        "master_rounds", "columns", "certificate_rows",
+                                        "post_verify_optimum"}
+        assert res.diagnostics["solver"] == "column_generation"
         assert res.diagnostics["certificate_rows"] == 5
         assert res.average_cost == pytest.approx(CAMPUS_V_017, abs=1e-5)
         assert res.certificate is not None
@@ -570,23 +590,25 @@ class TestSynthesizeAsymptotic:
 
     @pytest.mark.parametrize("eps,cost", [(0.1, "5.732388"), (0.12, "5.187496")])
     def test_infeasible_eps_private_start_costs_one_lp(self, campus, monkeypatch, eps, cost):
-        # the start's LP is infeasible: no elastic re-solve and one unichain check
+        # the start's master is infeasible and phase 1 proves it: every LP before
+        # the descent's 13 is a master (5 certificate rows and the convexity
+        # row), so no full elastic LP is solved; and one unichain check
         checks = []
         monkeypatch.setattr("lppm.synthesis.check_unichain_exhaustive",
                             lambda mdp: checks.append(mdp) or check_unichain_exhaustive(mdp))
         solved = record_synthesis_lps(monkeypatch)
         res = synthesize_asymptotic(campus, PrivacySpec(CAMPUS_SECRET, eps))
-        assert len(solved) == 14 and len(checks) == 1
-        assert solved[0][1].status == "infeasible"
+        assert len(checks) == 1
         assert res.diagnostics["lp_solves"] == 13
+        masters = solved[:-13]
+        assert [lp.n_rows for lp, _ in masters] == [6] * len(masters)
+        assert masters[0][1].status == "infeasible"
+        assert masters[-1][1].status == "optimal" and masters[-1][1].objective > 1e-8
         assert f"{res.average_cost:.6f}" == cost
 
     def test_action_dependent_model_rejected(self, campus):
-        rows = campus.rows.copy()
-        rows[4, 1] = np.nextafter(rows[4, 1], 1.0)  # the last pair of state 1
-        mdp = Mdp(rows, campus.available, campus.utility, campus.p0)
         with pytest.raises(ActionDependentModelError, match="rows of state 1 differ"):
-            synthesize_asymptotic(mdp, PrivacySpec(CAMPUS_SECRET, 0.16))
+            synthesize_asymptotic(action_dependent(campus), PrivacySpec(CAMPUS_SECRET, 0.16))
 
     def test_unreachable_budget_raises(self, campus):
         # below the all-time threshold and below any stationary belief the
@@ -695,3 +717,120 @@ class TestCampusTradeoff:
                              "--result", str(tmp_path / "result.json")]) == 0
         assert costs == sorted(costs, reverse=True)  # non-increasing in epsilon
         assert all_time_feasible == [0.16, 0.2, 0.3]
+
+
+def perfbench_module(name):
+    return load_module(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+
+
+@pytest.fixture(scope="module")
+def action_independent_cases(campus, tmp_path_factory):
+    """(name, mdp, spec) of every model the column generation is checked on:
+    campus on an epsilon grid, generated models at the benchmark's spec, the
+    binding seeds of action_independent_mdp and the benchmark's trace models."""
+    gen, checks = perfbench_module("gen"), perfbench_module("checks")
+    cases = [(f"campus_{eps}", campus, PrivacySpec(CAMPUS_SECRET, eps))
+             for eps in (0.05, 0.08, 0.11, 0.14, 0.17, 0.2, 0.3, 0.5)]
+
+    def benchmark_spec(mdp):
+        pi = stationary_distribution(action_independent_rows(mdp))
+        return PrivacySpec(*[(s,) if k == 0 else s for k, s in enumerate(
+            checks.private_spec(mdp, [int(s) for s in np.argsort(-pi, kind="stable")[:5]]))])
+
+    for n in (48, 96, 120, 240, 360):
+        mdp = gen.make_model(501, 0, n)
+        cases.append((f"gen501_{n}", mdp, benchmark_spec(mdp)))
+    binding = 0
+    for seed in range(30):
+        mdp = action_independent_mdp(seed, 16)
+        try:
+            cases.append((f"independent{seed}", mdp, binding_spec(mdp)))
+            binding += 1
+        except ValueError:
+            pass
+    assert binding == 28
+    work = tmp_path_factory.mktemp("traces")
+    for u, (places, samples, fmt) in enumerate([(10, 50_000, "csv"), (20, 50_000, "plt"),
+                                                (30, 60_000, "csv")]):
+        path = work / f"user{u}.{fmt}"
+        (gen.write_csv if fmt == "csv" else gen.write_plt)(
+            gen.make_trace(4242, u, places, samples), path)
+        assert cli_main(["build", "--traces", str(path), "--out", str(work / f"user{u}")]) == 0
+        mdp = load_mdp(work / f"user{u}" / "mdp.json")
+        cases.append((f"trace{u}", mdp, benchmark_spec(mdp)))
+    return cases
+
+
+def verify_exit_code(mdp, res, tmp_path):
+    """Exit code of `verify` on the saved model and result; an unconstrained
+    result is checked at epsilon 1, where only its self-consistency can fail."""
+    save_mdp(mdp, tmp_path / "mdp.json")
+    save_result(res, tmp_path / "result.json")
+    budget = ["--epsilon", "1", "--secret", "0"] if res.epsilon is None else []
+    return cli_main(["verify", "--model", str(tmp_path / "mdp.json"), *budget,
+                     "--result", str(tmp_path / "result.json"), "--out", str(tmp_path)])
+
+
+class TestColumnGeneration:
+    """Models whose moves ignore the action: the eps_private LP is solved by
+    column generation and the unconstrained one in closed form; the full LP
+    with one certificate row per state is the reference."""
+
+    def test_eps_private_costs_match_the_full_lp(self, action_independent_cases, tmp_path):
+        statuses = Counter()
+        for name, mdp, spec in action_independent_cases:
+            full = solve_lp(full_eps_private_lp(mdp, spec))
+            statuses[full.status] += 1
+            if full.status == "infeasible":
+                with pytest.raises(InfeasibleSynthesisError):
+                    synthesize_eps_private(mdp, spec)
+                continue
+            res = synthesize_eps_private(mdp, spec)
+            assert res.average_cost == pytest.approx(full.objective, rel=1e-12, abs=0.0), name
+            assert res.diagnostics["solver"] == "column_generation"
+            assert res.diagnostics["columns"] <= res.diagnostics["master_rounds"] + 2
+            assert verify_exit_code(mdp, res, tmp_path) == 0, name
+        # campus is infeasible below 0.17 on the grid
+        assert statuses == {"optimal": len(action_independent_cases) - 4, "infeasible": 4}
+
+    def test_closed_form_unconstrained_matches_the_lp(self, action_independent_cases,
+                                                       tmp_path):
+        models = {name.split("_")[0] if name.startswith("campus") else name: mdp
+                  for name, mdp, _ in action_independent_cases}
+        for name, mdp in models.items():
+            a_eq, b_eq = _base_constraints(mdp, 0)
+            lp = solve_lp(LinearProgram(mdp.utility[mdp.pair_index()], a_eq=a_eq, b_eq=b_eq))
+            res = synthesize_unconstrained(mdp)
+            assert res.average_cost == pytest.approx(lp.objective, rel=1e-12, abs=0.0), name
+            assert res.diagnostics == {"unichain": "unichain", "solver": "closed_form"}
+            assert verify_exit_code(mdp, res, tmp_path) == 0, name
+
+    def test_closed_form_takes_the_lowest_cheapest_action(self):
+        # every action costs the same at state 0, and actions 1 and 2 at state 1
+        t = np.stack([random_chain(np.random.default_rng(5), 3)] * 3)
+        utility = np.array([[2.0, 2.0, 2.0], [3.0, 1.0, 1.0], [1.0, 0.5, 4.0]])
+        mdp = make_mdp(t, utility, ((0, 1, 2),) * 3, np.full(3, 1.0 / 3.0))
+        res = synthesize_unconstrained(mdp)
+        assert [int(np.argmax(row)) for row in res.policy] == [0, 1, 1]
+        assert np.count_nonzero(res.theta) == 3
+
+    def test_infeasible_campus_budget_keeps_the_full_elastic_diagnosis(self, campus):
+        spec = PrivacySpec(CAMPUS_SECRET, 0.08)
+        with pytest.raises(InfeasibleSynthesisError) as exc:
+            synthesize_eps_private(campus, spec)
+        diag = exc.value.diagnosis
+        full = elastic_violations(full_eps_private_lp(campus, spec))
+        assert diag["elastic_status"] == "optimal"
+        assert diag["violations"][diag["worst_row"]] == diag["worst_violation"]
+        np.testing.assert_allclose(diag["violations"], full, rtol=0.0, atol=1e-9)
+
+    def test_action_dependent_models_keep_the_simplex(self, campus):
+        mdp = action_dependent(campus)
+        spec = PrivacySpec(CAMPUS_SECRET, 0.2)
+        private, free = synthesize_eps_private(mdp, spec), synthesize_unconstrained(mdp)
+        assert private.diagnostics["solver"] == free.diagnostics["solver"] == "simplex"
+        assert "master_rounds" not in private.diagnostics
+        full = solve_lp(full_eps_private_lp(mdp, spec))
+        assert private.average_cost == pytest.approx(full.objective, rel=1e-12, abs=0.0)
+        assert private.average_cost == pytest.approx(
+            synthesize_eps_private(campus, spec).average_cost, rel=1e-9)

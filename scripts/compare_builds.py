@@ -41,17 +41,20 @@ stderr with <out> and <tree>. The script prints one line per difference, and
 for a JSON or CSV file also the largest relative and absolute differences
 among the numbers both sides hold at the same place, with their places,
 and the places only one side has, and exits 1 if there is any; otherwise it prints how many runs
-matched and exits 0. Two `mdp.json` files that differ in bytes are also both
-read with this script's own lppm: when they hold the same model bit for bit
-(`rows`, `utility`, `p0`, `available` and the meta), as after a change of
-the file schema alone, the script prints that on its own line and does not
-count it as a difference; otherwise the numbers compared are those of the two
-models, by their places in `Mdp`.
+matched and exits 0. Two `mdp.json` or two `result.json` files that differ
+in bytes are also both read with this script's own lppm: when they hold the
+same model bit for bit (`rows`, `utility`, `p0`, `available` and the meta)
+or the same result bit for bit (every field of `SynthesisResult`), as after
+a change of the file schema alone, the script prints that on its own line
+and does not count it as a difference; otherwise the numbers compared are
+those of the two models or results, by their places in `Mdp` or
+`SynthesisResult`.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import importlib.util
 import io
 import itertools
@@ -199,25 +202,27 @@ def outcome(proc: subprocess.Popen, tree: Path, out: Path) -> dict:
             "stderr": normalize(stderr), **files}
 
 
+def _walk(obj, path: str = "", found: dict | None = None) -> dict:
+    """Every value of nested dicts and lists by its JSON path, numbers as
+    floats and anything else as its repr."""
+    found = {} if found is None else found
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else None
+    if items is None:
+        number = isinstance(obj, (int, float)) and not isinstance(obj, bool)
+        found[path] = float(obj) if number else repr(obj)
+    for key, value in items or ():
+        _walk(value, f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]", found)
+    return found
+
+
 def _values(name: str, data: bytes) -> dict | None:
     """Every value of a JSON or CSV file by its place (a JSON path, or row and
     column), numbers as floats; None for other files or unreadable ones."""
     try:
         text = data.decode("utf-8")
         if name.endswith(".json"):
-            found = {}
-
-            def walk(obj, path):
-                items = obj.items() if isinstance(obj, dict) else \
-                    enumerate(obj) if isinstance(obj, list) else None
-                if items is None:
-                    number = isinstance(obj, (int, float)) and not isinstance(obj, bool)
-                    found[path] = float(obj) if number else repr(obj)
-                for key, value in items or ():
-                    walk(value, f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]")
-
-            walk(json.loads(text), "")
-            return found
+            return _walk(json.loads(text))
         if name.endswith(".csv"):
             found = {}
             for r, row in enumerate(csv.reader(io.StringIO(text))):
@@ -241,6 +246,29 @@ def _model(data: bytes):
         return mdp_from_dict(json.loads(data))
     except (LookupError, TypeError, ValueError, OverflowError):
         return None
+
+
+def _result(data: bytes):
+    """The synthesis result a result file holds, read with this script's own
+    lppm; None when it holds none that lppm reads."""
+    _own_lppm()
+    from lppm.serialize import result_from_dict
+    try:
+        return result_from_dict(json.loads(data))
+    except (LookupError, TypeError, ValueError, OverflowError):
+        return None
+
+
+def _plain(obj):
+    """A result's fields as nested dicts and lists: each array by its
+    `tolist()`, the certificate by its fields."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    return obj.tolist() if hasattr(obj, "tolist") else obj
 
 
 def _model_values(mdp) -> dict:
@@ -285,9 +313,15 @@ def _value_difference(xs: dict, ys: dict) -> dict | None:
     return {"relative": rel, "absolute": gap, "only": sorted(xs.keys() ^ ys.keys())}
 
 
+# file name -> (what it holds, its reader, the values of what it holds by place)
+READERS = {"mdp.json": ("model", _model, _model_values),
+           "result.json": ("result", _result, lambda result: _walk(_plain(result)))}
+
+
 def _differences(name: str, got: list[dict]) -> tuple[list[str], list[str]]:
-    """One line per output the two sides differ in, and one per model file
-    that differs in bytes only, holding the same model bit for bit."""
+    """One line per output the two sides differ in, and one per model or
+    result file that differs in bytes only, holding the same model or result
+    bit for bit."""
     lines, same = [], []
     for key in sorted(set(got[0]) | set(got[1])):
         a, b = got[0].get(key), got[1].get(key)
@@ -295,13 +329,14 @@ def _differences(name: str, got: list[dict]) -> tuple[list[str], list[str]]:
             continue
         line = f"{name}: {key} differs"
         files = isinstance(a, bytes) and isinstance(b, bytes)
-        models = [_model(a), _model(b)] if files and key == "mdp.json" else [None]
-        if None in models:
+        kind, read, values = READERS.get(key if files else None, (None, None, None))
+        held = [read(a), read(b)] if read else [None]
+        if None in held:
             diff = number_difference(key, a, b) if files else None
         else:
-            xs, ys = map(_model_values, models)
+            xs, ys = map(values, held)
             if {k: repr(v) for k, v in xs.items()} == {k: repr(v) for k, v in ys.items()}:
-                same.append(f"{name}: {key} holds the same model bit for bit in other bytes")
+                same.append(f"{name}: {key} holds the same {kind} bit for bit in other bytes")
                 continue
             diff = _value_difference(xs, ys)
         if diff is not None:
@@ -323,8 +358,8 @@ def _run_both(trees, args: list[str], out: Path) -> list[dict]:
 
 def compare(parent: Path, change: Path, seeds: list[int],
             models: list[Path] = ()) -> tuple[list[str], list[str]]:
-    """One line per differing output of each command, and one per model file
-    that differs in bytes only."""
+    """One line per differing output of each command, and one per model or
+    result file that differs in bytes only."""
     problems, same, runs = [], [], 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -371,7 +406,7 @@ def main(argv=None) -> int:
         print(line)
     if not problems:
         print("byte-identical: every file written, stdout, stderr and exit code"
-              + (f", but for the {len(same)} model files above" if same else ""))
+              + (f", but for the {len(same)} model and result files above" if same else ""))
     return 1 if problems else 0
 
 

@@ -65,11 +65,12 @@ def stationary_belief(chain: np.ndarray) -> np.ndarray:
     return stationary_distribution(chain)
 
 
-def write_belief_csv(path, beliefs: np.ndarray, secret_states) -> None:
+def write_belief_csv(path, beliefs: np.ndarray, secret_states) -> np.ndarray:
     """Belief trajectory table: t, one column per state, secret mass.
 
     The bytes csv.writer would write (comma separated, \\r\\n line ends, no
-    field needs quoting), every float as its `'%.17g'` text.
+    field needs quoting), every float as its `'%.17g'` text. Returns the
+    secret-mass column it wrote, `secret_mass_series(beliefs, secret_states)`.
     """
     beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
     n = beliefs.shape[1]
@@ -78,3 +79,4 @@ def write_belief_csv(path, beliefs: np.ndarray, secret_states) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t"] + [f"b{i + 1}" for i in range(n)] + ["secret_mass"]) + "\r\n")
         fh.writelines(f"{t},{b},{m}\r\n" for t, (b, m) in enumerate(rows))
+    return mass

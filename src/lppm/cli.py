@@ -28,7 +28,7 @@ from .adversary import belief_trajectory, check_simplex, write_belief_csv
 from .floattext import format_rows
 from .mdp import UNICHAIN_BUDGET, NonErgodicError, NotUnichainError, validate_policy
 from .metrics import (PrivacySpec, distance_matrix_from_meta, mass_bound_check, secret_mass,
-                      secret_mass_series, write_metric_series)
+                      write_metric_series)
 from .optim import FW_GAP_TOL
 from .synthesis import (ASYMPTOTIC_MARGIN, MODES, ActionDependentModelError,
                         InfeasibleSynthesisError, SelfCheckError, deployed_chain, limit_check,
@@ -112,6 +112,9 @@ def _read_file(kind, path, load):
         raise CliError(f"{kind} file {path} lacks the key {exc}")
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{kind} file {path} is malformed: {' '.join(str(exc).split())}")
+    except MemoryError as exc:  # counts that ask for dense arrays this host cannot hold
+        raise CliError(f"{kind} file {path} asks for more memory than is available: "
+                       f"{' '.join(str(exc).split())}")
 
 
 def _fixture(name):
@@ -358,8 +361,8 @@ def cmd_simulate(args):
     beliefs = belief_trajectory(chain, b0, horizon)
     if horizon == 0:
         beliefs = beliefs[:0]
-    write_belief_csv(out / "belief.csv", beliefs, secret)
-    write_metric_series(out / "metrics.csv", beliefs, secret, _distance_for(mdp))
+    mass = write_belief_csv(out / "belief.csv", beliefs, secret)  # for metrics.csv and the check
+    write_metric_series(out / "metrics.csv", beliefs, secret, _distance_for(mdp), mass)
     # expected step cost of the synthesized policy along the user's own chain
     step_u = np.einsum("sa,sa->s", result.policy, mdp.utility)
     p = mdp.p0.copy()
@@ -374,8 +377,7 @@ def cmd_simulate(args):
         fh.write("t,step_cost,avg_cost\r\n")
         fh.writelines(f"{t},{row}\r\n" for t, row in enumerate(format_rows(costs)))
     if epsilon is not None and horizon > 0:
-        # the secret_mass column of belief.csv and metrics.csv, bit for bit
-        check = mass_bound_check(secret_mass_series(beliefs, secret), epsilon)
+        check = mass_bound_check(mass, epsilon)
         status = "holds" if check.holds else f"violated at t={check.first_violation}"
         print(f"secret-mass bound over {horizon} steps: {status} "
               f"(max mass {check.max_mass:.6f}, epsilon {epsilon})")

@@ -78,6 +78,12 @@ class Mdp:
     action_meta: list[ActionMeta] | None = None
 
     def __post_init__(self):
+        self._validate(None)
+
+    def _validate(self, pairs):
+        """Normalize and check the fields; `pairs` is the `_pair_index` of an
+        `available` that already went through `check_available`, or None to
+        run both here."""
         self.rows = np.asarray(self.rows, dtype=float)
         self.utility = np.asarray(self.utility, dtype=float)
         self.p0 = np.asarray(self.p0, dtype=float)
@@ -86,9 +92,11 @@ class Mdp:
         n, m = self.utility.shape
         if self.p0.shape != (n,):
             raise ValueError("p0 must have shape (n_states,)")
-        self.available = check_available(self.available, n, m)
-        self._pairs = _pair_index(self.available)
-        states, actions = self._pairs
+        if pairs is None:
+            self.available = check_available(self.available, n, m)
+            pairs = _pair_index(self.available)
+        self._pairs = pairs
+        states, actions = pairs
         if self.rows.shape != (len(states), n):
             raise ValueError(f"rows must hold {len(states)} rows of {n} entries, one per "
                              f"available pair; got shape {self.rows.shape}")
@@ -139,20 +147,22 @@ class Mdp:
 
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only arrays (a, q, r, v), T(q, a, r) = v, of every entry a
-        contraction of T adds, sorted by (a, q, r) as in the dense tensor: the
-        n of each stored row, and only the 1.0 of each self-loop row. A kernel
-        that np.bincount-s weighted entries, adding in this order from 0.0,
-        gives the bits of the dense contraction."""
-        n, m = self.n_states, self.n_actions
-        k = np.full(m * n, -1)  # pair of (a, q) at a * n + q, -1 when unavailable
-        k[self._pairs[1] * n + self._pairs[0]] = np.arange(len(self.rows))
-        width = np.where(k >= 0, n, 1)
-        block = np.repeat(np.arange(m * n), width)
-        col = np.arange(block.size) - np.repeat(np.cumsum(width) - width, width)
-        a, q = np.divmod(block, n)
-        stored = k[block] >= 0  # rows[-1] read at a self-loop entry is dropped
-        out = a, q, np.where(stored, col, q), np.where(stored, self.rows[k[block], col], 1.0)
+        """Read-only arrays (a, q, r, v), T(q, a, r) = v, of every nonzero entry
+        of the completed tensor, sorted by (a, q, r) as in the dense tensor:
+        the nonzero entries of each stored row, and the 1.0 of each self-loop
+        row. A kernel that np.bincount-s weighted entries, adding in this
+        order from 0.0, gives the bits of the dense contraction: a zero entry
+        would only add a signed zero."""
+        n = self.n_states
+        states, actions = self._pairs
+        pair, col = np.nonzero(self.rows)
+        idle_q, idle_a = np.nonzero(~self.availability_mask())  # the self-loop rows
+        a = np.concatenate([actions[pair], idle_a])
+        q = np.concatenate([states[pair], idle_q])
+        r = np.concatenate([col, idle_q])
+        v = np.concatenate([self.rows[pair, col], np.ones(idle_q.size)])
+        order = np.argsort((a * n + q) * n + r)
+        out = a[order], q[order], r[order], v[order]
         for x in out:
             x.flags.writeable = False
         return out
@@ -205,6 +215,18 @@ def _pair_index(available) -> tuple[np.ndarray, np.ndarray]:
     states.flags.writeable = False
     actions.flags.writeable = False
     return states, actions
+
+
+def _mdp_on_pairs(pairs, rows, available, utility, p0, state_meta=None,
+                  action_meta=None) -> Mdp:
+    """`Mdp(rows, available, ...)` for a file reader that has already run
+    `check_available` (giving `available`) and `_pair_index` (giving
+    `pairs`) to lay out its rows, so neither runs twice."""
+    mdp = object.__new__(Mdp)
+    mdp.rows, mdp.available, mdp.utility, mdp.p0 = rows, available, utility, p0
+    mdp.state_meta, mdp.action_meta = state_meta, action_meta
+    mdp._validate(pairs)
+    return mdp
 
 
 def _pair_mask(pairs, n: int, m: int) -> np.ndarray:

@@ -224,17 +224,20 @@ def _max_dp_ratio_series(beliefs: np.ndarray) -> list[float]:
 
 
 def write_metric_series(path, beliefs: np.ndarray, spec,
-                        distance: np.ndarray) -> None:
+                        distance: np.ndarray, mass=None) -> None:
     """Metric table: t, entropy, exp_err, max_dp_ratio, secret_mass.
 
     The ratio column at row t compares b_t with b_{t+1}; the final row has
     no successor and leaves the field empty. The bytes csv.writer would
     write, every float as its `'%.17g'` text, each value equal bit for bit
     to its one-belief function (`entropy`, `expected_inference_error`,
-    `max_dp_ratio`, `secret_mass`).
+    `max_dp_ratio`, `secret_mass`). `mass` is the caller's
+    `secret_mass_series(beliefs, spec)`, computed here when None.
     """
     beliefs = np.atleast_2d(np.asarray(beliefs, dtype=float))
     distance = np.asarray(distance, dtype=float)
+    if mass is None:
+        mass = secret_mass_series(beliefs, spec)
     # one b @ distance per row: a single B @ distance adds in another order
     costs = np.empty((beliefs.shape[0], distance.shape[1]))
     for b, out in zip(beliefs, costs):
@@ -242,7 +245,7 @@ def write_metric_series(path, beliefs: np.ndarray, spec,
     entropy_err = np.column_stack([_entropy_series(beliefs), costs.min(axis=1)])
     ratios = np.array(_max_dp_ratio_series(beliefs)).reshape(-1, 1)
     rows = zip(format_rows(entropy_err), itertools.chain(format_rows(ratios), [""]),
-               format_rows(secret_mass_series(beliefs, spec)[:, None]))
+               format_rows(mass[:, None]))
     with open(path, "w", newline="") as fh:
         fh.write("t,entropy,exp_err,max_dp_ratio,secret_mass\r\n")
         fh.writelines(f"{t},{e},{r},{m}\r\n" for t, (e, r, m) in enumerate(rows))

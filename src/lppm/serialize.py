@@ -11,6 +11,10 @@ loss, plus one sentinel, the loss of every unavailable pair. `mdp_from_dict`
 is the one reader of schemas 1, 2 and 3: every schema takes the same checks
 of its counts, `available`, `p0` and meta into one `Mdp`, and loads the
 model it holds bit for bit; only how rows and losses are stored differs.
+
+A result is written in result schema 2: theta and the policy only at the
+actions where either is nonzero, per state. `result_from_dict` also reads
+the dense result schema 1 and scatters schema 2 back into dense matrices.
 """
 from __future__ import annotations
 
@@ -21,11 +25,12 @@ import math
 import numpy as np
 
 from .floattext import format_rows
-from .mdp import (CONSTRUCTION_ATOL, ActionMeta, Mdp, StateMeta, _pair_index,
-                  check_available, non_integers)
+from .mdp import (CONSTRUCTION_ATOL, ActionMeta, Mdp, StateMeta, _mdp_on_pairs,
+                  _pair_index, check_available, non_integers)
 from .synthesis import MODES, Certificate, SynthesisResult
 
 MDP_SCHEMA = 3
+RESULT_SCHEMA = 2
 
 
 # stands for a float scalar until the document's scalars are formatted in one
@@ -141,6 +146,27 @@ def save_mdp(mdp: Mdp, path) -> None:
         fh.write(dumps_canonical(mdp_to_dict(mdp)) + "\n")
 
 
+def _index_lists(lists, key: str, noun: str, bound: int, owner) -> tuple[np.ndarray, np.ndarray]:
+    """(list, index) arrays of every entry of `lists`, per-list indices that
+    must be JSON integers in 0..bound-1, strictly ascending within each list;
+    `key` and `noun` name the lists and an index, owner(k) list k, in the
+    messages."""
+    flat = list(itertools.chain.from_iterable(lists))
+    bad = non_integers(flat)
+    if bad:
+        raise ValueError(f"{key} list a non-integer {noun} {bad[0]!r}")
+    row = np.repeat(np.arange(len(lists)), list(map(len, lists)))
+    col = np.array(flat, dtype=np.intp)
+    if col.size and (col.min() < 0 or col.max() >= bound):
+        article = "an" if noun[0] in "aeiou" else "a"
+        raise ValueError(f"{key} list {article} {noun} outside 0..{bound - 1}")
+    unordered = (np.diff(col) <= 0) & (np.diff(row) == 0)
+    if unordered.any():
+        raise ValueError(f"the {key} of {owner(row[unordered.argmax()])} are not "
+                         "strictly ascending")
+    return row, col
+
+
 def _scatter_v3(doc: dict, n: int, m: int, states, actions):
     """(rows, utility) of a schema-3 file: its successor lists and
     probabilities scattered into dense rows, and its losses into the dense
@@ -154,19 +180,8 @@ def _scatter_v3(doc: dict, n: int, m: int, states, actions):
         k = next(k for k, (width, length) in enumerate(zip(widths, lengths)) if width != length)
         raise ValueError(f"the row of state {states[k]}, action {actions[k]} lists {widths[k]} "
                          f"successors and {lengths[k]} probabilities")
-    flat = list(itertools.chain.from_iterable(successors))
-    bad = non_integers(flat)
-    if bad:
-        raise ValueError(f"successors list a non-integer state {bad[0]!r}")
-    pair = np.repeat(np.arange(len(states)), widths)
-    cols = np.array(flat, dtype=np.intp)
-    if cols.size and (cols.min() < 0 or cols.max() >= n):
-        raise ValueError(f"successors list a state outside 0..{n - 1}")
-    unordered = (np.diff(cols) <= 0) & (np.diff(pair) == 0)
-    if unordered.any():
-        k = pair[unordered.argmax()]
-        raise ValueError(f"the successors of state {states[k]}, action {actions[k]} are not "
-                         "strictly ascending")
+    pair, cols = _index_lists(successors, "successors", "state", n,
+                              lambda k: f"state {states[k]}, action {actions[k]}")
     rows = np.zeros((len(states), n))
     rows[pair, cols] = np.array(list(itertools.chain.from_iterable(probabilities)), dtype=float)
     losses = np.array(doc["utility"], dtype=float)
@@ -229,9 +244,9 @@ def mdp_from_dict(doc: dict) -> Mdp:
         rows = doc["rows"]
     else:
         rows, utility = _scatter_v3(doc, n, m, states, actions)
-    mdp = Mdp(rows, available, utility, doc["p0"],
-              _meta(doc, "state_meta", StateMeta, "area_m2"),
-              _meta(doc, "action_meta", ActionMeta, "radius_m"))
+    mdp = _mdp_on_pairs((states, actions), rows, available, utility, doc["p0"],
+                        _meta(doc, "state_meta", StateMeta, "area_m2"),
+                        _meta(doc, "action_meta", ActionMeta, "radius_m"))
     if schema == 1:
         bad = ~np.isclose(transition, mdp.transition, atol=CONSTRUCTION_ATOL,
                           rtol=0.0).all(axis=(1, 2))
@@ -254,18 +269,26 @@ def load_mdp(path) -> Mdp:
 
 
 def result_to_dict(result: SynthesisResult) -> dict:
+    """Result-schema-2 document: for each state, the actions where theta or
+    the policy is nonzero, ascending, and their values at those actions."""
+    n, m = result.theta.shape
+    state, action = np.nonzero((result.theta != 0.0) | (result.policy != 0.0))
+    cuts = np.cumsum(np.bincount(state, minlength=n))[:-1]
     cert = None
     if result.certificate is not None:
         cert = {"z": result.certificate.z,
                 "beta": result.certificate.beta,
                 "margin": result.certificate.margin}
     return {
+        "schema": RESULT_SCHEMA,
         "mode": result.mode,
         "epsilon": result.epsilon,
         "secret_states": result.secret_states,
         "average_cost": result.average_cost,
-        "theta": result.theta,
-        "policy": result.policy,
+        "n_actions": m,
+        "actions": np.split(action, cuts),
+        "theta": np.split(result.theta[state, action], cuts),
+        "policy": np.split(result.policy[state, action], cuts),
         "p_inf": result.p_inf,
         "b_inf": result.b_inf,
         "certificate": cert,
@@ -278,7 +301,40 @@ def save_result(result: SynthesisResult, path) -> None:
         fh.write(dumps_canonical(result_to_dict(result)) + "\n")
 
 
+def _scatter_result(doc: dict, p_inf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, policy) of a result-schema-2 file: its per-state action lists
+    and values scattered into dense (n, n_actions) matrices, n the length of
+    `p_inf`."""
+    m, actions, theta, policy = doc["n_actions"], doc["actions"], doc["theta"], doc["policy"]
+    if p_inf.ndim != 1:
+        raise ValueError(f"p_inf must list one number per state; got shape {p_inf.shape}")
+    n = len(p_inf)
+    if non_integers([m]):
+        raise ValueError(f"n_actions must be an integer; got {m!r}")
+    if not len(actions) == len(theta) == len(policy) == n:
+        raise ValueError(f"actions, theta and policy must hold {n} rows, one per state of "
+                         f"p_inf; got {len(actions)}, {len(theta)} and {len(policy)}")
+    widths = list(map(len, actions))
+    if list(map(len, theta)) != widths or list(map(len, policy)) != widths:
+        s = next(s for s, width in enumerate(widths)
+                 if len(theta[s]) != width or len(policy[s]) != width)
+        raise ValueError(f"the row of state {s} lists {widths[s]} actions, {len(theta[s])} "
+                         f"theta values and {len(policy[s])} policy values")
+    state, cols = _index_lists(actions, "actions", "action", m, lambda s: f"state {s}")
+    dense = np.zeros((2, n, m))
+    for out, values in zip(dense, (theta, policy)):
+        out[state, cols] = np.array(list(itertools.chain.from_iterable(values)), dtype=float)
+    return dense[0], dense[1]
+
+
 def result_from_dict(doc: dict) -> SynthesisResult:
+    """The result of a document of either result schema: schema 2 scatters
+    its per-state lists into dense theta and policy, schema 1 (no `schema`
+    key) holds them dense."""
+    schema = doc.get("schema", 1)
+    if non_integers([schema]) or schema not in (1, RESULT_SCHEMA):
+        raise ValueError(f"unknown result schema {schema!r}; this version reads 1 and "
+                         f"{RESULT_SCHEMA}")
     mode, epsilon, secret = doc["mode"], doc["epsilon"], doc["secret_states"]
     if mode not in MODES:
         raise ValueError(f"mode must be one of {', '.join(MODES)}; got {mode!r}")
@@ -293,11 +349,16 @@ def result_from_dict(doc: dict) -> SynthesisResult:
         cert = Certificate(z=float(c["z"]), beta=np.array(c["beta"], dtype=float),
                            margin=float(c["margin"]))
     b_inf = None if doc.get("b_inf") is None else np.array(doc["b_inf"], dtype=float)
+    p_inf = np.array(doc["p_inf"], dtype=float)
+    if schema == 1:
+        theta, policy = (np.array(doc[key], dtype=float) for key in ("theta", "policy"))
+    else:
+        theta, policy = _scatter_result(doc, p_inf)
     return SynthesisResult(
         mode=mode,
-        theta=np.array(doc["theta"], dtype=float),
-        policy=np.array(doc["policy"], dtype=float),
-        p_inf=np.array(doc["p_inf"], dtype=float),
+        theta=theta,
+        policy=policy,
+        p_inf=p_inf,
         average_cost=float(doc["average_cost"]),
         epsilon=None if epsilon is None else float(epsilon),
         secret_states=None if secret is None else tuple(secret),

@@ -130,6 +130,36 @@ def save_mdp_v2(mdp, path):
         fh.write(dumps_canonical(mdp_to_dict_v2(mdp)) + "\n")
 
 
+def result_to_dict_v1(result):
+    """Result-schema-1 document: theta and the policy as dense (n, m) matrices
+    and no schema key.
+
+    The writer `serialize.result_to_dict` replaced, kept to produce the old
+    files that must still load.
+    """
+    cert = None
+    if result.certificate is not None:
+        cert = {"z": result.certificate.z, "beta": result.certificate.beta,
+                "margin": result.certificate.margin}
+    return {
+        "mode": result.mode,
+        "epsilon": result.epsilon,
+        "secret_states": result.secret_states,
+        "average_cost": result.average_cost,
+        "theta": result.theta,
+        "policy": result.policy,
+        "p_inf": result.p_inf,
+        "b_inf": result.b_inf,
+        "certificate": cert,
+        "diagnostics": result.diagnostics,
+    }
+
+
+def save_result_v1(result, path):
+    with open(path, "w") as fh:
+        fh.write(dumps_canonical(result_to_dict_v1(result)) + "\n")
+
+
 # The contractions of the dense (m, n, n) tensor that the pair-row model core
 # replaced, kept as oracles: the library must match them bit for bit.
 

@@ -7,6 +7,7 @@ from lppm.adversary import (action_frequencies, adversary_matrix,
                             belief_trajectory, belief_update,
                             stationary_belief, write_belief_csv)
 from lppm.mdp import induce_chain, occupancy_from_policy, stationary_distribution
+from lppm.metrics import secret_mass_series
 from support import csv_write_belief_csv, random_chain, random_dense_mdp
 from test_mdp import CAMPUS_P_INF
 
@@ -175,9 +176,11 @@ class TestWriteBeliefCsv:
         beliefs[3, ::2] = -0.0
         beliefs[4] = np.nextafter(0.0, 1.0)         # subnormal
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_belief_csv(got, beliefs, secret)
+        mass = write_belief_csv(got, beliefs, secret)
         csv_write_belief_csv(want, beliefs, secret)
         assert got.read_bytes() == want.read_bytes()
+        # the column it wrote, returned for metrics.csv and the bound check
+        assert mass.tobytes() == secret_mass_series(beliefs, secret).tobytes()
 
     def test_peak_memory_below_the_template_writer(self, tmp_path, rng):
         """A 1000-step trajectory over 120 states, the largest `simulate`

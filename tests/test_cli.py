@@ -9,13 +9,14 @@ from lppm.cli import main
 from lppm.fixtures import campus as campus_fixture
 from lppm import synthesis
 from lppm.mdp import Mdp, make_mdp
+from lppm.metrics import secret_mass_series
 from lppm.optim import LpSolution
 from lppm.serialize import load_mdp, load_result, save_mdp, save_result
 from lppm.synthesis import InvarianceVerdict, SynthesisResult
 from support import (action_independent_mdp, binding_spec, csv_write_belief_csv,
                      csv_write_metric_series, random_dense_mdp,
                      record_chain_builds, record_synthesis_lps, recursive_dumps_canonical,
-                     save_mdp_v1, save_mdp_v2)
+                     save_mdp_v1, save_mdp_v2, save_result_v1)
 
 
 def run(capsys, *argv):
@@ -748,6 +749,53 @@ class TestMalformedFile:
          "mode must be one of unconstrained, eps_private, asymptotic; got 'bogus'"),
         ("result", "eps_private", lambda doc: json.dumps({**doc, "mode": 5}),
          "mode must be one of unconstrained, eps_private, asymptotic; got 5"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "schema": 3}),
+         "unknown result schema 3; this version reads 1 and 2"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "schema": True}),
+         "unknown result schema True"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "schema": 2.0}),
+         "unknown result schema 2.0"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "n_actions": 6.5}),
+         "n_actions must be an integer; got 6.5"),
+        ("result", "eps_private", lambda doc: json.dumps(
+            {**doc, "actions": [[0.5], *doc["actions"][1:]]}),
+         "actions list a non-integer action 0.5"),
+        ("result", "eps_private", lambda doc: json.dumps(
+            {**doc, "actions": [[True], *doc["actions"][1:]]}),
+         "actions list a non-integer action True"),
+        ("result", "eps_private", lambda doc: json.dumps(
+            {**doc, "actions": [[6], *doc["actions"][1:]]}),
+         "actions list an action outside 0..5"),
+        ("result", "eps_private", lambda doc: json.dumps(
+            {**doc, "actions": [[-1], *doc["actions"][1:]]}),
+         "actions list an action outside 0..5"),
+        ("result", "eps_private", lambda doc: json.dumps(  # state 1 lists actions 1 and 4
+            {**doc, "actions": [doc["actions"][0], doc["actions"][1][::-1],
+                                *doc["actions"][2:]]}),
+         "the actions of state 1 are not strictly ascending"),
+        ("result", "eps_private", lambda doc: json.dumps(
+            {**doc, "actions": [doc["actions"][0], [1, 1], *doc["actions"][2:]]}),
+         "the actions of state 1 are not strictly ascending"),
+        ("result", "eps_private", lambda doc: json.dumps(
+            {**doc, "actions": doc["actions"][:-1]}),
+         "actions, theta and policy must hold 6 rows, one per state of p_inf; got 5, 6 and 6"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "p_inf": doc["p_inf"][:-1]}),
+         "actions, theta and policy must hold 5 rows, one per state of p_inf; got 6, 6 and 6"),
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "p_inf": 1.0}),
+         "p_inf must list one number per state; got shape ()"),
+        ("result", "eps_private", lambda doc: json.dumps(
+            {**doc, "theta": [[*doc["theta"][0], 0.0], *doc["theta"][1:]]}),
+         "the row of state 0 lists 1 actions, 2 theta values and 1 policy values"),
+        ("result", "eps_private", lambda doc: json.dumps(
+            {**doc, "policy": [*doc["policy"][:3], doc["policy"][3][:1], *doc["policy"][4:]]}),
+         "the row of state 3 lists 2 actions, 2 theta values and 1 policy values"),
+        ("result", "eps_private", lambda doc: TestMalformedFile.without(doc, "actions"),
+         "lacks the key 'actions'"),
+        # dense arrays of 8e16 bytes and more, beyond any address space
+        ("result", "eps_private", lambda doc: json.dumps({**doc, "n_actions": 10 ** 15}),
+         "asks for more memory than is available: Unable to allocate"),
+        ("model", "v3", lambda doc: json.dumps({**doc, "n_actions": 10 ** 15}),
+         "asks for more memory than is available: Unable to allocate"),
     ], ids=["model_not_json", "model_not_an_object", "model_v1_no_transition",
             "model_v1_row_sums", "model_rows_missing_a_pair", "model_rows_too_short",
             "model_state_count", "model_action_range", "model_unknown_schema",
@@ -764,7 +812,14 @@ class TestMalformedFile:
             "model_meta_text_lat", "model_meta_null_lat", "model_meta_number_label",
             "result_not_json", "result_no_theta", "result_every_state_secret",
             "result_bool_secret", "result_fractional_secret", "result_text_secret",
-            "result_bool_epsilon", "result_unknown_mode", "result_number_mode"])
+            "result_bool_epsilon", "result_unknown_mode", "result_number_mode",
+            "result_unknown_schema", "result_bool_schema", "result_float_schema",
+            "result_fractional_n_actions", "result_non_integer_action", "result_bool_action",
+            "result_action_above_range", "result_action_below_range",
+            "result_descending_actions", "result_repeated_action", "result_missing_state_row",
+            "result_short_p_inf", "result_scalar_p_inf", "result_long_theta_row",
+            "result_short_policy_row", "result_no_actions", "result_huge_n_actions",
+            "model_v3_huge_n_actions"])
     def test_one_error_line_exit_1(self, tmp_path, capsys, campus, kind, base, edit, expect):
         mode = (("--mode", "eps_private", "--epsilon", "0.2", "--secret", "s4")
                 if base == "eps_private" else ("--mode", "unconstrained"))
@@ -842,12 +897,15 @@ class TestOracleWriters:
 
     @staticmethod
     def use_oracles(monkeypatch):
+        # the oracles compute their own secret_mass column, not the one passed in
+        def write_belief_csv(path, beliefs, secret):
+            csv_write_belief_csv(path, beliefs, secret)
+            return secret_mass_series(beliefs, secret)
+
         monkeypatch.setattr(serialize, "dumps_canonical", recursive_dumps_canonical)
-        monkeypatch.setattr("lppm.cli.write_belief_csv",
-                            lambda path, beliefs, secret:
-                            csv_write_belief_csv(path, beliefs, secret))
+        monkeypatch.setattr("lppm.cli.write_belief_csv", write_belief_csv)
         monkeypatch.setattr("lppm.cli.write_metric_series",
-                            lambda path, beliefs, spec, distance:
+                            lambda path, beliefs, spec, distance, mass=None:
                             csv_write_metric_series(path, beliefs, spec, distance))
 
     @staticmethod
@@ -916,6 +974,15 @@ class TestResultModelMismatch:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
 
+    def test_n_actions_off_the_model_exit_1(self, tmp_path, capsys):
+        assert run(capsys, "synthesize", "--fixture", "campus", "--mode", "eps_private",
+                   "--epsilon", "0.2", "--secret", "s4", "--out", str(tmp_path))[0] == 0
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "n_actions": 8}))
+        assert run(capsys, "verify", "--fixture", "campus", "--result", str(path),
+                   "--out", str(tmp_path / "out")) == (
+            1, "", f"error: result {path} does not fit the model: theta (6, 8) and policy "
+                   "(6, 8) against 6 states and 6 actions\n")
 
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     def test_policy_off_the_model_exit_1(self, tmp_path, capsys, command):
@@ -931,6 +998,34 @@ class TestResultModelMismatch:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert "unavailable" in lines[0]
+
+
+class TestResultSchemaOne:
+    """A dense result file of result schema 1 (no schema key) drives verify
+    and simulate to the bytes its schema-2 file gives."""
+
+    @pytest.mark.parametrize("mode,args", [
+        ("unconstrained", ()), ("eps_private", ("--epsilon", "0.2", "--secret", "s4")),
+        ("asymptotic", ("--epsilon", "0.16", "--secret", "s4"))])
+    def test_verify_and_simulate_byte_identical(self, tmp_path, capsys, mode, args):
+        assert run(capsys, "synthesize", "--fixture", "campus", "--mode", mode, *args,
+                   "--out", str(tmp_path))[0] == 0
+        new = tmp_path / "result.json"
+        assert json.loads(new.read_text())["schema"] == 2
+        old = tmp_path / "v1.json"
+        save_result_v1(load_result(new), old)
+        assert "schema" not in json.loads(old.read_text())
+        budget = ("--epsilon", "0.2", "--secret", "s4")
+        seen = []
+        out = tmp_path / "out"  # the same directory, named in simulate's last line
+        for path in (new, old):
+            outputs = [run(capsys, command, "--fixture", "campus", "--result", str(path),
+                           *extra, "--out", str(out))
+                       for command, extra in [("verify", budget),
+                                              ("simulate", ("--horizon", "30", *budget))]]
+            seen.append((outputs, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert seen[0][1].keys() == {"belief.csv", "metrics.csv", "quality.csv"}
+        assert seen[0] == seen[1]
 
 
 class TestConfigMerge:

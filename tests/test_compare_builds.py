@@ -4,8 +4,10 @@ import shutil
 import numpy as np
 
 from lppm.mdp import Mdp
-from lppm.serialize import dumps_canonical, mdp_to_dict
-from support import mdp_to_dict_v2
+from lppm.metrics import PrivacySpec
+from lppm.serialize import dumps_canonical, mdp_to_dict, result_to_dict
+from lppm.synthesis import synthesize_eps_private
+from support import mdp_to_dict_v2, result_to_dict_v1
 from test_mobility import ROOT, load_module
 
 
@@ -121,3 +123,34 @@ class TestModelFiles:
         assert same == [] and lines == [
             "bundled: mdp.json differs (largest relative difference 0.5 at .p0[0]; "
             "largest absolute difference 0.25 at .p0[0])"]
+
+
+class TestResultFiles:
+    """Two result files that differ in bytes are compared by the results they hold."""
+
+    @staticmethod
+    def texts(result):
+        """The result's schema-1 and schema-2 file text."""
+        return [dumps_canonical(result_to_dict_v1(result)).encode(),
+                dumps_canonical(result_to_dict(result)).encode()]
+
+    def test_same_result_in_another_schema(self, campus):
+        old, new = self.texts(synthesize_eps_private(campus, PrivacySpec((3,), 0.2)))
+        assert old != new
+        assert compare_builds()._differences(
+            "campus synthesize_eps_private", [{"result.json": old}, {"result.json": new}]) \
+            == ([], ["campus synthesize_eps_private: result.json holds the same result bit "
+                     "for bit in other bytes"])
+
+    def test_one_ulp_in_theta_of_another_schema(self, campus):
+        result = synthesize_eps_private(campus, PrivacySpec((3,), 0.2))
+        old = self.texts(result)[0]
+        x = result.theta[1, 4]
+        result.theta[1, 4] = np.nextafter(x, 1.0)
+        gap = np.nextafter(x, 1.0) - x
+        assert compare_builds()._differences(
+            "campus synthesize_eps_private",
+            [{"result.json": old}, {"result.json": self.texts(result)[1]}]) \
+            == ([f"campus synthesize_eps_private: result.json differs (largest relative "
+                 f"difference {gap / np.nextafter(x, 1.0):.3g} at .theta[1][4]; largest "
+                 f"absolute difference {gap:.3g} at .theta[1][4])"], [])

@@ -122,7 +122,7 @@ def test_entries_list_the_completed_tensor_in_dense_order(rng, name):
     n, m, pairs = mdp.n_states, mdp.n_actions, len(mdp.rows)
     a, q, r, v = mdp.entries
     assert mdp.entries is mdp.entries and not any(x.flags.writeable for x in mdp.entries)
-    assert len(v) == pairs * n + (m * n - pairs)
+    assert len(v) == np.count_nonzero(mdp.rows) + (m * n - pairs)  # no zero entry
     assert np.all(np.diff((a * n + q) * n + r) > 0)  # sorted by (a, q, r), no repeats
     assert mdp.transition.tobytes() == completed_tensor(mdp).tobytes()
 

@@ -7,11 +7,12 @@ from lppm.cli import main
 from lppm.metrics import PrivacySpec
 from lppm.mobility import ClusterParams, build_model_from_traces
 from lppm.serialize import (dumps_canonical, load_mdp, load_result, mdp_from_dict,
-                            mdp_to_dict, result_to_dict, save_mdp, save_result)
-from lppm.synthesis import (synthesize_asymptotic, synthesize_eps_private,
+                            mdp_to_dict, result_from_dict, result_to_dict, save_mdp,
+                            save_result)
+from lppm.synthesis import (SynthesisResult, synthesize_asymptotic, synthesize_eps_private,
                             synthesize_unconstrained)
 from support import (mdp_to_dict_v1, mdp_to_dict_v2, random_dense_mdp,
-                     recursive_dumps_canonical, save_mdp_v1, save_mdp_v2)
+                     recursive_dumps_canonical, result_to_dict_v1, save_mdp_v1, save_mdp_v2)
 from test_mdp import ORACLE_MODELS
 from test_mobility import ROOT, load_module
 
@@ -286,3 +287,100 @@ class TestResultRoundTrip:
         assert back.b_inf is not None
         np.testing.assert_array_equal(back.b_inf, res.b_inf)
         assert back.diagnostics["residual"] == res.diagnostics["residual"]
+
+
+def synthesize(mode, mdp, secret, epsilon):
+    if mode == "unconstrained":
+        return synthesize_unconstrained(mdp)
+    spec = PrivacySpec((secret,), epsilon)
+    return (synthesize_eps_private if mode == "eps_private" else synthesize_asymptotic)(mdp, spec)
+
+
+def assert_same_result(back, res):
+    """Every field of `back` holds the bits of `res`'s."""
+    for key in ("theta", "policy", "p_inf", "b_inf"):
+        want = getattr(res, key)
+        got = getattr(back, key)
+        assert (got is None and want is None) or (
+            got.shape == want.shape and got.tobytes() == want.tobytes()), key
+    assert (back.mode, back.epsilon, back.secret_states, back.diagnostics) == \
+        (res.mode, res.epsilon, res.secret_states, res.diagnostics)
+    assert repr(back.average_cost) == repr(res.average_cost)
+    if res.certificate is None:
+        assert back.certificate is None
+    else:
+        assert repr((back.certificate.z, back.certificate.margin)) == \
+            repr((res.certificate.z, res.certificate.margin))
+        assert back.certificate.beta.tobytes() == res.certificate.beta.tobytes()
+
+
+# asymptotic mode takes models whose moves ignore the action, so not random_dense
+RESULT_CASES = [(model, mode) for model in ("campus", "random_dense", "trace")
+                for mode in ("unconstrained", "eps_private", "asymptotic")
+                if (model, mode) != ("random_dense", "asymptotic")]
+
+
+class TestResultSchemas:
+    """Result schema 2 stores theta and the policy per state at their nonzero
+    actions; schema 1, the dense form, still loads."""
+
+    def test_dict_form_holds_the_supported_pairs(self, campus):
+        res = synthesize_eps_private(campus, PrivacySpec((3,), 0.2))
+        doc = result_to_dict(res)
+        assert list(doc) == ["schema", "mode", "epsilon", "secret_states", "average_cost",
+                             "n_actions", "actions", "theta", "policy", "p_inf", "b_inf",
+                             "certificate", "diagnostics"]
+        assert (doc["schema"], doc["n_actions"]) == (2, 6)
+        assert [row.tolist() for row in doc["actions"]] == [
+            np.flatnonzero(row).tolist() for row in res.theta + res.policy]
+        for key in ("theta", "policy"):
+            dense = getattr(res, key)
+            assert [row.tolist() for row in doc[key]] == [
+                dense[s, acts].tolist() for s, acts in enumerate(doc["actions"])]
+        assert [key for key in result_to_dict_v1(res) if key not in doc] == []
+
+    @pytest.mark.parametrize("model_case,mode", RESULT_CASES, indirect=["model_case"])
+    def test_either_schema_loads_bit_identical(self, model_case, mode):
+        res = synthesize(mode, *model_case)
+        for doc in (result_to_dict(res), result_to_dict_v1(res)):
+            assert_same_result(result_from_dict(json.loads(dumps_canonical(doc))), res)
+
+    @pytest.mark.parametrize("model_case,mode", RESULT_CASES, indirect=["model_case"])
+    def test_save_load_save_byte_identical(self, model_case, mode, tmp_path):
+        save_result(synthesize(mode, *model_case), tmp_path / "r1.json")
+        save_result(load_result(tmp_path / "r1.json"), tmp_path / "r2.json")
+        assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+    def test_schema_one_file_resaves_in_schema_two(self, campus, tmp_path):
+        res = synthesize_asymptotic(campus, PrivacySpec((3,), 0.16))
+        (tmp_path / "v1.json").write_text(dumps_canonical(result_to_dict_v1(res)) + "\n")
+        save_result(load_result(tmp_path / "v1.json"), tmp_path / "resaved.json")
+        save_result(res, tmp_path / "v2.json")
+        assert (tmp_path / "resaved.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
+
+    def test_policy_without_theta_and_signed_zeros(self):
+        """A state without mass keeps its uniform policy row; -0.0 in theta
+        is not stored and reads back as 0.0, as the dense form writes it."""
+        theta = np.array([[0.25, 0.75, 0.0], [0.0, -0.0, 0.0]])
+        policy = np.array([[0.25, 0.75, 0.0], [0.5, 0.0, 0.5]])
+        res = SynthesisResult("unconstrained", theta, policy, np.array([1.0, 0.0]), 0.5)
+        doc = result_to_dict(res)
+        assert [row.tolist() for row in doc["actions"]] == [[0, 1], [0, 2]]
+        assert [row.tolist() for row in doc["theta"]] == [[0.25, 0.75], [0.0, 0.0]]
+        for doc in (doc, result_to_dict_v1(res)):
+            back = result_from_dict(json.loads(dumps_canonical(doc)))
+            assert back.theta.tobytes() == (theta + 0.0).tobytes()
+            assert back.policy.tobytes() == policy.tobytes()
+
+    def test_generated_120_file_is_small(self, tmp_path):
+        mdp = generated_model(120)
+        checks = load_module("perfbench_checks", ROOT / "perfbench" / "checks.py")
+        pi = checks.stationary(checks.user_chain(mdp))  # synth_large's secret and budget
+        top = [int(s) for s in np.argsort(-pi, kind="stable")[:5]]
+        secret, epsilon = checks.private_spec(mdp, top)
+        res = synthesize_eps_private(mdp, PrivacySpec((secret,), epsilon))
+        save_result(res, tmp_path / "r.json")
+        dense = dumps_canonical(result_to_dict_v1(res)) + "\n"
+        size = (tmp_path / "r.json").stat().st_size
+        assert size <= 15_000 and size < len(dense) / 7
+        assert_same_result(load_result(tmp_path / "r.json"), res)
